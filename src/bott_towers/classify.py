@@ -251,7 +251,7 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     twist columns back from the discarded coordinates.  A success result is
     verified exactly before being returned: the matrix maps the standard
     fan of the recovered sequence onto the input rays and cones through
-    ray_map.  ``seed`` drives the completeness probes.
+    ray_map.  ``seed`` is accepted for compatibility and has no effect.
     """
     gf = _as_general(fan)
     try:
@@ -259,7 +259,7 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
         smooth, witness = _smoothness_report(gf)
         if not smooth:
             raise RejectionError("not smooth", witness)
-        if not is_complete(gf, seed=seed):
+        if not is_complete(gf):
             raise RejectionError("not complete")
         sequence, matrix, ray_map, order = _peel(gf)
     except RejectionError as err:

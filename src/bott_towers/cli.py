@@ -4,8 +4,9 @@ Subcommands take one input argument — a file path, or inline JSON when the
 argument starts with ``{`` — and print one canonical document, or write it
 with ``-o``.  Exit codes: 0 success, 2 unreadable input or bad usage, 3
 well-formed but invalid data, 4 mathematical rejection (the rejection
-document is still printed).  The environment variable BOTT_SEED drives the
-randomized completeness probes.
+document is still printed).  The environment variable BOTT_SEED and the
+``check --probes`` option are validated but have no effect: completeness is
+decided exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .cohomology import (
     total_chern_class,
 )
 from .errors import RejectionError, ValidationError
-from .fans import binary_codes, build_fan, is_complete, is_fano, is_smooth
+from .fans import (_fano_condition, binary_codes, build_fan, is_complete,
+                   is_smooth)
 from .render import render_svg
 from .sequences import bott_matrix, bott_number, bott_number_moebius, c_matrix
 from .serialize import (
@@ -107,28 +109,22 @@ def _cmd_fan(args):
     return encode_canonical(fan_to_doc(build_fan(c, k))), 0
 
 
+def _verdict(predicate, gf) -> bool:
+    """Whether predicate(gf) holds, a rejection counting as False."""
+    try:
+        return bool(predicate(gf))
+    except RejectionError:
+        return False
+
+
 def _cmd_check(args):
     gf = _load_fan(args.input)
-    seed = _seed()
-    try:
-        smooth = is_smooth(gf)
-    except RejectionError:
-        smooth = False
-    try:
-        complete = is_complete(gf, probes=args.probes, seed=seed)
-    except RejectionError:
-        complete = False
-    try:
-        fano = is_fano(gf)
-    except RejectionError:
-        fano = False
-    try:
-        crosspolytope_check(gf)
-        crosspolytope = True
-    except RejectionError:
-        crosspolytope = False
-    doc = {"smooth": smooth, "complete": complete, "fano": fano,
-           "crosspolytope": crosspolytope}
+    _seed()  # validated only: completeness is exact
+    smooth = _verdict(is_smooth, gf)
+    complete = _verdict(is_complete, gf)
+    doc = {"smooth": smooth, "complete": complete,
+           "fano": complete and _fano_condition(gf),
+           "crosspolytope": _verdict(crosspolytope_check, gf)}
     return encode_canonical(doc), 0
 
 
@@ -233,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check", _cmd_check,
             "smooth / complete / fano / crosspolytope verdicts for a fan")
     p.add_argument("--probes", type=int, default=100,
-                   help="number of exact containment probes for completeness")
+                   help="accepted for compatibility; completeness is "
+                        "decided exactly and ignores it")
     add("charts", _cmd_charts,
         "affine chart monomials, one chart per binary code", stage=True)
     add("bundle", _cmd_bundle,

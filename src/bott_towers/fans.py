@@ -15,8 +15,6 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 
 from __future__ import annotations
 
-import random
-from collections import Counter
 from itertools import permutations, product
 
 from . import linalg
@@ -106,7 +104,7 @@ def build_fan(c: IntegralSequence, k: int) -> BottFan:
 class GeneralFan:
     """A simplicial fan: primitive rays and full-dimensional maximal cones."""
 
-    __slots__ = ("dim", "rays", "cones")
+    __slots__ = ("dim", "rays", "cones", "_dets")
 
     def __init__(self, dim: int, rays, cones):
         _check_int(dim, "dim")
@@ -144,6 +142,7 @@ class GeneralFan:
         self.dim = dim
         self.rays = tuple(ray_list)
         self.cones = tuple(sorted(cone_list))
+        self._dets = None
 
     def __eq__(self, other):
         if not isinstance(other, GeneralFan):
@@ -171,13 +170,20 @@ def _cone_matrix(gf: GeneralFan, cone):
     return [list(gf.rays[r]) for r in cone]
 
 
+def _cone_dets(gf: GeneralFan):
+    """Each maximal cone's determinant, in cone order, computed once per fan
+    for the smoothness and completeness checks."""
+    if gf._dets is None:
+        gf._dets = tuple(linalg.det(_cone_matrix(gf, cone))
+                         for cone in gf.cones)
+    return gf._dets
+
+
 def _smoothness_report(gf: GeneralFan):
     """(all cones unimodular?, witness of the first failure)."""
-    for cone in gf.cones:
-        d = linalg.det(_cone_matrix(gf, cone))
+    for cone, d in zip(gf.cones, _cone_dets(gf)):
         if d == 0:
-            raise RejectionError("degenerate cone",
-                                 {"cone": list(cone)})
+            raise RejectionError("degenerate cone", {"cone": list(cone)})
         if abs(d) != 1:
             return False, {"cone": list(cone), "det": d}
     return True, None
@@ -192,72 +198,61 @@ def is_smooth(fan) -> bool:
     return _smoothness_report(_as_general(fan))[0]
 
 
-def _cone_inverses(gf: GeneralFan):
-    """Exact inverse of each cone's ray-row matrix (ints when unimodular)."""
-    inverses = []
-    for cone in gf.cones:
-        m = _cone_matrix(gf, cone)
-        d = linalg.det(m)
-        if d == 0:
-            raise RejectionError("degenerate cone", {"cone": list(cone)})
-        if abs(d) == 1:
-            inverses.append(linalg.invert_unimodular(m))
-        else:
-            inverses.append(linalg.invert_fraction(m))
-    return inverses
-
-
-def _contains(inverse, x) -> bool:
-    """Membership of x in the cone with ray-row inverse given: all
-    barycentric coefficients of x must be >= 0."""
-    k = len(x)
-    for j in range(k):
-        coeff = sum(x[t] * inverse[t][j] for t in range(k))
-        if coeff < 0:
-            return False
-    return True
-
-
 def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
-    """Facet pairing + connectivity + randomized exact containment probe.
+    """Exact test that the maximal cones cover R^k without overlap.
 
-    Every (k-1)-face of a maximal cone must be shared by exactly two maximal
-    cones, the facet-adjacency graph must be connected, and each of `probes`
-    random integer vectors must lie in at least one maximal cone (membership
-    decided exactly).  Deterministic for a fixed seed.
+    Four checks, by the degree argument for simplicial fans: every wall
+    (a cone minus one ray) lies in exactly two cones; those two cones lie
+    on opposite sides of it; the wall graph is connected; and the sum x of
+    the first cone's rays lies in no other closed cone (degree one).  Raises
+    the "degenerate cone" rejection for a cone of determinant 0 when the
+    first and third checks pass.  ``probes`` and ``seed`` are accepted for
+    compatibility and have no effect.
     """
     gf = _as_general(fan)
     if not gf.cones:
         return False
-    facet_count = Counter()
-    for cone in gf.cones:
-        for drop in cone:
-            facet_count[tuple(r for r in cone if r != drop)] += 1
-    if any(count != 2 for count in facet_count.values()):
-        return False
-    by_facet = {}
+    masks = [sum(1 << r for r in cone) for cone in gf.cones]
+    walls = {}
     for idx, cone in enumerate(gf.cones):
-        for drop in cone:
-            by_facet.setdefault(tuple(r for r in cone if r != drop),
-                                []).append(idx)
-    seen = {0}
-    queue = [0]
+        for slot, r in enumerate(cone):
+            walls.setdefault(masks[idx] ^ (1 << r), []).append((idx, slot))
+    if any(len(pair) != 2 for pair in walls.values()):
+        return False
+    adjacent = [[] for _ in gf.cones]
+    for (i, _), (j, _) in walls.values():
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen, queue = {0}, [0]
     while queue:
-        current = queue.pop()
-        for drop in gf.cones[current]:
-            facet = tuple(r for r in gf.cones[current] if r != drop)
-            for neighbor in by_facet[facet]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
+        fresh = set(adjacent[queue.pop()]) - seen
+        seen |= fresh
+        queue += fresh
     if len(seen) != len(gf.cones):
         return False
-    inverses = _cone_inverses(gf)
-    rng = random.Random(seed)
-    for _ in range(probes):
-        x = tuple(rng.randint(-9, 9) for _ in range(gf.dim))
-        if not any(_contains(inv, x) for inv in inverses):
+    dets = _cone_dets(gf)
+    if 0 in dets:
+        raise RejectionError("degenerate cone",
+                             {"cone": list(gf.cones[dets.index(0)])})
+    # opposite sides: det(wall rows, dropped ray) = (-1)^(dim-1-slot) det
+    # of the cone, and its sign must differ between the wall's two cones
+    for (i, s), (j, t) in walls.values():
+        if (dets[i] > 0) ^ (s % 2) == (dets[j] > 0) ^ (t % 2):
             return False
+    # degree one: x, inside the first cone, lies in no other closed cone.
+    # x = (1, ..., 1) in the first cone's basis, so a cone can hold x only
+    # if each coordinate of that basis is positive on one of its rays
+    basis = list(zip(*(gf.rays[r] for r in gf.cones[0])))
+    d, coords = linalg.solve_fraction_free(basis, gf.rays)
+    positive = [sum(1 << idx for idx, y in enumerate(coords) if y[i] * d > 0)
+                for i in range(gf.dim)]
+    x = [sum(row) for row in basis]
+    for cone, mask in zip(gf.cones[1:], masks[1:]):
+        if all(mask & p for p in positive):
+            d, (y,) = linalg.solve_fraction_free(
+                list(zip(*(gf.rays[r] for r in cone))), [x])
+            if all(v * d >= 0 for v in y):
+                return False
     return True
 
 
@@ -357,6 +352,19 @@ def primitive_collections(fan):
     return [tuple(pair) for pair in pairs]
 
 
+def _fano_condition(gf: GeneralFan) -> bool:
+    """The Fano inequalities of a complete fan, cone by cone."""
+    k = gf.dim
+    for cone in gf.cones:
+        # m = y / d, so <m, ray> > -1 exactly when (<y, ray> + d) * d > 0
+        d, (y,) = linalg.solve_fraction_free(_cone_matrix(gf, cone),
+                                             [[-1] * k])
+        if any((sum(y[t] * ray[t] for t in range(k)) + d) * d <= 0
+               for idx, ray in enumerate(gf.rays) if idx not in cone):
+            return False
+    return True
+
+
 def is_fano(fan) -> bool:
     """Strict convexity of the anticanonical support data.
 
@@ -367,17 +375,7 @@ def is_fano(fan) -> bool:
     gf = _as_general(fan)
     if not is_complete(gf):
         raise RejectionError("not complete")
-    k = gf.dim
-    for cone in gf.cones:
-        m = linalg.solve_fraction(_cone_matrix(gf, cone), [-1] * k)
-        in_cone = set(cone)
-        for idx, ray in enumerate(gf.rays):
-            if idx in in_cone:
-                continue
-            value = sum(m[t] * ray[t] for t in range(k))
-            if value <= -1:
-                return False
-    return True
+    return _fano_condition(gf)
 
 
 def lift_with_support_function(fan: BottFan, h) -> GeneralFan:

@@ -1,8 +1,9 @@
 """Small exact linear algebra over the integers and rationals.
 
-All matrices are lists of row lists of Python ints (arbitrary precision);
-rational intermediate values use fractions.Fraction.  Sizes here are tiny
-(at most a couple dozen), so clarity beats asymptotics.
+All matrices are lists of row lists of Python ints (arbitrary precision).
+Every elimination is fraction-free; fractions.Fraction appears only in the
+results of solve_fraction and invert_fraction.  Sizes here are tiny (at
+most a couple dozen), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -31,25 +32,34 @@ def matvec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def det(matrix) -> int:
-    """Integer determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
+def _eliminate(m, n: int) -> int:
+    """Bareiss elimination (Math. Comp. 22, 1968) of the first n columns of
+    the row list m, in place; every division is exact.  Returns the
+    determinant of the leading n x n block, or 0 when it is singular."""
     sign = 1
     prev = 1
-    for i in range(n - 1):
+    for i in range(n):
         if m[i][i] == 0:
             pivot = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
             if pivot is None:
                 return 0
             m[i], m[pivot] = m[pivot], m[i]
             sign = -sign
+        top = m[i]
+        p = top[i]
         for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
+            row = m[r]
+            f = row[i]
+            for c in range(i + 1, len(row)):
+                row[c] = (row[c] * p - f * top[c]) // prev
+            row[i] = 0
+        prev = p
+    return sign * prev
+
+
+def det(matrix) -> int:
+    """Integer determinant by fraction-free Bareiss elimination."""
+    return _eliminate([list(row) for row in matrix], len(matrix))
 
 
 def is_unimodular(matrix) -> bool:
@@ -57,57 +67,49 @@ def is_unimodular(matrix) -> bool:
     return all(len(row) == rows for row in matrix) and abs(det(matrix)) == 1
 
 
-def solve_fraction(matrix, rhs):
-    """Solve matrix @ x = rhs exactly; returns a tuple of Fraction.
+def solve_fraction_free(matrix, columns):
+    """(det(matrix), [adj(matrix) @ b for b in columns]) in integers only.
 
-    Raises ValidationError on a singular matrix.
+    adj(matrix) @ b is det * x for the solution x of matrix @ x = b, so x_j
+    has the sign of its j-th entry times the sign of det, and the back
+    substitution divides exactly.  Raises ValidationError when singular.
     """
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    m = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]
+    d = _eliminate(m, n)
+    if d == 0:
+        raise ValidationError("singular matrix")
+    p = m[-1][n - 1]  # d, up to the sign of the row swaps
+    out = []
+    for c in range(n, n + len(columns)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            y[i] = (p * row[c] - sum(row[j] * y[j]
+                                     for j in range(i + 1, n))) // row[i]
+        out.append(y if d == p else [-v for v in y])
+    return d, out
+
+
+def solve_fraction(matrix, rhs):
+    """Solve matrix @ x = rhs exactly as a tuple of Fraction; raises
+    ValidationError on a singular matrix."""
+    d, (y,) = solve_fraction_free(matrix, [rhs])
+    return tuple(Fraction(v, d) for v in y)
 
 
 def invert_fraction(matrix):
     """Exact inverse as a matrix of Fraction; raises on singular input."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    d, cols = solve_fraction_free(matrix, identity(len(matrix)))
+    return [[Fraction(v, d) for v in row] for row in transpose(cols)]
 
 
 def invert_unimodular(matrix):
     """Integer inverse of a matrix with determinant +-1."""
-    inv = invert_fraction(matrix)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValidationError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    d, cols = solve_fraction_free(matrix, identity(len(matrix)))
+    if abs(d) != 1:
+        raise ValidationError("matrix is not unimodular")
+    return [[d * v for v in row] for row in transpose(cols)]
 
 
 def gcd_vector(v) -> int:

@@ -36,6 +36,49 @@ def fraction_inverse(matrix):
     return [row[n:] for row in aug]
 
 
+def probe_complete(gf: GeneralFan, probes: int = 100, seed: int = 0) -> bool:
+    """The former randomized completeness check, kept as a test oracle.
+
+    Every facet (a cone minus one ray) must lie in exactly two cones, the
+    facet graph must be connected, and each of `probes` seeded random
+    integer points must lie in some cone, decided by Fraction inverses.
+    Sampling can miss an uncovered region or an overlap, so only two
+    implications hold: a complete fan gives True, and False means the fan
+    is not complete.
+    """
+    cones = gf.cones
+    if not cones:
+        return False
+    by_facet = {}
+    for idx, cone in enumerate(cones):
+        for drop in cone:
+            facet = tuple(r for r in cone if r != drop)
+            by_facet.setdefault(facet, []).append(idx)
+    if any(len(owners) != 2 for owners in by_facet.values()):
+        return False
+    seen = {0}
+    queue = [0]
+    while queue:
+        cone = cones[queue.pop()]
+        for drop in cone:
+            for other in by_facet[tuple(r for r in cone if r != drop)]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+    if len(seen) != len(cones):
+        return False
+    inverses = [fraction_inverse([list(gf.rays[r]) for r in cone])
+                for cone in cones]
+    rng = random.Random(seed)
+    k = gf.dim
+    for _ in range(probes):
+        x = [rng.randint(-9, 9) for _ in range(k)]
+        if not any(all(sum(x[t] * inv[t][j] for t in range(k)) >= 0
+                       for j in range(k)) for inv in inverses):
+            return False
+    return True
+
+
 def minor_det(matrix):
     """Determinant by cofactor expansion along the first row (exact)."""
     n = len(matrix)

@@ -33,6 +33,10 @@ PUNCTURED_FAN = ('{"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
                  ' "cones": [[0, 2], [0, 3], [1, 2]]}')
 OVERLAP_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [2, 1]],'
                ' "cones": [[0, 1], [0, 3], [1, 2], [2, 3]]}')
+# seven rays, consecutive pairs as cones, winding twice around the origin
+DOUBLE_WRAP_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [0, -1],'
+                   ' [1, 1], [-1, 0], [1, -1]], "cones": [[0, 1], [1, 2],'
+                   ' [2, 3], [3, 4], [4, 5], [5, 6], [0, 6]]}')
 
 
 def run_cli(*args, env_extra=None):
@@ -175,6 +179,16 @@ class TestFanAndCheck:
         doc = stdout_doc(run_cli("check", OVERLAP_FAN))
         assert doc == {"smooth": True, "complete": False,
                        "fano": False, "crosspolytope": True}
+
+    def test_check_double_wrap_not_complete(self):
+        result = run_cli("check", DOUBLE_WRAP_FAN)
+        assert result.returncode == 0
+        assert result.stdout == ('{\n'
+                                 '  "complete": false,\n'
+                                 '  "crosspolytope": false,\n'
+                                 '  "fano": false,\n'
+                                 '  "smooth": true\n'
+                                 '}\n')
 
 
 # ===================================================================
@@ -321,6 +335,16 @@ class TestDeterminism:
         seeded = run_cli("classify", HIRZEBRUCH_FAN,
                          env_extra={"BOTT_SEED": "7"})
         assert base.stdout == seeded.stdout
+
+    @pytest.mark.parametrize("fan", [HIRZEBRUCH_FAN, DOUBLE_WRAP_FAN])
+    def test_probes_and_seed_do_not_change_check(self, fan):
+        base = run_cli("check", fan)
+        assert base.returncode == 0
+        for variant in (run_cli("check", fan, "--probes", "0"),
+                        run_cli("check", fan, "--probes", "-5"),
+                        run_cli("check", fan, env_extra={"BOTT_SEED": "7"})):
+            assert variant.returncode == 0
+            assert variant.stdout == base.stdout
 
     def test_invalid_seed_rejected(self):
         result = run_cli("check", HIRZEBRUCH_SEQ,

@@ -11,6 +11,10 @@ Core claims:
 4. Hirzebruch-type Fano boundary: c in {-1, 0, 1} exactly.
 5. apply_unimodular and fans_isomorphic: scrambling by GL_n(Z) and ray
    relabeling is undone by the search; non-isomorphic fans return None.
+6. is_complete is exact: cone complexes that pass wall pairing, orientation
+   and connectivity but cover space twice are rejected, and on scrambled
+   tower fans and known rejects it agrees with the known answer and is
+   consistent with the former probe check.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from helpers import (
     mat_mul,
     minor_det,
     permute_rays,
+    probe_complete,
     random_sequence,
     random_unimodular,
 )
@@ -183,7 +188,8 @@ class TestChecks:
 
     def test_overlapping_cover_caught_by_probe(self):
         # Facet counts pair up, but the four cones only cover the first
-        # quadrant; only the containment probe can expose that.
+        # quadrant; at the wall through (1, 0) both cones lie on the same
+        # side, which the orientation check catches.
         fan = GeneralFan(2, [(1, 0), (0, 1), (1, 1), (2, 1)],
                          [(0, 1), (0, 3), (2, 1), (2, 3)])
         assert not is_complete(fan)
@@ -208,6 +214,106 @@ class TestChecks:
         with pytest.raises(RejectionError) as err:
             primitive_collections(plane)
         assert err.value.code == "not crosspolytope combinatorics"
+
+
+# 2-D factors of the known rejects: a complete fan whose cones all have
+# determinant +-2, and a smooth complex that covers only x >= 0, twice.
+NONSMOOTH_2D = ([(1, 0), (-1, 0), (1, 2), (-1, -2)],
+                [(0, 2), (0, 3), (1, 2), (1, 3)])
+INCOMPLETE_2D = ([(1, 0), (1, 1), (0, 1), (0, -1)],
+                 [(0, 2), (0, 3), (1, 2), (1, 3)])
+# Seven rays, consecutive pairs as cones, winding twice around the origin:
+# every wall lies in two cones on opposite sides, yet it is not a fan.
+DOUBLE_WRAP = GeneralFan(
+    2, [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (1, -1)],
+    [(i, (i + 1) % 7) for i in range(7)])
+
+
+def product_fan(rays, cones, tail: GeneralFan) -> GeneralFan:
+    """The product of a fan given by rays and cones with the fan `tail`."""
+    dim = len(rays[0])
+    out_rays = [tuple(r) + (0,) * tail.dim for r in rays]
+    out_rays += [(0,) * dim + r for r in tail.rays]
+    out_cones = [tuple(a) + tuple(len(rays) + r for r in b)
+                 for a in cones for b in tail.cones]
+    return GeneralFan(dim + tail.dim, out_rays, out_cones)
+
+
+def known_answer_fan(rng, k: int, kind: str):
+    """A scrambled tower fan or known reject of height k >= 2, with its
+    completeness."""
+    tower = build_fan(random_sequence(rng, k, -3, 3), k).as_general_fan()
+    rays, cones, complete = list(tower.rays), tower.cones, True
+    if kind == "odd":
+        rays.append((1, 1) + (0,) * (k - 2))
+    elif kind == "missing":
+        cones = list(cones)
+        del cones[rng.randrange(len(cones))]
+        complete = False
+    elif kind in ("nonsmooth", "incomplete"):
+        factor = NONSMOOTH_2D if kind == "nonsmooth" else INCOMPLETE_2D
+        if k == 2:
+            rays, cones = factor
+        else:
+            tail = build_fan(random_sequence(rng, k - 2, -3, 3), k - 2)
+            product = product_fan(*factor, tail.as_general_fan())
+            rays, cones = product.rays, product.cones
+        complete = kind == "nonsmooth"
+    fan = apply_unimodular(GeneralFan(k, rays, cones),
+                           random_unimodular(rng, k))
+    return permute_rays(rng, fan), complete
+
+
+class TestExactCompleteness:
+    def test_double_wrap_not_complete(self):
+        assert is_smooth(DOUBLE_WRAP)
+        assert not is_complete(DOUBLE_WRAP)
+
+    def test_double_wrap_times_line_not_complete(self):
+        line = GeneralFan(1, [(1,), (-1,)], [(0,), (1,)])
+        fan = product_fan(DOUBLE_WRAP.rays, DOUBLE_WRAP.cones, line)
+        assert fan.dim == 3 and len(fan.cones) == 14
+        assert not is_complete(fan)
+
+    def test_probes_and_seed_have_no_effect(self):
+        overlap = GeneralFan(2, [(1, 0), (0, 1), (1, 1), (2, 1)],
+                             [(0, 1), (0, 3), (2, 1), (2, 3)])
+        for fan in (DOUBLE_WRAP, hirzebruch_fan(3), overlap):
+            verdict = is_complete(fan)
+            for probes, seed in ((0, 0), (-5, 0), (1, 7), (100, 12345)):
+                assert is_complete(fan, probes, seed) is verdict
+
+    def test_degenerate_cone_rejected_in_cone_order(self):
+        # walls pair up and the wall graph is connected, but the cones
+        # (0, 2) and (1, 3) are flat
+        fan = GeneralFan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                         [(0, 2), (0, 3), (1, 2), (1, 3)])
+        with pytest.raises(RejectionError) as err:
+            is_complete(fan)
+        assert err.value.code == "degenerate cone"
+        assert err.value.witness == {"cone": [0, 2]}
+
+    def test_disconnected_complex_rejected_before_degenerate_cone(self):
+        # a complete fan plus a separate cycle whose cone (4, 5) is flat
+        fan = GeneralFan(2, [(1, 0), (0, 1), (-1, 0), (0, -1),
+                             (1, 1), (-1, -1), (1, 2)],
+                         [(0, 1), (1, 2), (2, 3), (0, 3),
+                          (4, 5), (5, 6), (4, 6)])
+        assert is_complete(fan) is False
+
+    def test_agrees_with_known_answers_and_probe_oracle(self):
+        rng = random.Random(2003)
+        kinds = ("tower", "odd", "missing", "nonsmooth", "incomplete")
+        for trial in range(40):
+            k = rng.randint(2, 6)
+            kind = kinds[trial % len(kinds)]
+            fan, expected = known_answer_fan(rng, k, kind)
+            exact = is_complete(fan)
+            probe = probe_complete(fan, seed=trial)
+            assert exact is expected, (kind, k)
+            # exact True implies probe True, i.e. probe False implies
+            # exact False; sampling allows nothing more
+            assert probe or not exact, (kind, k)
 
 
 # ===================================================================
