@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .sequences import IntegralSequence, _check_code, _check_int, bott_number
+from .sequences import IntegralSequence, _bott_number, _check_code, _check_int
 
 
 def _check_position(k: int, value: int, name: str) -> int:
@@ -76,9 +76,12 @@ def dual_generators(c: IntegralSequence, k: int, w):
         sign = -1 if w[j - 1] == 1 else 1
         vec = [0] * k
         vec[j - 1] = sign
-        for l in prefix_set(w, j):
-            _, zeros = index_sets(w, l, j)
-            vec[l - 1] = sign * bott_number(c, (l,) + zeros + (j,))
+        zeros = ()  # zero positions of w strictly between l and j
+        for l in range(j - 1, 0, -1):
+            if w[l - 1] == 1:
+                vec[l - 1] = sign * _bott_number(c, (l,) + zeros + (j,))
+            else:
+                zeros = (l,) + zeros
         vectors.append(tuple(vec))
     return vectors
 

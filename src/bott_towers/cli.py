@@ -27,12 +27,7 @@ from .bundles import (
 )
 from .charts import dual_chart
 from .classify import classify, crosspolytope_check
-from .cohomology import (
-    betti,
-    euler_characteristic,
-    presentation,
-    total_chern_class,
-)
+from .cohomology import betti, integrate, presentation, total_chern_class
 from .errors import RejectionError, ValidationError
 from .fans import (_fano_condition, binary_codes, build_fan, is_complete,
                    is_smooth)
@@ -160,13 +155,15 @@ def _cmd_bundle(args):
 def _cmd_cohomology(args):
     c, k = _sequence_and_stage(args)
     ranks = betti(c, k)
-    euler = euler_characteristic(c, k)
+    total = total_chern_class(c, k)
+    euler = integrate(total)  # integrates its top-degree part
     doc = {"k": k,
            "relations": [list(rel) for rel in presentation(c, k).relations],
            "betti": list(ranks),
            "euler_characteristic": euler,
            "total_chern": [[list(indices), coeff] for indices, coeff
-                           in total_chern_class(c, k).terms()]}
+                           in total.terms()]}
+    del total  # up to 2^k terms: free them before the oracle and encoding
     if args.oracle:
         checked = 0
         for size in range(k + 1):

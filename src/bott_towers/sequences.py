@@ -8,10 +8,18 @@ the triangular recursion
 
     b(i,i) = -1,      b(i,j) = - sum_{i < k <= j} c(i,k) b(k,j),
 
-which this module evaluates in exact integer arithmetic.  The top-right entry
-b(I) of B(I) is the Bott number of I; it admits an independent expansion as an
-alternating sum over chains through the interior of I, implemented in
-:func:`bott_number_moebius`.
+which :func:`bott_matrix` evaluates in exact integer arithmetic.  The
+top-right entry b(I) of B(I) is the Bott number of I.  Read along the last
+column, the recursion only ever needs Bott numbers of suffixes of I:
+
+    b({i}) = -1,      b(I) = - sum_{t >= 2} c(i_1, i_t) b(I_{>=t}),
+
+where I_{>=t} = {i_t < ... < i_m}.  :func:`bott_number` evaluates this form
+and memoises every value on its sequence, so the suffixes shared between index
+sets are computed once; the memo holds one entry per requested set and per
+suffix of it, hence at most 2^n - 1 entries.  The Bott number also admits an
+independent expansion as an alternating sum over chains through the interior
+of I, implemented in :func:`bott_number_moebius`.
 
 >>> c = IntegralSequence(3, {(1, 2): 2, (1, 3): 5, (2, 3): 3})
 >>> bott_matrix(c, (1, 2, 3))
@@ -156,13 +164,42 @@ def bott_matrix(c: IntegralSequence, ids):
 
 
 def bott_number(c: IntegralSequence, ids) -> int:
-    """The Bott number b(I): top-right entry of B(I); -1 for singletons."""
-    ids = _index_set(c, ids)
-    cached = c._cache.get(ids)
-    if cached is None:
-        cached = bott_matrix(c, ids)[0][-1]
-        c._cache[ids] = cached
-    return cached
+    """The Bott number b(I): top-right entry of B(I); -1 for singletons.
+
+    Evaluated by the suffix recursion of the module docstring and memoised
+    on `c` together with every suffix of I, so the memo never exceeds
+    2^n - 1 entries.
+    """
+    return _bott_number(c, _index_set(c, ids))
+
+
+def _bott_number(c: IntegralSequence, ids: tuple) -> int:
+    """b(ids) for a sorted, validated index tuple, via its memoised suffixes.
+
+    Suffixes are filled shortest first in a loop, so no set is too long for
+    the recursion limit; every memoised set has all its suffixes memoised.
+    """
+    cache = c._cache
+    value = cache.get(ids)
+    if value is not None:
+        return value
+    entries = c._entries
+    m = len(ids)
+    tail = [-1] * m  # tail[t] = b(ids[t:]); -1 for the last singleton
+    cache[ids[-1:]] = -1
+    for t in range(m - 2, -1, -1):
+        key = ids[t:]
+        value = cache.get(key)
+        if value is None:
+            i = ids[t]
+            value = 0
+            for s in range(t + 1, m):
+                entry = entries.get((i, ids[s]))
+                if entry:
+                    value -= entry * tail[s]
+            cache[key] = value
+        tail[t] = value
+    return tail[0]
 
 
 def bott_number_moebius(c: IntegralSequence, ids) -> int:

@@ -10,6 +10,8 @@ strings are accepted wherever an integer is expected.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 from .fans import GeneralFan, _as_general
@@ -18,21 +20,55 @@ from .sequences import IntegralSequence
 PRECISION_LIMIT = 2 ** 53
 
 
-def _guard_big(doc):
-    if isinstance(doc, bool):
-        return doc
-    if isinstance(doc, int):
-        return str(doc) if abs(doc) >= PRECISION_LIMIT else doc
+def _small_ints(items) -> bool:
+    """Whether there are items and all are plain ints below the limit."""
+    return ({*map(type, items)} == {int}
+            and -PRECISION_LIMIT < min(items) and max(items) < PRECISION_LIMIT)
+
+
+def _encode(doc, indent: str) -> str:
+    """The canonical text of one value nested at `indent`."""
     if isinstance(doc, (list, tuple)):
-        return [_guard_big(item) for item in doc]
+        if not doc:
+            return "[]"
+        inner = indent + "  "
+        if _small_ints(doc):
+            body = map(str, doc)
+        elif ({*map(type, doc)} <= {list, tuple}
+              and _small_ints(list(chain.from_iterable(doc)))):
+            # rows of small ints (cones, charts): one join per row
+            deeper = inner + "  "
+            start, sep = "[\n" + deeper, ",\n" + deeper
+            end = "\n" + inner + "]"
+            body = [start + sep.join(map(str, row)) + end if row else "[]"
+                    for row in doc]
+        else:
+            body = [_encode(item, inner) for item in doc]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
     if isinstance(doc, dict):
-        return {key: _guard_big(value) for key, value in doc.items()}
-    return doc
+        if not doc:
+            return "{}"
+        inner = indent + "  "
+        body = [encode_basestring_ascii(key) + ": " + _encode(doc[key], inner)
+                for key in sorted(doc)]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        text = int.__repr__(doc)
+        return f'"{text}"' if abs(doc) >= PRECISION_LIMIT else text
+    return json.dumps(doc)
 
 
 def encode_canonical(doc) -> str:
-    """The canonical text of a document (sorted keys, indent 2, newline)."""
-    return json.dumps(_guard_big(doc), sort_keys=True, indent=2) + "\n"
+    """The canonical text of a document (sorted keys, indent 2, newline).
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)``
+    with every integer of magnitude at least 2^53 first turned into its
+    decimal string; object keys must be strings.  Lists of small integers,
+    and lists of such rows, are written with one join per list instead of
+    going through the pure-Python encoder that ``json`` uses whenever an
+    indent is set.
+    """
+    return _encode(doc, "") + "\n"
 
 
 def parse_int(value, what: str) -> int:

@@ -8,6 +8,7 @@ tautology.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -34,6 +35,27 @@ def fraction_inverse(matrix):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _guard_big(doc):
+    if isinstance(doc, bool):
+        return doc
+    if isinstance(doc, int):
+        return str(doc) if abs(doc) >= 2 ** 53 else doc
+    if isinstance(doc, (list, tuple)):
+        return [_guard_big(item) for item in doc]
+    if isinstance(doc, dict):
+        return {key: _guard_big(value) for key, value in doc.items()}
+    return doc
+
+
+def reference_canonical(doc) -> str:
+    """The former canonical encoder, kept as a test oracle.
+
+    Integers of magnitude at least 2^53 become decimal strings, then the
+    stdlib encoder writes the document with sorted keys and indent 2.
+    """
+    return json.dumps(_guard_big(doc), sort_keys=True, indent=2) + "\n"
 
 
 def probe_complete(gf: GeneralFan, probes: int = 100, seed: int = 0) -> bool:

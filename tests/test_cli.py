@@ -121,6 +121,21 @@ class TestNumbers:
         doc = stdout_doc(run_cli("numbers", '{"n": 3}', "--oracle"))
         assert doc["oracle"] == {"checked": 4, "match": True}
 
+    def test_sets_fill_one_memo_entry_per_index_set(self, monkeypatch,
+                                                    capsys):
+        from bott_towers import cli
+
+        parse, made = cli.sequence_from_doc, []
+        monkeypatch.setattr(cli, "sequence_from_doc",
+                            lambda doc: made.append(parse(doc)) or made[-1])
+        entries = [[i, j, (i * j) % 7 - 3]
+                   for i in range(1, 10) for j in range(i + 1, 11)]
+        seq = json.dumps({"n": 10, "entries": entries})
+        assert cli.main(["numbers", "--sets", seq]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["numbers"]) == 2 ** 10 - 1
+        assert len(made[0]._cache) == 2 ** 10 - 1
+
     def test_big_integers_round_trip_as_strings(self):
         seq = json.dumps({"n": 2, "entries": [[1, 2, str(BIG)]]})
         doc = stdout_doc(run_cli("numbers", seq))

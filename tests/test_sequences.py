@@ -7,7 +7,8 @@ Core claims exercised here:
 2. bott_number over an index set depends only on the entries c(i,j) with both
    indices in the set (sub-tower locality).
 3. bott_number_moebius (alternating sum over chains through the interior of I)
-   agrees with the matrix route.
+   and bott_number (memoised suffix recursion, one memo entry per set and
+   suffix, no recursion limit, no Bott matrix) agree with the matrix route.
 4. The two mixed-code identities evaluate to zero for every (c, w, i, j).
 5. Posets with the identity labeling as linear extension bridge to sequences:
    B(n) = -M(P) with M the Moebius matrix of P.
@@ -16,6 +17,7 @@ Core claims exercised here:
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,15 +25,18 @@ from bott_towers import (
     IntegralSequence,
     Poset,
     ValidationError,
+    binary_codes,
     bott_matrix,
     bott_number,
     bott_number_moebius,
     c_matrix,
+    dual_generators,
     lemma_identities,
     moebius_matrix,
     poset_to_sequence,
     zeta_matrix,
 )
+from bott_towers import sequences
 from helpers import fraction_inverse, mat_mul, mat_id, random_poset, random_sequence
 
 
@@ -235,6 +240,67 @@ class TestBottNumber:
         c = IntegralSequence(3, {(1, 3): 4})
         assert bott_number(c, [3, 1]) == 4
         assert bott_number_moebius(c, [3, 1]) == 4
+
+
+class TestSuffixRecursion:
+    """bott_number's memoised suffix recursion against the matrix route."""
+
+    @staticmethod
+    def all_sets(n):
+        return [ids for size in range(1, n + 1)
+                for ids in combinations(range(1, n + 1), size)]
+
+    @pytest.mark.parametrize("order", ["shortest_first", "longest_first"])
+    def test_matches_matrix_and_chain_sum_on_every_set(self, order):
+        rng = random.Random(2024)
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            c = random_sequence(rng, n, -3, 3)
+            sets = self.all_sets(n)
+            if order == "longest_first":
+                sets.reverse()
+            for ids in sets:
+                value = bott_number(c, ids)
+                assert value == bott_matrix(c, ids)[0][-1]
+                if len(ids) >= 2:
+                    assert value == bott_number_moebius(c, ids)
+            assert len(c._cache) == 2 ** n - 1
+
+    def test_memo_holds_the_set_and_its_suffixes(self):
+        c = random_sequence(random.Random(7), 6, -3, 3)
+        bott_number(c, (1, 3, 4, 6))
+        assert set(c._cache) == {(1, 3, 4, 6), (3, 4, 6), (4, 6), (6,)}
+
+    def test_long_set_needs_no_recursion(self):
+        c = IntegralSequence.bounded_flag(1500)
+        assert bott_number(c, range(1, 1501)) == -1
+        assert len(c._cache) == 1500
+
+    def test_never_builds_a_bott_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bott_matrix called")
+
+        monkeypatch.setattr(sequences, "bott_matrix", refuse)
+        rng = random.Random(11)
+        c = random_sequence(rng, 7, -3, 3)
+        for ids in self.all_sets(7):
+            bott_number(c, ids)
+        for w in binary_codes(5):
+            dual_generators(c, 5, w)
+            lemma_identities(c, w, 1, 5)
+
+    def test_set_validated_once_and_before_the_memo(self, monkeypatch):
+        c = IntegralSequence(4)
+        for bad in [(), (1, 1), (0, 2), (2, 5), (1, True), (1, "2"), (1.0,)]:
+            with pytest.raises(ValidationError):
+                bott_number(c, bad)
+        assert c._cache == {}
+        calls = []
+        check = sequences._index_set
+        monkeypatch.setattr(sequences, "_index_set",
+                            lambda *args: calls.append(args) or check(*args))
+        bott_number(c, [4, 1, 3, 2])
+        assert len(calls) == 1
 
 
 # ===================================================================

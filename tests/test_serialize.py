@@ -1,0 +1,67 @@
+"""The canonical encoder against the stdlib encoder it replaced.
+
+`encode_canonical` writes lists of small integers, and lists of such rows,
+with one join per list; the oracle `helpers.reference_canonical` guards big
+integers and then runs ``json.dumps(..., sort_keys=True, indent=2)``.  The
+two must agree byte for byte on every document with string keys.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from bott_towers import encode_canonical
+from helpers import reference_canonical
+
+LIMIT = 2 ** 53
+EDGE_INTS = [LIMIT - 1, -(LIMIT - 1), LIMIT, -LIMIT, 2 ** 80, 0, -1]
+
+FIXED = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}, [[]]]},
+    {"rows": [[1, 2], [], [3]], "n": 3},
+    {"rows": [[], ()], "mixed": [(1, 2), [3], (-4,)]},
+    {"big": EDGE_INTS, "rows": [EDGE_INTS, [1, True, 2], [False]]},
+    {"mixed": [1, None, 2.5, "x", True, -0.0], "nan": float("nan")},
+    {"tuple": (1, (2, 3), ()), "text": "café ☃ \"q\"\n"},
+    {"über": 1, "b": 2, "A": 3},
+    LIMIT,
+    -LIMIT + 1,
+    "plain",
+    None,
+]
+
+
+@pytest.mark.parametrize("doc", FIXED, ids=range(len(FIXED)))
+def test_fixed_documents_match_reference(doc):
+    assert encode_canonical(doc) == reference_canonical(doc)
+
+
+def test_unsupported_values_still_raise():
+    with pytest.raises(TypeError):
+        encode_canonical({"set": {1, 2}})
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+ints = st.one_of(st.integers(-2 ** 60, 2 ** 60), st.sampled_from(EDGE_INTS))
+int_lists = st.lists(st.one_of(ints, st.booleans()), max_size=6)
+rows = st.lists(st.one_of(int_lists, int_lists.map(tuple)), max_size=4)
+scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+                    ints)
+documents = st.recursive(
+    st.one_of(scalars, int_lists, rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(documents)
+def test_encoder_matches_reference(doc):
+    assert encode_canonical(doc) == reference_canonical(doc)
