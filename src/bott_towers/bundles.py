@@ -17,20 +17,8 @@ from __future__ import annotations
 
 from .errors import RejectionError, ValidationError
 from .fans import BottFan, GeneralFan, binary_codes, build_fan
-from .sequences import IntegralSequence, _check_int, bott_matrix
-
-
-def _check_sequence(c) -> IntegralSequence:
-    if not isinstance(c, IntegralSequence):
-        raise ValidationError("expected an IntegralSequence")
-    return c
-
-
-def _check_stage(c: IntegralSequence, k: int) -> int:
-    _check_int(k, "k")
-    if not 1 <= k <= c.n:
-        raise ValidationError(f"k={k} outside 1..{c.n}")
-    return k
+from .sequences import (IntegralSequence, _check_int, _check_sequence,
+                        bott_matrix)
 
 
 # ===================================================================
@@ -50,13 +38,14 @@ class QuotientPresentation:
 
     def __init__(self, sequence: IntegralSequence, k: int):
         self.sequence = _check_sequence(sequence)
-        self.k = _check_stage(sequence, k)
+        self.k = sequence.check_stage(k)
+        cols = [sequence.column(s) for s in range(1, k + 1)]
         generators = []
         for r in range(1, k + 1):
             vec = [0] * (2 * k)
-            vec[2 * r - 2] = 1
-            for s in range(r, k + 1):
-                vec[2 * s - 1] = sequence.value(r, s)
+            vec[2 * r - 2] = vec[2 * r - 1] = 1
+            for s in range(r + 1, k + 1):
+                vec[2 * s - 1] = cols[s - 1][r - 1]
             generators.append(tuple(vec))
         self.kernel_generators = tuple(generators)
         self.action_weights = tuple(
@@ -133,7 +122,7 @@ def xi_bundle(c: IntegralSequence, k: int) -> CharacterBundle:
     _check_int(k, "k")
     if not 1 <= k < c.n:
         raise ValidationError(f"k={k} needs a following stage, tower height {c.n}")
-    return CharacterBundle(tuple(c.value(i, k + 1) for i in range(1, k + 1)))
+    return CharacterBundle(c.column(k + 1))
 
 
 def canonical_lambda(k: int) -> CharacterBundle:
@@ -159,10 +148,8 @@ def lambda_perp(c: IntegralSequence, k: int) -> CharacterBundle:
     Exponents (c(1,k), ..., c(k-1,k), 1): together with canonical_lambda(k)
     it sums to the pullback of the previous stage's twist bundle.
     """
-    _check_sequence(c)
-    _check_stage(c, k)
-    return CharacterBundle(
-        tuple(c.value(i, k) for i in range(1, k)) + (1,))
+    _check_sequence(c).check_stage(k)
+    return CharacterBundle(c.column(k) + (1,))
 
 
 def tangent_splitting(c: IntegralSequence, k: int):
@@ -172,15 +159,12 @@ def tangent_splitting(c: IntegralSequence, k: int):
     (exponents e_j); position (j,1) carries (c(1,j), ..., c(j-1,j), 1, 0...).
     The tensor-square sum of the 2k bundles splits the tangent bundle.
     """
-    _check_sequence(c)
-    _check_stage(c, k)
+    _check_sequence(c).check_stage(k)
     bundles = []
     for j in range(1, k + 1):
-        bundles.append(CharacterBundle(
-            tuple(1 if i == j else 0 for i in range(1, k + 1))))
-        bundles.append(CharacterBundle(
-            tuple(c.value(i, j) if i < j else (1 if i == j else 0)
-                  for i in range(1, k + 1))))
+        tail = (0,) * (k - j)
+        bundles.append(CharacterBundle((0,) * (j - 1) + (1,) + tail))
+        bundles.append(CharacterBundle(c.column(j) + (1,) + tail))
     return bundles
 
 
@@ -201,7 +185,7 @@ class SupportFunctionData:
 
     def __init__(self, sequence: IntegralSequence, k: int, values):
         self.sequence = _check_sequence(sequence)
-        self.k = _check_stage(sequence, k)
+        self.k = sequence.check_stage(k)
         table = {}
         for i in range(1, k + 1):
             for gamma in (0, 1):
@@ -297,8 +281,7 @@ def extend_sequence(c: IntegralSequence, k: int, h: SupportFunctionData):
     canonical data of a taller tower this is exactly the stored column
     (c(1,k+1), ..., c(k,k+1)).
     """
-    _check_sequence(c)
-    _check_stage(c, k)
+    _check_sequence(c).check_stage(k)
     if not isinstance(h, SupportFunctionData):
         raise ValidationError("expected SupportFunctionData")
     if h.sequence != c or h.k != k:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .sequences import IntegralSequence, _bott_number, _check_code, _check_int
+from .sequences import (IntegralSequence, _bott_number, _check_code,
+                        _check_int, _check_sequence)
 
 
 def _check_position(k: int, value: int, name: str) -> int:
@@ -51,11 +52,7 @@ def prefix_set(w, j: int):
 
 
 def _check_chart_args(c, k, w):
-    if not isinstance(c, IntegralSequence):
-        raise ValidationError("expected an IntegralSequence")
-    _check_int(k, "k")
-    if not 1 <= k <= c.n:
-        raise ValidationError(f"k={k} outside 1..{c.n}")
+    _check_sequence(c).check_stage(k)
     w = _check_code(w)
     if len(w) != k:
         raise ValidationError(f"code length {len(w)} != k={k}")

@@ -2,16 +2,27 @@
 
 The ring is Z[x_1, ..., x_k] modulo the ideal generated by x_j * l_j, where
 l_j = x_j + c(1,j) x_1 + ... + c(j-1,j) x_{j-1}.  Every relation has leading
-term x_j^2, so squarefree monomials form a Z-basis and reduction is a
-triangular rewriting: replace the square of the largest repeated variable by
-minus its lower-index cross terms until the polynomial is squarefree.
+term x_j^2, so squarefree monomials form a Z-basis, and the relation
+x_j^2 = -sum_{i<j} c(i,j) x_i x_j only ever rewrites towards smaller indices.
 
-Classes are stored as maps from index subsets to integer coefficients (the
-subset S stands for the monomial prod_{j in S} x_j, in cohomological degree
-2|S|).  Divisor and line-bundle data enter through `ray_class` and
-`character_class`; the total Chern class is the product of the per-stage
-factors 1 + 2 x_j + sum_{i<j} c(i,j) x_i, whose top integral counts the
-maximal cones of the fan.
+A class is stored as a map from bitmasks to nonzero integer coefficients:
+bit j-1 stands for x_j, so a mask m is a squarefree monomial of cohomological
+degree 2 * popcount(m).  Each ring builds its twist rows once: for every
+stage j, the nonzero pairs (i, c(i,j)) with i < j.  Every product is made
+of one step, multiplication by a linear form sum_i a_i x_i.  For each
+monomial m it keeps one list of pending coefficients and resolves them from
+the largest index down: an x_i not in m just sets bit i-1, and an x_i
+already in m becomes -sum_h c(h,i) x_h times m, which adds to the pending
+coefficients of smaller indices.  Paths that meet at an index merge there,
+so the work per monomial is at most quadratic in k and never branches.
+
+Divisor and line-bundle data enter through `ray_class` and
+`character_class`.  The total Chern class is the product over stages of
+1 + L_j, where L_j = 2 x_j + sum_{i<j} c(i,j) x_i is the sum of the two ray
+classes of stage j.  The product of the stages below j lies in the subring
+on x_1, ..., x_{j-1}, so its product with 2 x_j only sets bit j-1 and just
+the lower terms of L_j need reduction.  Its top integral counts the maximal
+cones of the fan.
 """
 
 from __future__ import annotations
@@ -19,16 +30,17 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .sequences import IntegralSequence, _check_int
+from .sequences import IntegralSequence, _check_int, _check_sequence
 
 
-def _check_ring_args(c, k):
-    if not isinstance(c, IntegralSequence):
-        raise ValidationError("expected an IntegralSequence")
-    _check_int(k, "k")
-    if not 1 <= k <= c.n:
-        raise ValidationError(f"k={k} outside 1..{c.n}")
-    return k
+def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
+    """Add scale * coeffs into out, dropping coefficients that cancel."""
+    for mask, value in coeffs.items():
+        value = out.get(mask, 0) + scale * value
+        if value:
+            out[mask] = value
+        else:
+            out.pop(mask, None)
 
 
 class RingPresentation:
@@ -42,10 +54,8 @@ class RingPresentation:
     __slots__ = ("k", "relations")
 
     def __init__(self, c: IntegralSequence, k: int):
-        self.k = _check_ring_args(c, k)
-        self.relations = tuple(
-            tuple(c.value(i, j) for i in range(1, j)) + (1,)
-            for j in range(1, k + 1))
+        self.k = _check_sequence(c).check_stage(k)
+        self.relations = tuple(c.column(j) + (1,) for j in range(1, k + 1))
 
     def __eq__(self, other):
         if not isinstance(other, RingPresentation):
@@ -60,28 +70,34 @@ class RingPresentation:
 
 
 class CohomologyRing:
-    """Carrier for the ring of one tower stage: builds and reduces classes."""
+    """Carrier for the ring of one tower stage: builds and reduces classes.
 
-    __slots__ = ("sequence", "k")
+    `_twists[j]` holds the nonzero pairs (i, c(i,j)), i < j, of stage j
+    (`_twists[0]` is empty), read once from the sequence.
+    """
+
+    __slots__ = ("sequence", "k", "_twists")
 
     def __init__(self, sequence: IntegralSequence, k: int):
-        if not isinstance(sequence, IntegralSequence):
-            raise ValidationError("expected an IntegralSequence")
-        self.k = _check_ring_args(sequence, k)
+        self.k = _check_sequence(sequence).check_stage(k)
         self.sequence = sequence
+        self._twists = ((),) + tuple(
+            tuple((i, value) for i, value in enumerate(sequence.column(j), 1)
+                  if value)
+            for j in range(1, k + 1))
 
     # -- construction -------------------------------------------------
 
     def zero(self) -> "CohomologyClass":
-        return CohomologyClass(self, {})
+        return CohomologyClass._of(self, {})
 
     def one(self) -> "CohomologyClass":
-        return CohomologyClass(self, {frozenset(): 1})
+        return CohomologyClass._of(self, {0: 1})
 
     def gen(self, j: int) -> "CohomologyClass":
         """The degree-2 generator x_j."""
         self._check_index(j)
-        return CohomologyClass(self, {frozenset((j,)): 1})
+        return CohomologyClass._of(self, {1 << (j - 1): 1})
 
     def ray_class(self, j: int, gamma: int) -> "CohomologyClass":
         """The divisor class of the fan generator a_{j,gamma}.
@@ -92,13 +108,11 @@ class CohomologyRing:
         self._check_index(j)
         if gamma not in (0, 1) or isinstance(gamma, bool):
             raise ValidationError(f"gamma must be 0 or 1, got {gamma!r}")
-        coeffs = {frozenset((j,)): 1}
+        coeffs = {1 << (j - 1): 1}
         if gamma == 1:
-            for i in range(1, j):
-                value = self.sequence.value(i, j)
-                if value:
-                    coeffs[frozenset((i,))] = value
-        return CohomologyClass(self, coeffs)
+            for i, value in self._twists[j]:
+                coeffs[1 << (i - 1)] = value
+        return CohomologyClass._of(self, coeffs)
 
     def character_class(self, exps) -> "CohomologyClass":
         """The first Chern class of the character with the given exponents."""
@@ -106,11 +120,8 @@ class CohomologyRing:
         if len(vec) != self.k:
             raise ValidationError(
                 f"character length {len(vec)} != k={self.k}")
-        coeffs = {}
-        for j, value in enumerate(vec, start=1):
-            if value:
-                coeffs[frozenset((j,))] = value
-        return CohomologyClass(self, coeffs)
+        return CohomologyClass._of(self, {
+            1 << j: value for j, value in enumerate(vec) if value})
 
     def from_polynomial(self, poly) -> "CohomologyClass":
         """Reduce a {exponent tuple: coefficient} polynomial to normal form."""
@@ -124,7 +135,16 @@ class CohomologyRing:
                 raise ValidationError(f"negative exponent in {vec}")
             _check_int(coeff, "coefficient")
             work[vec] = work.get(vec, 0) + coeff
-        return CohomologyClass(self, self._reduce(work))
+        out = {}
+        for vec, coeff in work.items():
+            if not coeff or sum(vec) > self.k:
+                continue  # relations are homogeneous: degrees above k vanish
+            part = {0: coeff}
+            for j, power in enumerate(vec, start=1):
+                for _ in range(power):
+                    part = self._times_linear(part, ((j, 1),))
+            _accumulate(out, part)
+        return CohomologyClass._of(self, out)
 
     # -- internals ----------------------------------------------------
 
@@ -133,39 +153,41 @@ class CohomologyRing:
         if not 1 <= j <= self.k:
             raise ValidationError(f"generator index {j} outside 1..{self.k}")
 
-    def _reduce(self, work: dict) -> dict:
-        """Rewrite squares of the largest repeated variable until squarefree."""
+    def _mask(self, indices):
+        """The bitmask of a monomial's indices, or None if one is not in 1..k."""
+        mask = 0
+        for j in indices:
+            if not isinstance(j, int) or not 1 <= j <= self.k:
+                return None
+            mask |= 1 << (j - 1)
+        return mask
+
+    def _times_linear(self, coeffs: dict, form) -> dict:
+        """coeffs times sum(a * x_i for i, a in form), in normal form.
+
+        The indices of `form` are distinct.  Per monomial, pend[i] is the
+        coefficient still waiting to multiply it by x_i; resolving the
+        largest index first means every rewrite has landed before its
+        index is read.
+        """
+        twists = self._twists
+        top = max(i for i, _ in form)
         out = {}
-        while work:
-            exps, coeff = work.popitem()
-            if coeff == 0:
-                continue
-            square = max((j for j in range(1, self.k + 1) if exps[j - 1] >= 2),
-                         default=None)
-            if square is None:
-                key = frozenset(j for j in range(1, self.k + 1)
-                                if exps[j - 1] == 1)
-                total = out.get(key, 0) + coeff
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-                continue
-            lowered = list(exps)
-            lowered[square - 1] -= 1
-            for i in range(1, square):
-                value = self.sequence.value(i, square)
-                if value == 0:
-                    continue
-                bumped = list(lowered)
-                bumped[i - 1] += 1
-                key = tuple(bumped)
-                total = work.get(key, 0) - value * coeff
-                if total:
-                    work[key] = total
-                else:
-                    work.pop(key, None)
-        return out
+        get = out.get
+        for mask, coeff in coeffs.items():
+            pend = [0] * (top + 1)
+            for i, a in form:
+                pend[i] = a * coeff
+            for i in range(top, 0, -1):
+                p = pend[i]
+                if p:
+                    bit = 1 << (i - 1)
+                    if mask & bit:
+                        for h, value in twists[i]:
+                            pend[h] -= value * p
+                    else:
+                        out[mask | bit] = get(mask | bit, 0) + p
+        return {mask: value for mask, value in out.items() if value}
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyRing):
@@ -180,29 +202,64 @@ class CohomologyRing:
 
 
 class CohomologyClass:
-    """An element of the ring, in squarefree normal form."""
+    """An element of the ring, in squarefree normal form.
+
+    The public constructor takes {indices: coefficient}, where each key is
+    any iterable of indices in 1..k (a tuple, a frozenset, ...).
+    """
 
     __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: CohomologyRing, coeffs):
         self.ring = ring
-        self._coeffs = {frozenset(key): value for key, value in coeffs.items()
-                        if value}
+        masks = {}
+        for key, value in coeffs.items():
+            if value:
+                mask = ring._mask(key)
+                if mask is None:
+                    raise ValidationError(
+                        f"monomial {tuple(key)!r} has an index outside "
+                        f"1..{ring.k}")
+                masks[mask] = value
+        self._coeffs = masks
+
+    @classmethod
+    def _of(cls, ring: CohomologyRing, masks: dict) -> "CohomologyClass":
+        """Wrap a {bitmask: nonzero coefficient} dict without copying it."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self._coeffs = masks
+        return self
 
     def coefficient(self, indices) -> int:
         """The integer in front of the squarefree monomial on these indices."""
-        return self._coeffs.get(frozenset(indices), 0)
+        mask = self.ring._mask(indices)
+        return 0 if mask is None else self._coeffs.get(mask, 0)
 
     def terms(self):
-        """All (sorted index tuple, coefficient) pairs, graded then lex."""
-        keys = sorted(self._coeffs, key=lambda s: (len(s), tuple(sorted(s))))
-        return tuple((tuple(sorted(key)), self._coeffs[key]) for key in keys)
+        """All (sorted index tuple, coefficient) pairs, graded then lex.
+
+        Among masks of one popcount, lex order of the index tuples is the
+        descending order of the masks with their k bits reversed.
+        """
+        k = self.ring.k
+        full = (1 << k) - 1
+
+        def order(mask):
+            reverse = int(bin(mask)[:1:-1].ljust(k, "0"), 2)
+            return (mask.bit_count() << k) | (full ^ reverse)
+
+        coeffs = self._coeffs
+        return tuple(
+            (tuple([j for j, bit in enumerate(bin(mask)[:1:-1], 1)
+                    if bit == "1"]), coeffs[mask])
+            for mask in sorted(coeffs, key=order))
 
     def graded_part(self, size: int) -> "CohomologyClass":
         """The terms on monomials of exactly `size` variables (degree 2*size)."""
-        return CohomologyClass(self.ring, {
-            key: value for key, value in self._coeffs.items()
-            if len(key) == size})
+        return CohomologyClass._of(self.ring, {
+            mask: value for mask, value in self._coeffs.items()
+            if mask.bit_count() == size})
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -219,30 +276,30 @@ class CohomologyClass:
     def __add__(self, other):
         other = self._match(other)
         merged = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            merged[key] = merged.get(key, 0) + value
-        return CohomologyClass(self.ring, merged)
+        _accumulate(merged, other._coeffs)
+        return CohomologyClass._of(self.ring, merged)
 
     def __neg__(self):
-        return CohomologyClass(self.ring,
-                               {key: -value for key, value in self._coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-self._match(other))
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return CohomologyClass(self.ring, {
-                key: other * value for key, value in self._coeffs.items()})
+            return CohomologyClass._of(self.ring, {} if not other else {
+                mask: other * value for mask, value in self._coeffs.items()})
         other = self._match(other)
-        k = self.ring.k
+        ring = self.ring
         product = {}
-        for left, cl in self._coeffs.items():
-            for right, cr in other._coeffs.items():
-                exps = tuple((1 if j in left else 0) + (1 if j in right else 0)
-                             for j in range(1, k + 1))
-                product[exps] = product.get(exps, 0) + cl * cr
-        return CohomologyClass(self.ring, self.ring._reduce(product))
+        for right, scale in other._coeffs.items():
+            part = self._coeffs
+            while right and part:
+                low = right & -right
+                part = ring._times_linear(part, ((low.bit_length(), 1),))
+                right ^= low
+            _accumulate(product, part, scale)
+        return CohomologyClass._of(ring, product)
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -255,7 +312,7 @@ class CohomologyClass:
         return self.ring == other.ring and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.ring, self.terms()))
+        return hash((self.ring, frozenset(self._coeffs.items())))
 
     def __repr__(self):
         return f"CohomologyClass({self.terms()!r})"
@@ -289,7 +346,7 @@ def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 def betti(c: IntegralSequence, k: int):
     """Ranks of the even-degree groups: binomial(k, i) for i = 0..k."""
-    _check_ring_args(c, k)
+    _check_sequence(c).check_stage(k)
     return [math.comb(k, i) for i in range(k + 1)]
 
 
@@ -311,17 +368,31 @@ def character_class(c: IntegralSequence, k: int, exps) -> CohomologyClass:
 
 
 def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
-    """The product over stages of (1 + ray class (j,0) + ray class (j,1))."""
+    """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1).
+
+    Each step adds total * L_j to total; by the subring argument of the
+    module docstring only the lower terms of L_j rewrite anything.
+    """
     ring = CohomologyRing(c, k)
-    total = ring.one()
+    total = {0: 1}
     for j in range(1, k + 1):
-        total = total * (ring.one() + ring.ray_class(j, 0) + ring.ray_class(j, 1))
-    return total
+        form = ring._twists[j] + ((j, 2),)  # L_j as (index, coefficient)
+        _accumulate(total, ring._times_linear(total, form))
+    return CohomologyClass._of(ring, total)
 
 
 def top_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
-    """The top graded part of the total Chern class."""
-    return total_chern_class(c, k).graded_part(k)
+    """The top graded part of the total Chern class: the product of the L_j.
+
+    After j factors the product lies in the top degree of the subring on
+    x_1, ..., x_j, so it is a single term; each step rewrites one monomial
+    and costs O(j^2), against the 2^k terms of the total class.
+    """
+    ring = CohomologyRing(c, k)
+    top = {0: 1}
+    for j in range(1, k + 1):
+        top = ring._times_linear(top, ring._twists[j] + ((j, 2),))
+    return CohomologyClass._of(ring, top)
 
 
 def euler_characteristic(c: IntegralSequence, k: int) -> int:

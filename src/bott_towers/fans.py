@@ -38,11 +38,8 @@ class BottFan:
     def __init__(self, sequence: IntegralSequence, k: int):
         if not isinstance(sequence, IntegralSequence):
             raise ValidationError("sequence must be an IntegralSequence")
-        _check_int(k, "k")
-        if not 1 <= k <= sequence.n:
-            raise ValidationError(f"k={k} outside 1..{sequence.n}")
         self.sequence = sequence
-        self.k = k
+        self.k = sequence.check_stage(k)
         self._rows = bott_matrix(sequence, range(1, k + 1))
         self._general = None
 

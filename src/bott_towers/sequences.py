@@ -47,6 +47,12 @@ def _check_int(x, what: str) -> int:
     return x
 
 
+def _check_sequence(c) -> "IntegralSequence":
+    if not isinstance(c, IntegralSequence):
+        raise ValidationError("expected an IntegralSequence")
+    return c
+
+
 class IntegralSequence:
     """Upper-triangular integer data c(i,j), 1 <= i < j <= n, c(i,i) = 1."""
 
@@ -95,6 +101,25 @@ class IntegralSequence:
         if i == j:
             return 1
         return self._entries.get((i, j), 0)
+
+    def column(self, j: int) -> tuple:
+        """(c(1,j), ..., c(j-1,j)): the twists of stage j over the stages below.
+
+        j is checked once, so a loop over many entries reads whole columns
+        instead of paying value()'s two index checks per entry.
+        """
+        _check_int(j, "index j")
+        if not 1 <= j <= self.n:
+            raise ValidationError(f"column {j} outside 1..{self.n}")
+        entries = self._entries
+        return tuple(entries.get((i, j), 0) for i in range(1, j))
+
+    def check_stage(self, k: int) -> int:
+        """k itself, once it is checked to be a stage 1..n of this tower."""
+        _check_int(k, "k")
+        if not 1 <= k <= self.n:
+            raise ValidationError(f"k={k} outside 1..{self.n}")
+        return k
 
     def entries(self):
         """Sorted tuple of the nonzero (i, j, value) triples."""
@@ -145,21 +170,23 @@ def _index_set(c: IntegralSequence, ids) -> tuple:
 def c_matrix(c: IntegralSequence, ids):
     """The m x m coefficient matrix C(I): c(i_r, i_s) above the diagonal."""
     ids = _index_set(c, ids)
+    cols = [c.column(j) for j in ids]
     m = len(ids)
-    return [[c.value(ids[r], ids[s]) if r <= s else 0 for s in range(m)]
+    return [[cols[s][ids[r] - 1] if r < s else int(r == s) for s in range(m)]
             for r in range(m)]
 
 
 def bott_matrix(c: IntegralSequence, ids):
     """B(I) by the triangular recursion; satisfies C(I) @ (-B(I)) = Id."""
     ids = _index_set(c, ids)
+    cols = [c.column(j) for j in ids]
     m = len(ids)
     b = [[0] * m for _ in range(m)]
     for s in range(m):
         b[s][s] = -1
         for r in range(s - 1, -1, -1):
-            b[r][s] = -sum(c.value(ids[r], ids[t]) * b[t][s]
-                           for t in range(r + 1, s + 1))
+            i = ids[r] - 1
+            b[r][s] = -sum(cols[t][i] * b[t][s] for t in range(r + 1, s + 1))
     return b
 
 

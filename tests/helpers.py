@@ -9,6 +9,7 @@ tautology.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -172,3 +173,118 @@ def permute_rays(rng: random.Random, fan: GeneralFan) -> GeneralFan:
         new_rays[new] = fan.rays[old]
     new_cones = [tuple(perm[i] for i in cone) for cone in fan.cones]
     return GeneralFan(fan.dim, new_rays, new_cones)
+
+
+# -------------------------------------------------------------------
+# The former cohomology arithmetic, kept as oracles.  Classes are
+# {frozenset of indices: coefficient} dicts; polynomials are
+# {exponent tuple: coefficient} dicts; squares are rewritten one at a
+# time with IntegralSequence.value.
+# -------------------------------------------------------------------
+
+def reference_reduce(c: IntegralSequence, k: int, work: dict) -> dict:
+    """Rewrite squares of the largest repeated variable until squarefree."""
+    work = dict(work)
+    out = {}
+    while work:
+        exps, coeff = work.popitem()
+        if coeff == 0:
+            continue
+        square = max((j for j in range(1, k + 1) if exps[j - 1] >= 2),
+                     default=None)
+        if square is None:
+            key = frozenset(j for j in range(1, k + 1) if exps[j - 1] == 1)
+            total = out.get(key, 0) + coeff
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+            continue
+        lowered = list(exps)
+        lowered[square - 1] -= 1
+        for i in range(1, square):
+            value = c.value(i, square)
+            if value == 0:
+                continue
+            bumped = list(lowered)
+            bumped[i - 1] += 1
+            key = tuple(bumped)
+            total = work.get(key, 0) - value * coeff
+            if total:
+                work[key] = total
+            else:
+                work.pop(key, None)
+    return out
+
+
+def reference_multiply(c: IntegralSequence, k: int, left: dict,
+                       right: dict) -> dict:
+    """The product of two frozenset-keyed classes, through exponent tuples."""
+    product = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            exps = tuple((1 if j in a else 0) + (1 if j in b else 0)
+                         for j in range(1, k + 1))
+            product[exps] = product.get(exps, 0) + ca * cb
+    return reference_reduce(c, k, product)
+
+
+def reference_total_chern_class(c: IntegralSequence, k: int) -> dict:
+    """Factor by factor: the product of 1 + x_j + (x_j + sum c(i,j) x_i)."""
+    total = {frozenset(): 1}
+    for j in range(1, k + 1):
+        factor = {frozenset(): 1, frozenset((j,)): 2}
+        for i in range(1, j):
+            if c.value(i, j):
+                factor[frozenset((i,))] = c.value(i, j)
+        total = reference_multiply(c, k, total, factor)
+    return total
+
+
+def reference_terms(coeffs: dict) -> tuple:
+    """(sorted index tuple, coefficient) pairs, graded then lex."""
+    keys = sorted((key for key in coeffs if coeffs[key]),
+                  key=lambda s: (len(s), tuple(sorted(s))))
+    return tuple((tuple(sorted(key)), coeffs[key]) for key in keys)
+
+
+def reference_cohomology_doc(c: IntegralSequence, k: int) -> dict:
+    """The `cohomology --oracle` document, from the oracles above."""
+    return {"k": k,
+            "relations": [[c.value(i, j) for i in range(1, j + 1)]
+                          for j in range(1, k + 1)],
+            "betti": [math.comb(k, i) for i in range(k + 1)],
+            "euler_characteristic": 2 ** k,
+            "total_chern": [[list(indices), coeff] for indices, coeff
+                            in reference_terms(
+                                reference_total_chern_class(c, k))],
+            "oracle": {"checked": k + 3, "match": True}}
+
+
+def reference_bundle_doc(c: IntegralSequence, k: int) -> dict:
+    """The `bundle -k k` document, written out from the entries c(i,j)."""
+    def unit(j):
+        return [1 if i == j else 0 for i in range(1, k + 1)]
+
+    generators = []
+    for r in range(1, k + 1):
+        vec = [0] * (2 * k)
+        vec[2 * r - 2] = 1
+        for s in range(r, k + 1):
+            vec[2 * s - 1] = c.value(r, s)
+        generators.append(vec)
+    doc = {"k": k,
+           "quotient": {"kernel_generators": generators,
+                        "action_weights": [list(col)
+                                           for col in zip(*generators)]},
+           "canonical_lambda": [-x for x in unit(k)],
+           "lambda": [[-x for x in unit(j)] for j in range(1, k + 1)],
+           "lambda_perp": [c.value(i, k) for i in range(1, k + 1)],
+           "tangent": []}
+    for j in range(1, k + 1):
+        doc["tangent"].append(unit(j))
+        doc["tangent"].append([c.value(i, j) if i <= j else 0
+                               for i in range(1, k + 1)])
+    if k < c.n:
+        doc["xi"] = [c.value(i, k + 1) for i in range(1, k + 1)]
+    return doc

@@ -11,16 +11,26 @@ Core claims:
    -o file contents equal the stdout of an identical run.
 4. classify prints its rejection document on stdout and still exits 4;
    check folds rejections of individual predicates into false booleans.
+5. The cohomology and bundle documents of seeded sequences at k = 2..9 are
+   byte-identical to documents written from the reference oracles.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from helpers import (
+    random_sequence,
+    reference_bundle_doc,
+    reference_canonical,
+    reference_cohomology_doc,
+)
 
 BIG = 2 ** 54  # one bit past the precision guard threshold
 
@@ -261,6 +271,27 @@ class TestCohomology:
     def test_oracle_flag(self):
         doc = stdout_doc(run_cli("cohomology", HIRZEBRUCH_SEQ, "--oracle"))
         assert doc["oracle"] == {"checked": 5, "match": True}
+
+
+class TestRingDocumentsAgainstReference:
+    """Ordering or arithmetic faults in the ring show up byte for byte."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_cohomology_and_bundle_bytes(self, k, capsys):
+        from bott_towers import cli, sequence_to_doc
+
+        c = random_sequence(random.Random(7000 + k), k + 1, -3, 3)
+        seq = json.dumps(sequence_to_doc(c))
+        runs = [
+            (["cohomology", seq, "-k", str(k), "--oracle"],
+             reference_cohomology_doc(c, k)),
+            (["bundle", seq, "-k", str(k)], reference_bundle_doc(c, k)),
+            (["bundle", seq, "-k", str(k + 1)],
+             reference_bundle_doc(c, k + 1)),
+        ]
+        for argv, expected in runs:
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == reference_canonical(expected)
 
 
 # ===================================================================

@@ -13,6 +13,9 @@ Core claims:
    its top integral equals 2^k, the number of maximal fan cones.
 5. Ray classes and character classes translate divisor and line-bundle data
    into the ring consistently with the tangent splitting.
+6. The bitmask arithmetic agrees term by term, in order, with the former
+   exponent-tuple arithmetic kept in helpers as reference oracles, and the
+   public class constructor and coefficient lookup keep their contracts.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import random
 import pytest
 
 from bott_towers import (
+    CohomologyClass,
     IntegralSequence,
     ValidationError,
     betti,
@@ -41,7 +45,13 @@ from bott_towers import (
     top_chern_class,
     total_chern_class,
 )
-from helpers import random_sequence
+from helpers import (
+    random_sequence,
+    reference_multiply,
+    reference_reduce,
+    reference_terms,
+    reference_total_chern_class,
+)
 
 
 def x(ring, *indices):
@@ -310,3 +320,99 @@ class TestDivisorDictionary:
             ray_class(c, 2, 1, 2)
         with pytest.raises(ValidationError):
             character_class(c, 2, (1,))
+
+
+# ===================================================================
+# 6. Bitmask arithmetic against the reference oracles
+# ===================================================================
+
+# The reference rewrites degrees above k term by term before they vanish,
+# which takes seconds from about degree k + 4 on at k = 9; inputs stop at
+# degree k + 2.
+
+def _random_class(rng, k, max_size):
+    """A {frozenset: coefficient} class on a few random squarefree monomials."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 6)):
+        size = rng.randint(0, min(k, max_size))
+        coeffs[frozenset(rng.sample(range(1, k + 1), size))] = rng.randint(-4, 4)
+    return {key: value for key, value in coeffs.items() if value}
+
+
+def _random_exponents(rng, k):
+    """Exponents in 0..3 of total degree at most k + 2."""
+    vec = [0] * k
+    for _ in range(rng.randint(0, k + 2)):
+        j = rng.randrange(k)
+        vec[j] = min(3, vec[j] + 1)
+    return tuple(vec)
+
+
+class TestAgainstReference:
+    def test_total_chern_class(self):
+        rng = random.Random(5011)
+        for _ in range(12):
+            k = rng.randint(1, 9)
+            c = random_sequence(rng, k, -3, 3)
+            expected = reference_terms(reference_total_chern_class(c, k))
+            assert total_chern_class(c, k).terms() == expected
+
+    def test_products(self):
+        rng = random.Random(5012)
+        for _ in range(40):
+            k = rng.randint(1, 9)
+            c = random_sequence(rng, k, -3, 3)
+            ring = cohomology_ring(c, k)
+            size = rng.randint(0, k)
+            left = _random_class(rng, k, size)
+            right = _random_class(rng, k, k + 2 - size)
+            product = CohomologyClass(ring, left) * CohomologyClass(ring, right)
+            assert product.terms() == reference_terms(
+                reference_multiply(c, k, left, right))
+
+    def test_from_polynomial(self):
+        rng = random.Random(5013)
+        for _ in range(40):
+            k = rng.randint(1, 9)
+            c = random_sequence(rng, k, -3, 3)
+            poly = {_random_exponents(rng, k): rng.randint(-4, 4)
+                    for _ in range(rng.randint(1, 5))}
+            assert normal_form(c, k, poly).terms() == reference_terms(
+                reference_reduce(c, k, poly))
+
+    def test_huge_powers_vanish_at_once(self):
+        c = IntegralSequence(3, {(1, 2): 2, (2, 3): -1})
+        for poly in ({(0, 0, 10 ** 9): 5}, {(10 ** 9, 1, 0): 1},
+                     {(2, 2, 0): 1}):
+            assert normal_form(c, 3, poly).is_zero()
+
+    def test_constructor_takes_any_iterable_of_indices(self):
+        c = IntegralSequence(3, {(1, 2): 2})
+        ring = cohomology_ring(c, 3)
+        cls = CohomologyClass(ring, {(1, 3): 4, frozenset({2}): 1, (): 1})
+        assert cls.terms() == (((), 1), ((2,), 1), ((1, 3), 4))
+        assert cls.coefficient([3, 1]) == 4
+        assert cls.coefficient(frozenset({2})) == 1
+        with pytest.raises(ValidationError):
+            CohomologyClass(ring, {(0, 1): 1})
+        with pytest.raises(ValidationError):
+            CohomologyClass(ring, {(4,): 1})
+
+    def test_coefficient_outside_range_is_zero(self):
+        c = IntegralSequence(3, {(1, 2): 2})
+        cls = total_chern_class(c, 3)
+        for indices in [(0,), (4,), (1, 4), (-1, 2), (1, 2, 3, 4)]:
+            assert cls.coefficient(indices) == 0
+        assert cls.coefficient((1, 2, 3)) == 8
+
+    def test_height_13(self):
+        rng = random.Random(5014)
+        k = 13
+        c = random_sequence(rng, k, -3, 3)
+        cls = total_chern_class(c, k)
+        assert integrate(cls) == 2 ** k
+        for i in range(1, k + 1):
+            assert cls.coefficient((i,)) == 2 + sum(
+                c.value(i, j) for j in range(i + 1, k + 1))
+        assert top_chern_class(c, k).terms() == ((tuple(range(1, k + 1)),
+                                                  2 ** k),)

@@ -45,6 +45,47 @@ from helpers import fraction_inverse, mat_mul, mat_id, random_poset, random_sequ
 # ===================================================================
 
 class TestIntegralSequence:
+    def test_column_reads_the_stored_entries(self):
+        rng = random.Random(1101)
+        for _ in range(10):
+            n = rng.randint(1, 7)
+            c = random_sequence(rng, n, -3, 3, density=0.6)
+            for j in range(1, n + 1):
+                assert c.column(j) == tuple(c.value(i, j) for i in range(1, j))
+        for bad in (0, 8, True, 1.0):
+            with pytest.raises(ValidationError):
+                IntegralSequence(7).column(bad)
+
+    def test_loops_over_entries_read_columns(self, monkeypatch):
+        from bott_towers import (build_fan, lambda_perp, presentation,
+                                 quotient_presentation, tangent_splitting,
+                                 total_chern_class, xi_bundle)
+
+        c = random_sequence(random.Random(1102), 6, -3, 3)
+
+        def refuse(self, i, j):
+            raise AssertionError("value() called inside a loop")
+
+        monkeypatch.setattr(IntegralSequence, "value", refuse)
+        for run in (lambda: bott_matrix(c, range(1, 7)),
+                    lambda: c_matrix(c, (1, 3, 4, 6)),
+                    lambda: build_fan(c, 6),
+                    lambda: presentation(c, 6),
+                    lambda: quotient_presentation(c, 6),
+                    lambda: tangent_splitting(c, 6),
+                    lambda: lambda_perp(c, 6),
+                    lambda: xi_bundle(c, 5),
+                    lambda: total_chern_class(c, 6)):
+            run()
+
+    def test_check_stage(self):
+        c = IntegralSequence(3)
+        assert [c.check_stage(k) for k in (1, 2, 3)] == [1, 2, 3]
+        with pytest.raises(ValidationError, match=r"^k=4 outside 1\.\.3$"):
+            c.check_stage(4)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            c.check_stage("2")
+
     def test_diagonal_is_one(self):
         c = IntegralSequence(3, {(1, 2): 5})
         assert c.value(1, 1) == 1
