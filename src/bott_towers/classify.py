@@ -87,19 +87,20 @@ def crosspolytope_check(fan):
     with code "ray count odd", "no valid pairing", or "cone set not full
     binary cube" when the combinatorics do not match.
     """
-    gf = _as_general(fan)
-    pairs, failure = _crosspolytope_pairing(gf)
-    if failure is not None:
-        raise RejectionError(failure[0], failure[1])
-    return [tuple(pair) for pair in pairs]
+    return _crosspolytope_pairing(_as_general(fan))
 
 
 def _zero_sum_index(gf: GeneralFan, pairs):
-    """0-based index of the first pair whose rays sum to zero, or None."""
-    for idx, (p, q) in enumerate(pairs):
-        if all(a + b == 0 for a, b in zip(gf.rays[p], gf.rays[q])):
+    """0-based index of the first pair whose rays sum to zero.
+
+    Raises the "no zero-sum pair" rejection, with every pair's sum as the
+    witness, when there is none.
+    """
+    sums = [[a + b for a, b in zip(gf.rays[p], gf.rays[q])] for p, q in pairs]
+    for idx, total in enumerate(sums):
+        if not any(total):
             return idx
-    return None
+    raise RejectionError("no zero-sum pair", {"pair_sums": sums})
 
 
 def find_opposite_pair(fan) -> int:
@@ -109,14 +110,7 @@ def find_opposite_pair(fan) -> int:
     sum (possible only for non-complete fans).
     """
     gf = _as_general(fan)
-    pairs = crosspolytope_check(gf)
-    idx = _zero_sum_index(gf, pairs)
-    if idx is None:
-        raise RejectionError(
-            "no zero-sum pair",
-            {"pair_sums": [[a + b for a, b in zip(gf.rays[p], gf.rays[q])]
-                           for p, q in pairs]})
-    return idx + 1
+    return _zero_sum_index(gf, crosspolytope_check(gf)) + 1
 
 
 def _project_pair(gf: GeneralFan, p: int, q: int):
@@ -176,29 +170,30 @@ def project(fan, pair_index: int) -> GeneralFan:
     return _project_pair(gf, p, q)[0]
 
 
-def _peel(gf: GeneralFan):
+def _peel(gf: GeneralFan, pairs):
     """Recursively strip zero-sum pairs off a crosspolytope fan.
 
-    Returns (sequence, matrix, ray_map, order) with matrix as a list of
-    rows; the peeled pair becomes the final tower stage.  Raises
-    RejectionError when the fan (or any quotient) fails a structural
-    condition.
+    ``pairs`` is the fan's crosspolytope pairing.  Returns (sequence,
+    matrix, ray_map, order) with matrix as a list of rows; the peeled pair
+    becomes the final tower stage.  Raises RejectionError when the fan (or
+    any quotient) fails a structural condition.
+
+    The pairing is never searched for again.  The quotient by the pair
+    (p, q) is the link of p, whose cones pick one ray from each other pair:
+    a full binary cube on the other pairs, in which only paired rays never
+    share a cone.  Renumbered through ``kept``, which keeps their order,
+    the other pairs are exactly what a fresh search of the quotient
+    returns, in the same order.
     """
-    pairs, failure = _crosspolytope_pairing(gf)
-    if failure is not None:
-        raise RejectionError(failure[0], failure[1])
     idx = _zero_sum_index(gf, pairs)
-    if idx is None:
-        raise RejectionError(
-            "no zero-sum pair",
-            {"pair_sums": [[a + b for a, b in zip(gf.rays[p], gf.rays[q])]
-                           for p, q in pairs]})
     p, q = pairs[idx]
     m = gf.dim
     if m == 1:
         return (IntegralSequence(1), [[gf.rays[p][0]]], (p, q), (idx + 1,))
     quotient, transform, kept, transformed = _project_pair(gf, p, q)
-    sub_seq, sub_matrix, sub_ray_map, sub_order = _peel(quotient)
+    sub_pairs = [(kept.index(a), kept.index(b))
+                 for t, (a, b) in enumerate(pairs) if t != idx]
+    sub_seq, sub_matrix, sub_ray_map, sub_order = _peel(quotient, sub_pairs)
     values = {}
     for l in range(1, m):
         for gamma in (0, 1):
@@ -255,13 +250,13 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     """
     gf = _as_general(fan)
     try:
-        crosspolytope_check(gf)
+        pairs = crosspolytope_check(gf)
         smooth, witness = _smoothness_report(gf)
         if not smooth:
             raise RejectionError("not smooth", witness)
         if not is_complete(gf):
             raise RejectionError("not complete")
-        sequence, matrix, ray_map, order = _peel(gf)
+        sequence, matrix, ray_map, order = _peel(gf, pairs)
     except RejectionError as err:
         return ClassificationResult(reject=err.code, witness=err.witness)
     _verify_witness(gf, sequence, matrix, ray_map)

@@ -15,7 +15,7 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from . import linalg
 from .errors import RejectionError, ValidationError
@@ -257,75 +257,75 @@ def _match_rays(partners, count):
     """Lexicographically-first perfect matching on the non-cofaced graph.
 
     Repeatedly matches the lowest unmatched ray to its smallest still-free
-    partner, backtracking when that leaves some later ray unmatchable.
-    Returns the pair list (each pair ordered, pairs sorted by their smaller
-    ray) or None when no perfect matching exists.
+    partner, backtracking when that leaves some later ray unmatchable.  The
+    search keeps its own stack of (ray, partner position) frames, so its
+    depth is not bounded by the interpreter's recursion limit.  Returns the
+    pair list (each pair ordered, pairs sorted by their smaller ray) or None
+    when no perfect matching exists.
     """
     matched = [False] * count
-
-    def extend():
+    stack = []
+    while True:
         try:
             ray = matched.index(False)
         except ValueError:
-            return []
+            return [(r, partners[r][pos]) for r, pos in stack]
         matched[ray] = True
-        for other in partners[ray]:
-            if matched[other]:
-                continue
-            matched[other] = True
-            rest = extend()
-            if rest is not None:
-                return [(ray, other)] + rest
-            matched[other] = False
-        matched[ray] = False
-        return None
-
-    return extend()
+        pos = 0
+        while True:  # advance to the next free partner, backtracking on none
+            others = partners[ray]
+            while pos < len(others) and matched[others[pos]]:
+                pos += 1
+            if pos < len(others):
+                break
+            matched[ray] = False
+            if not stack:
+                return None
+            ray, pos = stack.pop()
+            matched[partners[ray][pos]] = False
+            pos += 1
+        matched[others[pos]] = True
+        stack.append((ray, pos))
 
 
 def _crosspolytope_pairing(gf: GeneralFan):
     """Pair the rays so that the fan is combinatorially a crosspolytope.
 
-    Returns (pairs, None) on success, with pairs sorted by smallest ray
-    index, or (None, (code, witness)) naming the failed condition.  The
+    Returns the pairs sorted by smallest ray index, each ascending.  The
     pairing matches rays that never span a common cone, and picking one ray
-    per pair must always span a maximal cone.
+    per pair must always span a maximal cone.  Raises RejectionError with
+    the code and witness of the first failed condition.
     """
     m = len(gf.rays)
     if m % 2 == 1:
-        return None, ("ray count odd", {"ray_count": m})
-    cofaced = set()
-    for cone in gf.cones:
-        for a in range(len(cone)):
-            for b in range(a + 1, len(cone)):
-                cofaced.add((cone[a], cone[b]))
+        raise RejectionError("ray count odd", {"ray_count": m})
+    cofaced = {pair for cone in gf.cones for pair in combinations(cone, 2)}
     partners = {r: [] for r in range(m)}
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (a, b) not in cofaced:
-                partners[a].append(b)
-                partners[b].append(a)
+    for a, b in combinations(range(m), 2):
+        if (a, b) not in cofaced:
+            partners[a].append(b)
+            partners[b].append(a)
     for ray, others in partners.items():
         if not others:
-            return None, ("no valid pairing",
-                          {"ray": ray, "non_cofaced_with": []})
+            raise RejectionError("no valid pairing",
+                                 {"ray": ray, "non_cofaced_with": []})
     pairs = _match_rays(partners, m)
     if pairs is None:
         edges = [[a, b] for a in range(m) for b in partners[a] if a < b]
-        return None, ("no valid pairing", {"non_cofaced_pairs": edges})
+        raise RejectionError("no valid pairing", {"non_cofaced_pairs": edges})
     if len(pairs) != gf.dim:
-        return None, ("cone set not full binary cube",
-                      {"pairs": len(pairs), "dim": gf.dim})
+        raise RejectionError("cone set not full binary cube",
+                             {"pairs": len(pairs), "dim": gf.dim})
     cone_set = set(gf.cones)
     for choice in product(*pairs):
         transversal = tuple(sorted(choice))
         if transversal not in cone_set:
-            return None, ("cone set not full binary cube",
-                          {"missing_cone": list(transversal)})
+            raise RejectionError("cone set not full binary cube",
+                                 {"missing_cone": list(transversal)})
     if len(gf.cones) != 2 ** gf.dim:
-        return None, ("cone set not full binary cube",
-                      {"cone_count": len(gf.cones)})
-    return pairs, None
+        raise RejectionError("cone set not full binary cube",
+                             {"cone_count": len(gf.cones)})
+    return pairs
 
 
 def primitive_collections(fan):
@@ -342,11 +342,11 @@ def primitive_collections(fan):
     if gf.dim > 12:
         raise ValidationError(
             f"primitive collection search capped at dimension 12, got {gf.dim}")
-    pairs, failure = _crosspolytope_pairing(gf)
-    if failure is not None:
+    try:
+        return _crosspolytope_pairing(gf)
+    except RejectionError as err:
         raise RejectionError("not crosspolytope combinatorics",
-                             {"condition": failure[0], **(failure[1] or {})})
-    return [tuple(pair) for pair in pairs]
+                             {"condition": err.code, **err.witness}) from None
 
 
 def _fano_condition(gf: GeneralFan) -> bool:

@@ -62,11 +62,6 @@ def det(matrix) -> int:
     return _eliminate([list(row) for row in matrix], len(matrix))
 
 
-def is_unimodular(matrix) -> bool:
-    rows = len(matrix)
-    return all(len(row) == rows for row in matrix) and abs(det(matrix)) == 1
-
-
 def solve_fraction_free(matrix, columns):
     """(det(matrix), [adj(matrix) @ b for b in columns]) in integers only.
 

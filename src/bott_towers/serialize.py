@@ -116,6 +116,8 @@ def sequence_from_doc(doc) -> IntegralSequence:
                 f"sequence entry must be an [i, j, value] triple, got {triple!r}")
         i = parse_int(triple[0], "entry index i")
         j = parse_int(triple[1], "entry index j")
+        if (i, j) in entries:
+            raise ValidationError(f"duplicate sequence entry ({i}, {j})")
         entries[(i, j)] = parse_int(triple[2], f"entry c({i},{j})")
     return IntegralSequence(n, entries)
 

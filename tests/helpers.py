@@ -162,6 +162,35 @@ def random_poset(rng: random.Random, n: int, p: float = 0.4) -> Poset:
     return Poset(n, relation)
 
 
+def reference_match_rays(partners, count):
+    """The former recursive ray matching, kept as a test oracle.
+
+    Matches the lowest unmatched ray to its smallest still-free partner and
+    recurses, backtracking on failure, so it returns the lexicographically
+    first perfect matching or None.  Its depth is one call per pair.
+    """
+    matched = [False] * count
+
+    def extend():
+        try:
+            ray = matched.index(False)
+        except ValueError:
+            return []
+        matched[ray] = True
+        for other in partners[ray]:
+            if matched[other]:
+                continue
+            matched[other] = True
+            rest = extend()
+            if rest is not None:
+                return [(ray, other)] + rest
+            matched[other] = False
+        matched[ray] = False
+        return None
+
+    return extend()
+
+
 def permute_rays(rng: random.Random, fan: GeneralFan) -> GeneralFan:
     """Relabel the rays of a fan by a random permutation."""
     m = len(fan.rays)

@@ -16,10 +16,13 @@ Core claims:
    rays and cones), or the reason code of the first failing stage.  The
    witness is self-verified, deterministic, and survives random unimodular
    maps and ray relabelings of tower fans.
+5. classify searches for the crosspolytope pairing once per call; every
+   peeling stage inherits pairs equal to a fresh search of its quotient.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -332,3 +335,53 @@ class TestClassify:
         result = classify(fan)
         assert not result.ok
         assert result.reject == "not complete"
+
+
+# ===================================================================
+# 5. One pairing per classification
+# ===================================================================
+
+CLASSIFY = importlib.import_module("bott_towers.classify")
+
+
+def scrambled_towers(rng: random.Random, count: int):
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        c = random_sequence(rng, k, -3, 3)
+        gf = build_fan(c, k).as_general_fan()
+        change = random_unimodular(rng, k)
+        yield k, permute_rays(
+            rng, GeneralFan(k, [matvec(change, ray) for ray in gf.rays],
+                            gf.cones))
+
+
+class TestPairingPassedDown:
+    def test_one_pairing_search_per_classify(self, monkeypatch):
+        search = CLASSIFY._crosspolytope_pairing
+        calls = []
+
+        def counted(gf):
+            calls.append(gf)
+            return search(gf)
+
+        monkeypatch.setattr(CLASSIFY, "_crosspolytope_pairing", counted)
+        for _, gf in scrambled_towers(random.Random(6008), 15):
+            calls.clear()
+            assert classify(gf).ok
+            assert calls == [gf]
+
+    def test_inherited_pairs_match_fresh_search(self, monkeypatch):
+        peel = CLASSIFY._peel
+        stages = []
+
+        def recorded(gf, pairs):
+            stages.append((gf, pairs))
+            return peel(gf, pairs)
+
+        monkeypatch.setattr(CLASSIFY, "_peel", recorded)
+        for k, gf in scrambled_towers(random.Random(6009), 15):
+            stages.clear()
+            assert classify(gf).ok
+            assert [stage.dim for stage, _ in stages] == list(range(k, 0, -1))
+            for stage, pairs in stages:
+                assert pairs == crosspolytope_check(stage)

@@ -11,6 +11,8 @@ Core claims:
    -o file contents equal the stdout of an identical run.
 4. classify prints its rejection document on stdout and still exits 4;
    check folds rejections of individual predicates into false booleans.
+   Inputs deeper than the recursion limit (JSON nesting, or more ray
+   pairs than stack frames) still end in a documented exit code.
 5. The cohomology and bundle documents of seeded sequences at k = 2..9 are
    byte-identical to documents written from the reference oracles.
 """
@@ -47,6 +49,11 @@ OVERLAP_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [2, 1]],'
 DOUBLE_WRAP_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [0, -1],'
                    ' [1, 1], [-1, 0], [1, -1]], "cones": [[0, 1], [1, 2],'
                    ' [2, 3], [3, 4], [4, 5], [5, 6], [0, 6]]}')
+# 2,100 rays and no cones: every two rays may pair, so the matching has
+# 1,050 pairs, more than the interpreter's default recursion limit
+CONE_LESS_FAN = json.dumps({"dim": 2, "rays": [[1, t] for t in range(2100)],
+                            "cones": []})
+DEEP_JSON = '{"n": 2, "entries": ' + "[" * 100000 + "]" * 100000 + "}"
 
 
 def run_cli(*args, env_extra=None):
@@ -97,6 +104,22 @@ class TestExitCodes:
                        '{"n": 2, "entries": [[1, 2, 2.5]]}').returncode == 3
         assert run_cli("numbers",
                        '{"n": 2, "entries": [[1, 2, 2.0]]}').returncode == 3
+
+    @pytest.mark.parametrize("command", ["numbers", "classify"])
+    def test_deep_nesting_is_unreadable_input(self, command, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert "cannot read input" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_duplicate_entry(self):
+        result = run_cli("numbers",
+                         '{"n": 3, "entries": [[1, 2, 1], [1, 2, 5]]}')
+        assert result.returncode == 3
+        assert "duplicate sequence entry (1, 2)" in result.stderr
 
     def test_rejection_prints_document(self):
         result = run_cli("classify", PLANE_FAN)
@@ -205,6 +228,13 @@ class TestFanAndCheck:
         assert doc == {"smooth": True, "complete": False,
                        "fano": False, "crosspolytope": True}
 
+    def test_check_cone_less_fan(self, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(CONE_LESS_FAN)
+        doc = stdout_doc(run_cli("check", str(path)))
+        assert doc == {"smooth": True, "complete": False,
+                       "fano": False, "crosspolytope": False}
+
     def test_check_double_wrap_not_complete(self):
         result = run_cli("check", DOUBLE_WRAP_FAN)
         assert result.returncode == 0
@@ -312,6 +342,15 @@ class TestClassifyCommand:
         assert doc["order"] == [1, 2]
         assert doc["matrix"] == [[1, 0], [0, 1]]
         assert doc["ray_map"] == [0, 2, 1, 3]
+
+    def test_cone_less_fan_rejection(self, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(CONE_LESS_FAN)
+        result = run_cli("classify", str(path))
+        assert result.returncode == 4
+        assert json.loads(result.stdout) == {
+            "reject": "cone set not full binary cube",
+            "witness": {"pairs": 1050, "dim": 2}}
 
     def test_punctured_square_rejection(self):
         result = run_cli("classify", PUNCTURED_FAN)

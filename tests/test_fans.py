@@ -15,6 +15,9 @@ Core claims:
    and connectivity but cover space twice are rejected, and on scrambled
    tower fans and known rejects it agrees with the known answer and is
    consistent with the former probe check.
+7. The ray matching behind the crosspolytope pairing returns the same
+   lexicographically first matching as the former recursive search, and
+   its depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from helpers import (
     probe_complete,
     random_sequence,
     random_unimodular,
+    reference_match_rays,
 )
+from bott_towers.fans import _match_rays
 
 
 def hirzebruch_fan(c: int) -> GeneralFan:
@@ -394,3 +399,37 @@ class TestIsomorphism:
         fan = build_fan(IntegralSequence.zero(7), 7).as_general_fan()
         with pytest.raises(ValidationError):
             fans_isomorphic(fan, fan)
+
+
+# ===================================================================
+# 7. Ray matching
+# ===================================================================
+
+class TestMatchRays:
+    def test_agrees_with_recursive_search(self):
+        rng = random.Random(6101)
+        outcomes = set()
+        for _ in range(400):
+            count = rng.randint(1, 10)
+            p = rng.choice([0.2, 0.4, 0.7])
+            partners = {r: [] for r in range(count)}
+            for a in range(count):
+                for b in range(a + 1, count):
+                    if rng.random() < p:
+                        partners[a].append(b)
+                        partners[b].append(a)
+            for others in partners.values():
+                others.sort()
+            expected = reference_match_rays(partners, count)
+            assert _match_rays(partners, count) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_depth_beyond_recursion_limit(self):
+        # rays pair with their neighbours up to distance two: the search
+        # holds one frame per pair, 2,000 of them
+        count = 4000
+        partners = {r: [s for s in (r - 2, r - 1, r + 1, r + 2)
+                        if 0 <= s < count] for r in range(count)}
+        assert _match_rays(partners, count) == [(r, r + 1)
+                                                for r in range(0, count, 2)]
