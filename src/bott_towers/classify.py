@@ -7,18 +7,18 @@ reproduce the input exactly from the standard fan of that sequence.  Inputs
 that fail one of the structural conditions are rejected with a stable
 reason code and a witness of the first failure.
 
-The recovery peels one zero-sum ray pair at a time: a unimodular change of
-basis moves the pair onto the last coordinate axis, the remaining rays
-project to a fan one dimension down, and the discarded last coordinates are
-support-function values from which the next column of twists is solved
-back.  Recursing on the projected fan yields the full sequence, and the
-witness matrix is assembled from the per-stage basis changes.
+The tower fan of a sequence has a_{i,0} = e_i and a_{i,1} = row i of its
+Bott matrix B, and every smooth complete crosspolytope fan is one up to
+GL(Z).  So once the stage order of the ray pairs is known the witness is
+fixed: the columns of M are the pairs' first rays, B = M^-1 (second rays),
+and C = -B^-1.  The stage order comes from peeling: the top stage is a pair
+of rays summing to zero, and collapsing it leaves the rays of the tower one
+stage down, in the coordinates a unimodular change of basis gives them.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .bundles import extend_sequence, support_function
 from .errors import RejectionError, ValidationError
 from .fans import (
     GeneralFan,
@@ -90,13 +90,13 @@ def crosspolytope_check(fan):
     return _crosspolytope_pairing(_as_general(fan))
 
 
-def _zero_sum_index(gf: GeneralFan, pairs):
-    """0-based index of the first pair whose rays sum to zero.
+def _zero_sum_index(rays, pairs):
+    """0-based index of the first pair whose rays (in ``rays``) sum to zero.
 
     Raises the "no zero-sum pair" rejection, with every pair's sum as the
     witness, when there is none.
     """
-    sums = [[a + b for a, b in zip(gf.rays[p], gf.rays[q])] for p, q in pairs]
+    sums = [[a + b for a, b in zip(rays[p], rays[q])] for p, q in pairs]
     for idx, total in enumerate(sums):
         if not any(total):
             return idx
@@ -110,42 +110,7 @@ def find_opposite_pair(fan) -> int:
     sum (possible only for non-complete fans).
     """
     gf = _as_general(fan)
-    return _zero_sum_index(gf, crosspolytope_check(gf)) + 1
-
-
-def _project_pair(gf: GeneralFan, p: int, q: int):
-    """Quotient the fan by the zero-sum ray pair (p, q).
-
-    Returns (quotient, transform, kept, transformed): the fan one dimension
-    down, the unimodular map sending ray p to the last basis vector, the
-    ascending list of surviving ray indices, and all transformed rays.
-    Raises the "projection degenerate" rejection when the images of the
-    surviving rays are zero, imprimitive, or collide.
-    """
-    transform = linalg.complete_to_basis(gf.rays[p])
-    transformed = [tuple(linalg.matvec(transform, ray)) for ray in gf.rays]
-    kept = [t for t in range(len(gf.rays)) if t not in (p, q)]
-    heads = []
-    seen = {}
-    for t in kept:
-        head = transformed[t][:-1]
-        if all(x == 0 for x in head) or linalg.gcd_vector(head) != 1:
-            raise RejectionError("projection degenerate",
-                                 {"ray": t, "image": list(head)})
-        if head in seen:
-            raise RejectionError("projection degenerate",
-                                 {"rays": [seen[head], t], "image": list(head)})
-        seen[head] = t
-        heads.append(head)
-    renumber = {t: r for r, t in enumerate(kept)}
-    cones = [tuple(sorted(renumber[t] for t in cone if t != p))
-             for cone in gf.cones if p in cone]
-    try:
-        quotient = GeneralFan(gf.dim - 1, heads, cones)
-    except ValidationError as exc:
-        raise RejectionError("projection degenerate",
-                             {"detail": str(exc)}) from exc
-    return quotient, transform, kept, transformed
+    return _zero_sum_index(gf.rays, crosspolytope_check(gf)) + 1
 
 
 def project(fan, pair_index: int) -> GeneralFan:
@@ -155,7 +120,8 @@ def project(fan, pair_index: int) -> GeneralFan:
     crosspolytope_check.  The pair's rays must sum to zero; the surviving
     rays project along the pair's axis to a fan one dimension down.  For a
     tower fan and its last pair this is exactly the fan of the truncated
-    sequence.
+    sequence.  Raises the "projection degenerate" rejection when the images
+    of the surviving rays are zero, imprimitive, or collide.
     """
     gf = _as_general(fan)
     pairs = crosspolytope_check(gf)
@@ -167,53 +133,49 @@ def project(fan, pair_index: int) -> GeneralFan:
     if any(a + b != 0 for a, b in zip(gf.rays[p], gf.rays[q])):
         raise ValidationError(
             f"pair {pair_index} rays do not sum to zero")
-    return _project_pair(gf, p, q)[0]
+    transform = linalg.complete_to_basis(gf.rays[p])
+    kept = [t for t in range(len(gf.rays)) if t not in (p, q)]
+    heads = []
+    seen = {}
+    for t in kept:
+        head = linalg.matvec(transform, gf.rays[t])[:-1]
+        if linalg.gcd_vector(head) != 1:  # zero or imprimitive
+            raise RejectionError("projection degenerate",
+                                 {"ray": t, "image": list(head)})
+        if head in seen:
+            raise RejectionError("projection degenerate",
+                                 {"rays": [seen[head], t], "image": list(head)})
+        seen[head] = t
+        heads.append(head)
+    renumber = {t: r for r, t in enumerate(kept)}
+    cones = [tuple(sorted(renumber[t] for t in cone if t != p))
+             for cone in gf.cones if p in cone]
+    try:
+        return GeneralFan(gf.dim - 1, heads, cones)
+    except ValidationError as exc:
+        raise RejectionError("projection degenerate",
+                             {"detail": str(exc)}) from exc
 
 
-def _peel(gf: GeneralFan, pairs):
-    """Recursively strip zero-sum pairs off a crosspolytope fan.
+def _stage_order(rays, pairs):
+    """0-based indices into ``pairs`` of the tower stages 1, ..., k.
 
-    ``pairs`` is the fan's crosspolytope pairing.  Returns (sequence,
-    matrix, ray_map, order) with matrix as a list of rows; the peeled pair
-    becomes the final tower stage.  Raises RejectionError when the fan (or
-    any quotient) fails a structural condition.
-
-    The pairing is never searched for again.  The quotient by the pair
-    (p, q) is the link of p, whose cones pick one ray from each other pair:
-    a full binary cube on the other pairs, in which only paired rays never
-    share a cone.  Renumbered through ``kept``, which keeps their order,
-    the other pairs are exactly what a fresh search of the quotient
-    returns, in the same order.
+    Each round peels the top live stage: the first live pair whose images
+    sum to zero.  complete_to_basis moves it onto the last axis, and the
+    other images drop that coordinate, giving the rays of the quotient fan,
+    whose pairing is the live pairs; its cones are never needed.
     """
-    idx = _zero_sum_index(gf, pairs)
-    p, q = pairs[idx]
-    m = gf.dim
-    if m == 1:
-        return (IntegralSequence(1), [[gf.rays[p][0]]], (p, q), (idx + 1,))
-    quotient, transform, kept, transformed = _project_pair(gf, p, q)
-    sub_pairs = [(kept.index(a), kept.index(b))
-                 for t, (a, b) in enumerate(pairs) if t != idx]
-    sub_seq, sub_matrix, sub_ray_map, sub_order = _peel(quotient, sub_pairs)
-    values = {}
-    for l in range(1, m):
-        for gamma in (0, 1):
-            old = kept[sub_ray_map[2 * (l - 1) + gamma]]
-            values[(l, gamma)] = transformed[old][-1]
-    h = support_function(sub_seq, m - 1, values)
-    column = extend_sequence(sub_seq, m - 1, h)
-    sequence = sub_seq.extend(column)
-    # witness = transform^-1 . diag(sub_matrix, 1) . shear, where the shear
-    # restores the last coordinates of the lifted generators
-    shear = linalg.identity(m)
-    shear[m - 1] = [values[(i, 0)] for i in range(1, m)] + [1]
-    block = [list(row) + [0] for row in sub_matrix] + [[0] * (m - 1) + [1]]
-    matrix = linalg.matmul(linalg.invert_unimodular(transform),
-                           linalg.matmul(block, shear))
-    ray_map = tuple(kept[sub_ray_map[2 * (l - 1) + gamma]]
-                    for l in range(1, m) for gamma in (0, 1)) + (p, q)
-    remaining = [t + 1 for t in range(len(pairs)) if t != idx]
-    order = tuple(remaining[s - 1] for s in sub_order) + (idx + 1,)
-    return sequence, matrix, ray_map, order
+    images = list(rays)
+    live = list(range(len(pairs)))
+    peeled = []
+    while live:
+        stage = live.pop(_zero_sum_index(images, [pairs[t] for t in live]))
+        peeled.append(stage)
+        transform = linalg.complete_to_basis(images[pairs[stage][0]])
+        for t in live:
+            for r in pairs[t]:
+                images[r] = linalg.matvec(transform, images[r])[:-1]
+    return peeled[::-1]
 
 
 def _verify_witness(gf: GeneralFan, sequence, matrix, ray_map):
@@ -242,11 +204,15 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     """Recover tower data from a fan, or explain why none exists.
 
     Runs the structural checks in order (crosspolytope pairing, smoothness,
-    completeness), then peels the fan down to dimension one, solving the
-    twist columns back from the discarded coordinates.  A success result is
-    verified exactly before being returned: the matrix maps the standard
-    fan of the recovered sequence onto the input rays and cones through
-    ray_map.  ``seed`` is accepted for compatibility and has no effect.
+    completeness), then finds the stage order of the ray pairs and reads
+    the witness off it: the first rays of the pairs, in stage order, are
+    the columns of the matrix M, the rows of the Bott matrix B are M^-1
+    applied to the second rays, and c(i,j) = -(B^-1)[i][j].  A success
+    result is verified exactly before being returned: the matrix maps the
+    standard fan of the recovered sequence onto the input rays and cones
+    through ray_map.  A fan that passes the checks but yields no witness
+    would contradict the converse theorem and raises RuntimeError.
+    ``seed`` is accepted for compatibility and has no effect.
     """
     gf = _as_general(fan)
     try:
@@ -256,12 +222,25 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
             raise RejectionError("not smooth", witness)
         if not is_complete(gf):
             raise RejectionError("not complete")
-        sequence, matrix, ray_map, order = _peel(gf, pairs)
     except RejectionError as err:
         return ClassificationResult(reject=err.code, witness=err.witness)
+    try:
+        order = _stage_order(gf.rays, pairs)
+        stages = [pairs[t] for t in order]
+        matrix = tuple(zip(*(gf.rays[p] for p, _ in stages)))
+        inverse = linalg.invert_unimodular(matrix)
+        neg_c = linalg.invert_unimodular(
+            [linalg.matvec(inverse, gf.rays[q]) for _, q in stages])
+    except (RejectionError, ValidationError) as exc:
+        raise RuntimeError(
+            f"classification found no tower witness: {exc}") from exc
+    k = len(stages)
+    sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
+                                    for i in range(k) for j in range(i + 1, k)})
+    ray_map = tuple(r for pair in stages for r in pair)
     _verify_witness(gf, sequence, matrix, ray_map)
     return ClassificationResult(
         sequence=sequence,
-        order=tuple(order),
-        matrix=tuple(tuple(row) for row in matrix),
-        ray_map=tuple(ray_map))
+        order=tuple(t + 1 for t in order),
+        matrix=matrix,
+        ray_map=ray_map)

@@ -25,7 +25,7 @@ from .bundles import (
     tangent_splitting,
     xi_bundle,
 )
-from .charts import dual_chart
+from .charts import dual_generators
 from .classify import classify, crosspolytope_check
 from .cohomology import betti, integrate, presentation, total_chern_class
 from .errors import RejectionError, ValidationError
@@ -55,6 +55,16 @@ def _seed() -> int:
             f"BOTT_SEED must be a decimal integer, got {raw!r}") from None
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key is invalid data."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValidationError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _load_document(source: str):
     if source.lstrip().startswith("{"):
         text = source
@@ -62,7 +72,7 @@ def _load_document(source: str):
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:  # the decoder recurses once per nesting level
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
@@ -128,11 +138,9 @@ def _cmd_check(args):
 
 def _cmd_charts(args):
     c, k = _sequence_and_stage(args)
-    charts = []
-    for w in binary_codes(k):
-        chart = dual_chart(c, k, w)
-        charts.append({"code": list(chart.code),
-                       "monomials": [list(mono.exps) for mono in chart.phi]})
+    charts = [{"code": list(w),
+               "monomials": [list(u) for u in dual_generators(c, k, w)]}
+              for w in binary_codes(k)]
     return encode_canonical({"k": k, "charts": charts}), 0
 
 

@@ -253,6 +253,11 @@ def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
     return True
 
 
+# Backtracks allowed to the ray-pairing search.  A crosspolytope fan needs
+# none, while two odd cliques of rays need exponentially many in their size.
+MATCH_BACKTRACK_LIMIT = 10_000
+
+
 def _match_rays(partners, count):
     """Lexicographically-first perfect matching on the non-cofaced graph.
 
@@ -261,10 +266,12 @@ def _match_rays(partners, count):
     search keeps its own stack of (ray, partner position) frames, so its
     depth is not bounded by the interpreter's recursion limit.  Returns the
     pair list (each pair ordered, pairs sorted by their smaller ray) or None
-    when no perfect matching exists.
+    when no perfect matching exists.  Raises ValidationError after
+    MATCH_BACKTRACK_LIMIT backtracks.
     """
     matched = [False] * count
     stack = []
+    backtracks = 0
     while True:
         try:
             ray = matched.index(False)
@@ -281,6 +288,11 @@ def _match_rays(partners, count):
             matched[ray] = False
             if not stack:
                 return None
+            backtracks += 1
+            if backtracks > MATCH_BACKTRACK_LIMIT:
+                raise ValidationError(
+                    f"ray pairing search exceeded {MATCH_BACKTRACK_LIMIT} "
+                    "backtracks")
             ray, pos = stack.pop()
             matched[partners[ray][pos]] = False
             pos += 1

@@ -13,7 +13,20 @@ import math
 import random
 from fractions import Fraction
 
-from bott_towers import GeneralFan, IntegralSequence, Poset
+from bott_towers import (
+    ClassificationResult,
+    GeneralFan,
+    IntegralSequence,
+    Poset,
+    RejectionError,
+    ValidationError,
+    crosspolytope_check,
+    extend_sequence,
+    is_complete,
+    linalg,
+    support_function,
+)
+from bott_towers.fans import _smoothness_report
 
 
 def fraction_inverse(matrix):
@@ -189,6 +202,92 @@ def reference_match_rays(partners, count):
         return None
 
     return extend()
+
+
+def _reference_project(gf: GeneralFan, p: int, q: int):
+    """Quotient by the zero-sum pair (p, q), as the former recursive peel
+    built it: (quotient fan, transform, kept ray indices, all images)."""
+    transform = linalg.complete_to_basis(gf.rays[p])
+    transformed = [tuple(linalg.matvec(transform, ray)) for ray in gf.rays]
+    kept = [t for t in range(len(gf.rays)) if t not in (p, q)]
+    heads = [transformed[t][:-1] for t in kept]
+    if any(linalg.gcd_vector(head) != 1 for head in heads) \
+            or len(set(heads)) != len(heads):
+        raise RejectionError("projection degenerate", {})
+    renumber = {t: r for r, t in enumerate(kept)}
+    cones = [tuple(sorted(renumber[t] for t in cone if t != p))
+             for cone in gf.cones if p in cone]
+    try:
+        quotient = GeneralFan(gf.dim - 1, heads, cones)
+    except ValidationError as exc:
+        raise RejectionError("projection degenerate", {}) from exc
+    return quotient, transform, kept, transformed
+
+
+def _reference_peel(gf: GeneralFan, pairs):
+    """The former recursive peel: (sequence, matrix, ray_map, order).
+
+    Strips the first zero-sum pair, recurses on the quotient fan with the
+    remaining pairs, and solves the peeled stage's twist column back from
+    the discarded coordinates through support_function and
+    extend_sequence.
+    """
+    idx = next((t for t, (p, q) in enumerate(pairs)
+                if all(a + b == 0 for a, b in zip(gf.rays[p], gf.rays[q]))),
+               None)
+    if idx is None:
+        raise RejectionError("no zero-sum pair", {})
+    p, q = pairs[idx]
+    m = gf.dim
+    if m == 1:
+        return IntegralSequence(1), [[gf.rays[p][0]]], (p, q), (idx + 1,)
+    quotient, transform, kept, transformed = _reference_project(gf, p, q)
+    sub_pairs = [(kept.index(a), kept.index(b))
+                 for t, (a, b) in enumerate(pairs) if t != idx]
+    sub_seq, sub_matrix, sub_ray_map, sub_order = _reference_peel(
+        quotient, sub_pairs)
+    values = {}
+    for l in range(1, m):
+        for gamma in (0, 1):
+            old = kept[sub_ray_map[2 * (l - 1) + gamma]]
+            values[(l, gamma)] = transformed[old][-1]
+    h = support_function(sub_seq, m - 1, values)
+    sequence = sub_seq.extend(extend_sequence(sub_seq, m - 1, h))
+    # witness = transform^-1 . diag(sub_matrix, 1) . shear, where the shear
+    # restores the last coordinates of the lifted generators
+    shear = linalg.identity(m)
+    shear[m - 1] = [values[(i, 0)] for i in range(1, m)] + [1]
+    block = [list(row) + [0] for row in sub_matrix] + [[0] * (m - 1) + [1]]
+    matrix = linalg.matmul(linalg.invert_unimodular(transform),
+                           linalg.matmul(block, shear))
+    ray_map = tuple(kept[sub_ray_map[2 * (l - 1) + gamma]]
+                    for l in range(1, m) for gamma in (0, 1)) + (p, q)
+    remaining = [t + 1 for t in range(len(pairs)) if t != idx]
+    order = tuple(remaining[s - 1] for s in sub_order) + (idx + 1,)
+    return sequence, matrix, ray_map, order
+
+
+def reference_classify(gf: GeneralFan) -> ClassificationResult:
+    """The former classification by recursive peeling, kept as a test oracle.
+
+    Runs the same ordered checks (pairing, smooth, complete), then builds
+    and validates one quotient fan per stage and lifts the witness back up
+    through support-function values, instead of reading it off the stage
+    order.
+    """
+    try:
+        pairs = crosspolytope_check(gf)
+        smooth, witness = _smoothness_report(gf)
+        if not smooth:
+            raise RejectionError("not smooth", witness)
+        if not is_complete(gf):
+            raise RejectionError("not complete")
+        sequence, matrix, ray_map, order = _reference_peel(gf, pairs)
+    except RejectionError as err:
+        return ClassificationResult(reject=err.code, witness=err.witness)
+    return ClassificationResult(
+        sequence=sequence, order=order,
+        matrix=tuple(tuple(row) for row in matrix), ray_map=ray_map)
 
 
 def permute_rays(rng: random.Random, fan: GeneralFan) -> GeneralFan:

@@ -16,8 +16,12 @@ Core claims:
    rays and cones), or the reason code of the first failing stage.  The
    witness is self-verified, deterministic, and survives random unimodular
    maps and ray relabelings of tower fans.
-5. classify searches for the crosspolytope pairing once per call; every
-   peeling stage inherits pairs equal to a fresh search of its quotient.
+5. classify searches for the crosspolytope pairing once per call; chained
+   projections along the recovered stage order keep the remaining pairs as
+   each quotient's own pairing.
+6. classify reads the witness off the stage order without building a fan,
+   and agrees field by field with the former recursive peel, kept as an
+   oracle in helpers.
 """
 
 from __future__ import annotations
@@ -40,7 +44,13 @@ from bott_towers import (
     find_opposite_pair,
     project,
 )
-from helpers import minor_det, permute_rays, random_sequence, random_unimodular
+from helpers import (
+    minor_det,
+    permute_rays,
+    random_sequence,
+    random_unimodular,
+    reference_classify,
+)
 from bott_towers.linalg import matvec
 
 
@@ -370,18 +380,74 @@ class TestPairingPassedDown:
             assert classify(gf).ok
             assert calls == [gf]
 
-    def test_inherited_pairs_match_fresh_search(self, monkeypatch):
-        peel = CLASSIFY._peel
-        stages = []
-
-        def recorded(gf, pairs):
-            stages.append((gf, pairs))
-            return peel(gf, pairs)
-
-        monkeypatch.setattr(CLASSIFY, "_peel", recorded)
+    def test_quotients_along_the_order_keep_the_live_pairs(self):
+        # Chained public projections along the recovered stage order, top
+        # stage first: each quotient's own pairing is the live pairs,
+        # renumbered, which is why the stage order never re-pairs.
         for k, gf in scrambled_towers(random.Random(6009), 15):
-            stages.clear()
+            result = classify(gf)
+            assert result.ok
+            pairs = crosspolytope_check(gf)
+            live = list(range(len(pairs)))
+            label = list(range(len(gf.rays)))  # quotient ray -> input ray
+            fan = gf
+            for stage in reversed(result.order[1:]):  # down to dimension 1
+                p, q = pairs[stage - 1]
+                fan = project(fan, live.index(stage - 1) + 1)
+                live.remove(stage - 1)
+                label = [r for r in label if r not in (p, q)]
+                assert crosspolytope_check(fan) == [
+                    (label.index(a), label.index(b))
+                    for a, b in (pairs[t] for t in live)]
+            assert fan.dim == 1
+
+
+class TestDirectWitness:
+    def test_no_fan_is_built(self, monkeypatch):
+        towers = [gf for _, gf in scrambled_towers(random.Random(6010), 10)]
+        init = GeneralFan.__init__
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralFan, "__init__", counted)
+        for gf in towers:
             assert classify(gf).ok
-            assert [stage.dim for stage, _ in stages] == list(range(k, 0, -1))
-            for stage, pairs in stages:
-                assert pairs == crosspolytope_check(stage)
+        assert built == []
+
+    def test_agrees_with_recursive_peel(self):
+        rng = random.Random(6011)
+        for _ in range(200):
+            k = rng.randint(1, 8)
+            c = random_sequence(rng, k, -3, 3)
+            gf = build_fan(c, k).as_general_fan()
+            change = random_unimodular(rng, k)
+            scrambled = permute_rays(
+                rng, GeneralFan(k, [matvec(change, ray) for ray in gf.rays],
+                                gf.cones))
+            assert_same_result(classify(scrambled),
+                               reference_classify(scrambled))
+
+    @pytest.mark.parametrize("fan", [
+        hirzebruch_input(), product_fan(1), product_fan(3),
+        projective_plane(), punctured_square(),
+        GeneralFan(2, [(1, 0), (-1, 0), (1, 1), (-1, -1)],
+                   [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        GeneralFan(2, [(1, 0), (-1, 0), (1, 2), (-1, -2)],
+                   [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        GeneralFan(2, [(1, 0), (0, 1), (1, 1), (2, 1)],
+                   [(0, 1), (0, 3), (1, 2), (2, 3)]),
+        GeneralFan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                       (1, 1, 0), (-1, -1, 0)],
+                   [(a, b, c) for a in (0, 1) for b in (2, 3)
+                    for c in (4, 5)]),
+    ], ids=repr)
+    def test_agrees_with_recursive_peel_on_fixed_fans(self, fan):
+        assert_same_result(classify(fan), reference_classify(fan))
+
+
+def assert_same_result(result, reference):
+    for field in ClassificationResult.__slots__:
+        assert getattr(result, field) == getattr(reference, field), field

@@ -12,7 +12,8 @@ Core claims:
 4. classify prints its rejection document on stdout and still exits 4;
    check folds rejections of individual predicates into false booleans.
    Inputs deeper than the recursion limit (JSON nesting, or more ray
-   pairs than stack frames) still end in a documented exit code.
+   pairs than stack frames), repeated JSON keys, and fans whose ray
+   pairing search would run for hours still end in a documented exit code.
 5. The cohomology and bundle documents of seeded sequences at k = 2..9 are
    byte-identical to documents written from the reference oracles.
 """
@@ -54,6 +55,27 @@ DOUBLE_WRAP_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [0, -1],'
 CONE_LESS_FAN = json.dumps({"dim": 2, "rays": [[1, t] for t in range(2100)],
                             "cones": []})
 DEEP_JSON = '{"n": 2, "entries": ' + "[" * 100000 + "]" * 100000 + "}"
+
+
+def clique_fan(sizes, cone_less=0):
+    """A 2-D fan whose never-cofaced graph is cliques of the given sizes.
+
+    Rays in different cliques share a cone; the first ``cone_less`` rays
+    share none.  With two odd cliques, or one cone-less ray and three odd
+    cliques (a Tutte barrier), the graph has no perfect matching, and the
+    pairing search backtracks a number of times exponential in its size.
+    """
+    group = [None] * cone_less
+    for g, size in enumerate(sizes):
+        group += [g] * size
+    cones = [[a, b] for a in range(cone_less, len(group))
+             for b in range(a + 1, len(group)) if group[a] != group[b]]
+    return json.dumps({"dim": 2, "rays": [[1, t] for t in range(len(group))],
+                       "cones": cones})
+
+
+HOSTILE_FANS = {"two_odd_cliques": clique_fan((15, 15)),
+                "tutte_barrier": clique_fan((11, 11, 11), cone_less=1)}
 
 
 def run_cli(*args, env_extra=None):
@@ -120,6 +142,27 @@ class TestExitCodes:
                          '{"n": 3, "entries": [[1, 2, 1], [1, 2, 5]]}')
         assert result.returncode == 3
         assert "duplicate sequence entry (1, 2)" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("numbers", '{"n": 3, "n": 4}'),
+        ("classify", '{"dim": 1, "rays": [[1], [-1]], "rays": [[1], [-1]],'
+                     ' "cones": [[0], [1]]}'),
+    ])
+    def test_duplicate_json_key(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 3
+        assert "duplicate key" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE_FANS))
+    def test_pairing_search_budget(self, command, name, tmp_path):
+        path = tmp_path / "hostile.json"
+        path.write_text(HOSTILE_FANS[name])
+        result = run_cli(command, str(path))
+        assert result.returncode == 3
+        assert "ray pairing search exceeded" in result.stderr
+        assert result.stdout == ""
 
     def test_rejection_prints_document(self):
         result = run_cli("classify", PLANE_FAN)
