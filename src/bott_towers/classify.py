@@ -121,9 +121,12 @@ def project(fan, pair_index: int) -> GeneralFan:
     rays project along the pair's axis to a fan one dimension down.  For a
     tower fan and its last pair this is exactly the fan of the truncated
     sequence.  Raises the "projection degenerate" rejection when the images
-    of the surviving rays are zero, imprimitive, or collide.
+    of the surviving rays are zero, imprimitive, or collide, and
+    ValidationError on a 1-dimensional fan, which has no quotient.
     """
     gf = _as_general(fan)
+    if gf.dim == 1:
+        raise ValidationError("no quotient below dimension 1")
     pairs = crosspolytope_check(gf)
     _check_int(pair_index, "pair index")
     if not 1 <= pair_index <= len(pairs):
@@ -150,11 +153,7 @@ def project(fan, pair_index: int) -> GeneralFan:
     renumber = {t: r for r, t in enumerate(kept)}
     cones = [tuple(sorted(renumber[t] for t in cone if t != p))
              for cone in gf.cones if p in cone]
-    try:
-        return GeneralFan(gf.dim - 1, heads, cones)
-    except ValidationError as exc:
-        raise RejectionError("projection degenerate",
-                             {"detail": str(exc)}) from exc
+    return GeneralFan(gf.dim - 1, heads, cones)
 
 
 def _stage_order(rays, pairs):

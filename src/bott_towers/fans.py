@@ -15,11 +15,11 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .sequences import IntegralSequence, bott_matrix, _check_int
+from .sequences import IntegralSequence, bott_matrix, _check_code, _check_int
 
 
 def binary_codes(k: int):
@@ -69,16 +69,17 @@ class BottFan:
 
     def cone(self, w):
         """Ray indices of the maximal cone for the binary code w."""
-        w = tuple(w)
+        w = _check_code(w)
         if len(w) != self.k:
             raise ValidationError(f"code length {len(w)} != k={self.k}")
         return tuple(2 * i + w[i] for i in range(self.k))
 
     def as_general_fan(self) -> "GeneralFan":
-        if self._general is None:
+        if self._general is None:  # cone(w) without re-checking each code
             self._general = GeneralFan(
                 self.k, self.rays(),
-                [self.cone(w) for w in binary_codes(self.k)])
+                [tuple(2 * i + bit for i, bit in enumerate(w))
+                 for w in binary_codes(self.k)])
         return self._general
 
     def __eq__(self, other):
@@ -258,34 +259,27 @@ def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
 MATCH_BACKTRACK_LIMIT = 10_000
 
 
-def _match_rays(partners, count):
+def _match_rays(free, count):
     """Lexicographically-first perfect matching on the non-cofaced graph.
 
-    Repeatedly matches the lowest unmatched ray to its smallest still-free
-    partner, backtracking when that leaves some later ray unmatchable.  The
-    search keeps its own stack of (ray, partner position) frames, so its
-    depth is not bounded by the interpreter's recursion limit.  Returns the
-    pair list (each pair ordered, pairs sorted by their smaller ray) or None
-    when no perfect matching exists.  Raises ValidationError after
-    MATCH_BACKTRACK_LIMIT backtracks.
+    ``free[r]`` is the bitmask of the rays never cofaced with ray r.  Matches
+    the lowest unmatched ray to its smallest free partner, backtracking when
+    that leaves some later ray unmatchable.  The matched rays form one int,
+    and the stack of (ray, partner) pairs is the search's own, so its depth
+    is not bounded by the recursion limit.  Returns that stack (pairs sorted
+    by their smaller ray, each ascending) or None when no perfect matching
+    exists.  Raises ValidationError after MATCH_BACKTRACK_LIMIT backtracks.
     """
-    matched = [False] * count
+    full = (1 << count) - 1
+    matched = 0
     stack = []
     backtracks = 0
-    while True:
-        try:
-            ray = matched.index(False)
-        except ValueError:
-            return [(r, partners[r][pos]) for r, pos in stack]
-        matched[ray] = True
-        pos = 0
-        while True:  # advance to the next free partner, backtracking on none
-            others = partners[ray]
-            while pos < len(others) and matched[others[pos]]:
-                pos += 1
-            if pos < len(others):
-                break
-            matched[ray] = False
+    while matched != full:
+        ray = (~matched & (matched + 1)).bit_length() - 1
+        matched |= 1 << ray
+        options = free[ray] & ~matched
+        while not options:  # backtrack to the next untried partner
+            matched ^= 1 << ray
             if not stack:
                 return None
             backtracks += 1
@@ -293,11 +287,13 @@ def _match_rays(partners, count):
                 raise ValidationError(
                     f"ray pairing search exceeded {MATCH_BACKTRACK_LIMIT} "
                     "backtracks")
-            ray, pos = stack.pop()
-            matched[partners[ray][pos]] = False
-            pos += 1
-        matched[others[pos]] = True
-        stack.append((ray, pos))
+            ray, partner = stack.pop()
+            matched ^= 1 << partner
+            options = free[ray] & ~matched & -(2 << partner)
+        partner = (options & -options).bit_length() - 1
+        matched |= 1 << partner
+        stack.append((ray, partner))
+    return stack
 
 
 def _crosspolytope_pairing(gf: GeneralFan):
@@ -305,35 +301,38 @@ def _crosspolytope_pairing(gf: GeneralFan):
 
     Returns the pairs sorted by smallest ray index, each ascending.  The
     pairing matches rays that never span a common cone, and picking one ray
-    per pair must always span a maximal cone.  Raises RejectionError with
-    the code and witness of the first failed condition.
+    per pair must always span a maximal cone.  A ray may pair with the rays
+    outside its co-face mask: its own bit OR the masks of its cones.  Raises
+    RejectionError with the code and witness of the first failed condition.
     """
     m = len(gf.rays)
     if m % 2 == 1:
         raise RejectionError("ray count odd", {"ray_count": m})
-    cofaced = {pair for cone in gf.cones for pair in combinations(cone, 2)}
-    partners = {r: [] for r in range(m)}
-    for a, b in combinations(range(m), 2):
-        if (a, b) not in cofaced:
-            partners[a].append(b)
-            partners[b].append(a)
-    for ray, others in partners.items():
-        if not others:
-            raise RejectionError("no valid pairing",
-                                 {"ray": ray, "non_cofaced_with": []})
-    pairs = _match_rays(partners, m)
+    cone_masks = set()
+    coface = [1 << r for r in range(m)]
+    for cone in gf.cones:
+        mask = sum(1 << r for r in cone)
+        cone_masks.add(mask)
+        for r in cone:
+            coface[r] |= mask
+    full = (1 << m) - 1
+    free = [full ^ mask for mask in coface]
+    if 0 in free:
+        raise RejectionError("no valid pairing",
+                             {"ray": free.index(0), "non_cofaced_with": []})
+    pairs = _match_rays(free, m)
     if pairs is None:
-        edges = [[a, b] for a in range(m) for b in partners[a] if a < b]
+        edges = [[a, b] for a in range(m) for b in range(a + 1, m)
+                 if free[a] >> b & 1]
         raise RejectionError("no valid pairing", {"non_cofaced_pairs": edges})
     if len(pairs) != gf.dim:
         raise RejectionError("cone set not full binary cube",
                              {"pairs": len(pairs), "dim": gf.dim})
-    cone_set = set(gf.cones)
-    for choice in product(*pairs):
-        transversal = tuple(sorted(choice))
-        if transversal not in cone_set:
-            raise RejectionError("cone set not full binary cube",
-                                 {"missing_cone": list(transversal)})
+    for choice in product(*((1 << a, 1 << b) for a, b in pairs)):
+        transversal = sum(choice)
+        if transversal not in cone_masks:
+            raise RejectionError("cone set not full binary cube", {
+                "missing_cone": [r for r in range(m) if transversal >> r & 1]})
     if len(gf.cones) != 2 ** gf.dim:
         raise RejectionError("cone set not full binary cube",
                              {"cone_count": len(gf.cones)})
@@ -350,12 +349,8 @@ def primitive_collections(fan):
     """
     if isinstance(fan, BottFan):
         return [(2 * i, 2 * i + 1) for i in range(fan.k)]
-    gf = _as_general(fan)
-    if gf.dim > 12:
-        raise ValidationError(
-            f"primitive collection search capped at dimension 12, got {gf.dim}")
     try:
-        return _crosspolytope_pairing(gf)
+        return _crosspolytope_pairing(_as_general(fan))
     except RejectionError as err:
         raise RejectionError("not crosspolytope combinatorics",
                              {"condition": err.code, **err.witness}) from None
@@ -451,16 +446,18 @@ def fans_isomorphic(first, second, max_dim: int = 6):
     anchor_cols = [[g1.rays[r][t] for r in anchor] for t in range(k)]
     if linalg.det(anchor_cols) == 0:
         raise RejectionError("degenerate cone", {"cone": list(anchor)})
-    anchor_inv = linalg.invert_fraction(anchor_cols)
+    d, adj_cols = linalg.solve_fraction_free(anchor_cols, linalg.identity(k))
+    adj = linalg.transpose(adj_cols)
     ray_index = {ray: idx for idx, ray in enumerate(g2.rays)}
     cone_set = set(g2.cones)
     for cone2 in g2.cones:
         for ordering in permutations(cone2):
             target_cols = [[g2.rays[r][t] for r in ordering] for t in range(k)]
-            candidate = linalg.matmul(target_cols, anchor_inv)
-            if any(x.denominator != 1 for row in candidate for x in row):
+            # the candidate is target @ anchor^-1 = target @ adj / d
+            scaled = linalg.matmul(target_cols, adj)
+            if any(x % d for row in scaled for x in row):
                 continue
-            matrix = [[int(x) for x in row] for row in candidate]
+            matrix = [[x // d for x in row] for row in scaled]
             if abs(linalg.det(matrix)) != 1:
                 continue
             perm = []

@@ -2,8 +2,9 @@
 
 All matrices are lists of row lists of Python ints (arbitrary precision).
 Every elimination is fraction-free; fractions.Fraction appears only in the
-results of solve_fraction and invert_fraction.  Sizes here are tiny (at
-most a couple dozen), so clarity beats asymptotics.
+results of solve_fraction and invert_fraction, which no package code calls
+any more: both remain only because bench/tracing.py names them.  Sizes here
+are tiny (at most a couple dozen), so clarity beats asymptotics.
 """
 
 from __future__ import annotations

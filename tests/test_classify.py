@@ -10,7 +10,7 @@ Core claims:
    sum to zero, and rejects when no pair does.
 3. project quotients out a zero-sum pair: dimension drops by one, the ray
    count by two, and projecting the last pair of a tower fan returns the
-   truncated tower fan on the nose.
+   truncated tower fan on the nose.  A 1-dimensional fan has no quotient.
 4. classify runs the full pipeline and returns either a sequence with an
    exact witness (unimodular matrix + ray relabeling reproducing the input
    rays and cones), or the reason code of the first failing stage.  The
@@ -203,6 +203,15 @@ class TestProject:
         with pytest.raises(RejectionError) as err:
             project(fan, 1)
         assert err.value.code == "projection degenerate"
+
+    def test_one_dimensional_fan_has_no_quotient(self):
+        line = GeneralFan(1, [(1,), (-1,)], [(0,), (1,)])
+        assert crosspolytope_check(line) == [(0, 1)]
+        # raised before the pairing is looked at: a lone ray has none
+        for fan in (line, GeneralFan(1, [(1,)], [(0,)])):
+            with pytest.raises(ValidationError,
+                               match="no quotient below dimension 1"):
+                project(fan, 1)
 
 
 # ===================================================================

@@ -17,12 +17,14 @@ Core claims:
    consistent with the former probe check.
 7. The ray matching behind the crosspolytope pairing returns the same
    lexicographically first matching as the former recursive search, and
-   its depth is not bounded by the recursion limit.
+   its depth is not bounded by the recursion limit; pairing costs memory
+   linear in the fan, so a 13-dimensional tower fan is paired too.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -50,7 +52,13 @@ from helpers import (
     random_unimodular,
     reference_match_rays,
 )
+from bott_towers.classify import crosspolytope_check
 from bott_towers.fans import _match_rays
+
+
+def masks(partners, count):
+    """The bitmask of each ray's partners, as `_match_rays` takes them."""
+    return [sum(1 << b for b in partners[r]) for r in range(count)]
 
 
 def hirzebruch_fan(c: int) -> GeneralFan:
@@ -117,6 +125,13 @@ class TestBuildFan:
         gf = fan.as_general_fan()
         assert len(gf.cones) == 16
         assert len(gf.rays) == 8
+
+    def test_cone_code_validated(self):
+        fan = build_fan(IntegralSequence.zero(2), 2)
+        assert fan.cone((1, 0)) == (1, 2)
+        for w in ((0, 5), (2, 0), (-1, 0), (True, 0), (0,), (0, 1, 0)):
+            with pytest.raises(ValidationError):
+                fan.cone(w)
 
     def test_k_bounds(self):
         c = IntegralSequence(2)
@@ -421,7 +436,7 @@ class TestMatchRays:
             for others in partners.values():
                 others.sort()
             expected = reference_match_rays(partners, count)
-            assert _match_rays(partners, count) == expected
+            assert _match_rays(masks(partners, count), count) == expected
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
@@ -431,5 +446,24 @@ class TestMatchRays:
         count = 4000
         partners = {r: [s for s in (r - 2, r - 1, r + 1, r + 2)
                         if 0 <= s < count] for r in range(count)}
-        assert _match_rays(partners, count) == [(r, r + 1)
-                                                for r in range(0, count, 2)]
+        assert _match_rays(masks(partners, count), count) == [
+            (r, r + 1) for r in range(0, count, 2)]
+
+    def test_cone_less_fan_memory(self):
+        # the 2,100-ray fan with no cones: every two rays may pair, so a
+        # pairwise graph would hold 2.2 million edges
+        fan = GeneralFan(2, [(1, t) for t in range(2100)], [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(RejectionError) as err:
+                crosspolytope_check(fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.witness == {"pairs": 1050, "dim": 2}
+        assert peak < 5_000_000
+
+    def test_thirteen_dimensional_tower(self):
+        fan = build_fan(IntegralSequence.zero(13), 13).as_general_fan()
+        assert primitive_collections(fan) == [(2 * i, 2 * i + 1)
+                                              for i in range(13)]
