@@ -76,6 +76,13 @@ class CharacterBundle:
             raise ValidationError("character needs at least one exponent")
         self.exps = vec
 
+    @classmethod
+    def _of(cls, exps: tuple) -> "CharacterBundle":
+        """Wrap a non-empty tuple of checked integers without re-checking."""
+        self = cls.__new__(cls)
+        self.exps = exps
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.exps)
@@ -90,15 +97,16 @@ class CharacterBundle:
 
     def __mul__(self, other):
         other = self._match(other)
-        return CharacterBundle(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return CharacterBundle._of(
+            tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def __pow__(self, power):
         _check_int(power, "power")
-        return CharacterBundle(tuple(power * a for a in self.exps))
+        return CharacterBundle._of(tuple(power * a for a in self.exps))
 
     def conjugate(self) -> "CharacterBundle":
         """The dual bundle: every exponent negated."""
-        return CharacterBundle(tuple(-a for a in self.exps))
+        return CharacterBundle._of(tuple(-a for a in self.exps))
 
     def __eq__(self, other):
         if not isinstance(other, CharacterBundle):
@@ -122,7 +130,7 @@ def xi_bundle(c: IntegralSequence, k: int) -> CharacterBundle:
     _check_int(k, "k")
     if not 1 <= k < c.n:
         raise ValidationError(f"k={k} needs a following stage, tower height {c.n}")
-    return CharacterBundle(c.column(k + 1))
+    return CharacterBundle._of(c.column(k + 1))
 
 
 def canonical_lambda(k: int) -> CharacterBundle:
@@ -130,7 +138,7 @@ def canonical_lambda(k: int) -> CharacterBundle:
     _check_int(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return CharacterBundle((0,) * (k - 1) + (-1,))
+    return CharacterBundle._of((0,) * (k - 1) + (-1,))
 
 
 def lambda_bundle(j: int, k: int) -> CharacterBundle:
@@ -139,7 +147,8 @@ def lambda_bundle(j: int, k: int) -> CharacterBundle:
     _check_int(k, "k")
     if not 1 <= j <= k:
         raise ValidationError(f"stage {j} outside 1..{k}")
-    return CharacterBundle(tuple(-1 if i == j else 0 for i in range(1, k + 1)))
+    return CharacterBundle._of(
+        tuple(-1 if i == j else 0 for i in range(1, k + 1)))
 
 
 def lambda_perp(c: IntegralSequence, k: int) -> CharacterBundle:
@@ -149,7 +158,7 @@ def lambda_perp(c: IntegralSequence, k: int) -> CharacterBundle:
     it sums to the pullback of the previous stage's twist bundle.
     """
     _check_sequence(c).check_stage(k)
-    return CharacterBundle(c.column(k) + (1,))
+    return CharacterBundle._of(c.column(k) + (1,))
 
 
 def tangent_splitting(c: IntegralSequence, k: int):
@@ -163,8 +172,8 @@ def tangent_splitting(c: IntegralSequence, k: int):
     bundles = []
     for j in range(1, k + 1):
         tail = (0,) * (k - j)
-        bundles.append(CharacterBundle((0,) * (j - 1) + (1,) + tail))
-        bundles.append(CharacterBundle(c.column(j) + (1,) + tail))
+        bundles.append(CharacterBundle._of((0,) * (j - 1) + (1,) + tail))
+        bundles.append(CharacterBundle._of(c.column(j) + (1,) + tail))
     return bundles
 
 

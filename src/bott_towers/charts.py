@@ -83,6 +83,34 @@ def dual_generators(c: IntegralSequence, k: int, w):
     return vectors
 
 
+def _prefix_rows(c: IntegralSequence, k: int):
+    """Every dual generator u_j(w) once per prefix (w_1, ..., w_j).
+
+    u_j(w) depends on w_1..w_j only, so a depth-first walk over the codes in
+    binary order yields (j, w_j, u_j(w)) once per prefix: sum_j 2^j rows
+    instead of k 2^k, and the rows of a code are the last ones yielded at
+    depths 1..k when j reaches k.  The two prefixes ending in w_j = 0 and 1
+    share the unsigned row, so each set of Bott numbers is looked up once.
+    A node carries, for each l < j with w_l = 1, the set {l} + zeros(l, j)
+    awaiting j.  `c` and `k` must already be checked.
+    """
+    def node(j, ones):
+        vec = [0] * k
+        vec[j - 1] = 1
+        for l, chain in ones:
+            vec[l - 1] = _bott_number(c, chain + (j,))
+        return (j, 1, ones, vec), (j, 0, ones, vec)
+
+    stack = [*node(1, ())]
+    while stack:
+        j, bit, ones, vec = stack.pop()
+        yield j, bit, (tuple([-x for x in vec]) if bit else tuple(vec))
+        if j < k:
+            ones = (ones + ((j, (j,)),) if bit
+                    else tuple([(l, chain + (j,)) for l, chain in ones]))
+            stack += node(j + 1, ones)
+
+
 class LaurentMonomial:
     """A monomial in k chart variables, stored as its exponent vector."""
 
@@ -93,6 +121,13 @@ class LaurentMonomial:
         if not vec:
             raise ValidationError("monomial needs at least one exponent")
         self.exps = vec
+
+    @classmethod
+    def _of(cls, exps: tuple) -> "LaurentMonomial":
+        """Wrap a non-empty tuple of checked integers without re-checking."""
+        self = cls.__new__(cls)
+        self.exps = exps
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMonomial):
@@ -116,6 +151,15 @@ class DualChart:
         self.upsilon = tuple(tuple(v) for v in upsilon)
         self.phi = tuple(LaurentMonomial(v) for v in self.upsilon)
 
+    @classmethod
+    def _of(cls, code: tuple, upsilon) -> "DualChart":
+        """A chart from a checked code and its dual generator tuples."""
+        self = cls.__new__(cls)
+        self.code = code
+        self.upsilon = tuple(upsilon)
+        self.phi = tuple(map(LaurentMonomial._of, self.upsilon))
+        return self
+
     def __repr__(self):
         return f"DualChart(code={self.code!r})"
 
@@ -123,7 +167,7 @@ class DualChart:
 def dual_chart(c: IntegralSequence, k: int, w) -> DualChart:
     """Bundle the dual generators and chart monomials of one code."""
     w = _check_chart_args(c, k, w)
-    return DualChart(w, dual_generators(c, k, w))
+    return DualChart._of(w, dual_generators(c, k, w))
 
 
 def chart_ring(c: IntegralSequence, k: int, w):

@@ -7,6 +7,12 @@ well-formed but invalid data, 4 mathematical rejection (the rejection
 document is still printed).  The environment variable BOTT_SEED and the
 ``check --probes`` option are validated but have no effect: completeness is
 decided exactly.
+
+Each handler does every check and oracle comparison before it returns, and
+returns the document's chunks: the long lists of ``fan``, ``charts``,
+``numbers --sets`` and ``cohomology`` are streams that are computed and
+encoded while they are written.  ``-o`` writes a temporary file beside the
+target and renames it onto the target at the end.
 """
 
 from __future__ import annotations
@@ -25,20 +31,23 @@ from .bundles import (
     tangent_splitting,
     xi_bundle,
 )
-from .charts import dual_generators
+from .charts import _prefix_rows
 from .classify import classify, crosspolytope_check
 from .cohomology import betti, integrate, presentation, total_chern_class
 from .errors import RejectionError, ValidationError
-from .fans import (_fano_condition, binary_codes, build_fan, is_complete,
-                   is_smooth)
+from .fans import _fano_condition, build_fan, is_complete, is_smooth
 from .render import render_svg
-from .sequences import bott_matrix, bott_number, bott_number_moebius, c_matrix
+from .sequences import (_bott_number, bott_matrix, bott_number_moebius,
+                        c_matrix)
 from .serialize import (
+    chart_texts,
     classification_to_doc,
-    encode_canonical,
+    cone_texts,
+    encode_chunks,
     fan_from_doc,
-    fan_to_doc,
+    number_texts,
     sequence_from_doc,
+    term_texts,
 )
 
 EXIT_PARSE = 2
@@ -88,33 +97,33 @@ def _load_fan(source: str):
 
 def _sequence_and_stage(args):
     c = sequence_from_doc(_load_document(args.input))
-    return c, (c.n if args.stage is None else args.stage)
+    return c, c.check_stage(c.n if args.stage is None else args.stage)
 
 
 def _cmd_numbers(args):
     c = sequence_from_doc(_load_document(args.input))
     full = tuple(range(1, c.n + 1))
-    doc = {"n": c.n,
-           "c_matrix": [list(row) for row in c_matrix(c, full)],
-           "bott_matrix": [list(row) for row in bott_matrix(c, full)]}
-    if args.sets:
-        doc["numbers"] = [{"set": list(ids), "value": bott_number(c, ids)}
-                          for size in range(1, c.n + 1)
-                          for ids in combinations(full, size)]
-    if args.oracle:
+    doc = {"n": c.n, "c_matrix": c_matrix(c, full),
+           "bott_matrix": bott_matrix(c, full)}
+    if args.oracle:  # compared here, before "numbers" is written
         checked = 0
         for size in range(2, c.n + 1):
             for ids in combinations(full, size):
-                if bott_number(c, ids) != bott_number_moebius(c, ids):
+                if _bott_number(c, ids) != bott_number_moebius(c, ids):
                     raise RuntimeError(f"oracle mismatch on index set {ids}")
                 checked += 1
         doc["oracle"] = {"checked": checked, "match": True}
-    return encode_canonical(doc), 0
+    if args.sets:
+        doc["numbers"] = number_texts(
+            (ids, _bott_number(c, ids)) for size in range(1, c.n + 1)
+            for ids in combinations(full, size))
+    return encode_chunks(doc), 0
 
 
 def _cmd_fan(args):
     c, k = _sequence_and_stage(args)
-    return encode_canonical(fan_to_doc(build_fan(c, k))), 0
+    return encode_chunks({"dim": k, "rays": build_fan(c, k).rays(),
+                          "cones": cone_texts(k)}), 0
 
 
 def _verdict(predicate, gf) -> bool:
@@ -133,15 +142,13 @@ def _cmd_check(args):
     doc = {"smooth": smooth, "complete": complete,
            "fano": complete and _fano_condition(gf),
            "crosspolytope": _verdict(crosspolytope_check, gf)}
-    return encode_canonical(doc), 0
+    return encode_chunks(doc), 0
 
 
 def _cmd_charts(args):
     c, k = _sequence_and_stage(args)
-    charts = [{"code": list(w),
-               "monomials": [list(u) for u in dual_generators(c, k, w)]}
-              for w in binary_codes(k)]
-    return encode_canonical({"k": k, "charts": charts}), 0
+    return encode_chunks({"k": k,
+                          "charts": chart_texts(_prefix_rows(c, k))}), 0
 
 
 def _cmd_bundle(args):
@@ -160,7 +167,7 @@ def _cmd_bundle(args):
     }
     if k < c.n:
         doc["xi"] = list(xi_bundle(c, k).exps)
-    return encode_canonical(doc), 0
+    return encode_chunks(doc), 0
 
 
 def _cmd_cohomology(args):
@@ -169,11 +176,10 @@ def _cmd_cohomology(args):
     total = total_chern_class(c, k)
     euler = integrate(total)  # integrates its top-degree part
     doc = {"k": k,
-           "relations": [list(rel) for rel in presentation(c, k).relations],
-           "betti": list(ranks),
+           "relations": presentation(c, k).relations,
+           "betti": ranks,
            "euler_characteristic": euler,
-           "total_chern": [[list(indices), coeff] for indices, coeff
-                           in total.terms()]}
+           "total_chern": term_texts(total.terms())}
     del total  # up to 2^k terms: free them before the oracle and encoding
     if args.oracle:
         checked = 0
@@ -190,17 +196,17 @@ def _cmd_cohomology(args):
             raise RuntimeError("oracle mismatch on Euler characteristic")
         checked += 1
         doc["oracle"] = {"checked": checked, "match": True}
-    return encode_canonical(doc), 0
+    return encode_chunks(doc), 0
 
 
 def _cmd_classify(args):
     result = classify(_load_fan(args.input), seed=_seed())
-    return (encode_canonical(classification_to_doc(result)),
+    return (encode_chunks(classification_to_doc(result)),
             0 if result.ok else EXIT_REJECTION)
 
 
 def _cmd_render(args):
-    return render_svg(_load_fan(args.input)), 0
+    return (render_svg(_load_fan(args.input)),), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -257,10 +263,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replace_file(path: str, chunks) -> None:
+    """Write the chunks to a temporary file beside `path`, then rename it
+    onto `path`, so a failed run leaves no partial document.
+
+    The temporary file is opened with the mode a new file gets.  A target
+    that exists but is not a regular file, such as a device or a pipe,
+    cannot be replaced and is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        return
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as err:  # report the target, not the temporary name
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = args.handler(args)
+        chunks, code = args.handler(args)
     except (json.JSONDecodeError, OSError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -268,14 +302,14 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except RejectionError as err:
-        text = encode_canonical({"reject": err.code, "witness": err.witness})
+        chunks = encode_chunks({"reject": err.code, "witness": err.witness})
         code = EXIT_REJECTION
     try:
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _replace_file(args.output, chunks)
         else:
-            sys.stdout.write(text)
+            for chunk in chunks:
+                sys.stdout.write(chunk)
     except OSError as err:
         print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,12 +5,22 @@ trailing newline, lists in documented orders, ray indices 0-based.
 Integers of magnitude at least 2^53 are written as decimal strings so that
 double-precision JSON consumers cannot silently round them, and such
 strings are accepted wherever an integer is expected.
+
+Documents are written in chunks (:func:`encode_chunks`).  A value of the
+top-level object may be an iterator instead of a list: the stream slot.  It
+yields the canonical texts of the list's items, which the encoder joins in
+batches as they come, so a document of 2^k rows never exists as a tree or as
+one string.  The item encoders below (:func:`cone_texts`,
+:func:`chart_texts`, :func:`number_texts`, :func:`term_texts`) write those
+texts; this module is the only one that knows indents, separators and
+quoting.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
@@ -18,12 +28,36 @@ from .fans import GeneralFan, _as_general
 from .sequences import IntegralSequence
 
 PRECISION_LIMIT = 2 ** 53
+_ITEM = "    "  # indent of the items of a top-level list
+_BATCH = 64  # streamed items joined into one chunk
 
 
 def _small_ints(items) -> bool:
     """Whether there are items and all are plain ints below the limit."""
     return ({*map(type, items)} == {int}
             and -PRECISION_LIMIT < min(items) and max(items) < PRECISION_LIMIT)
+
+
+def _int_text(value: int) -> str:
+    """The text of an int: quoted from magnitude 2^53 on."""
+    text = int.__repr__(value)
+    return f'"{text}"' if abs(value) >= PRECISION_LIMIT else text
+
+
+def _frame(indent: str):
+    """(open, separator, close) of a non-empty list whose brackets sit at
+    `indent`."""
+    inner = "\n" + indent + "  "
+    return "[" + inner, "," + inner, "\n" + indent + "]"
+
+
+def _object_frame(keys, indent: str):
+    """The texts before each value of an object with these sorted keys at
+    `indent`, then its closing text."""
+    inner = "\n" + indent + "  "
+    return ([("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
+             + ": " for i, key in enumerate(keys)]
+            + ["\n" + indent + "}"])
 
 
 def _encode(doc, indent: str) -> str:
@@ -36,7 +70,7 @@ def _encode(doc, indent: str) -> str:
             body = map(str, doc)
         elif ({*map(type, doc)} <= {list, tuple}
               and _small_ints(list(chain.from_iterable(doc)))):
-            # rows of small ints (cones, charts): one join per row
+            # rows of small ints (matrices, rays): one join per row
             deeper = inner + "  "
             start, sep = "[\n" + deeper, ",\n" + deeper
             end = "\n" + inner + "]"
@@ -53,9 +87,37 @@ def _encode(doc, indent: str) -> str:
                 for key in sorted(doc)]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
     if isinstance(doc, int) and not isinstance(doc, bool):
-        text = int.__repr__(doc)
-        return f'"{text}"' if abs(doc) >= PRECISION_LIMIT else text
+        return _int_text(doc)
     return json.dumps(doc)
+
+
+def encode_chunks(doc):
+    """The canonical text of a document, as an iterator of chunks.
+
+    A value of the top-level object may be an iterator of item texts (the
+    stream slot of the module docstring).  It is consumed as the chunks are
+    taken, `_BATCH` items to a chunk; a document without one is one chunk.
+    """
+    if not (isinstance(doc, dict)
+            and any(isinstance(value, Iterator) for value in doc.values())):
+        yield _encode(doc, "") + "\n"
+        return
+    keys = sorted(doc)
+    *heads, end = _object_frame(keys, "")
+    text = ""
+    for key, head in zip(keys, heads):
+        value = doc[key]
+        if isinstance(value, Iterator):
+            yield text + head
+            opener, sep, close = _frame("  ")
+            text = opener
+            while batch := list(islice(value, _BATCH)):
+                yield text + sep.join(batch)
+                text = sep
+            text = "[]" if text is opener else close
+        else:
+            text += head + _encode(value, "  ")
+    yield text + end + "\n"
 
 
 def encode_canonical(doc) -> str:
@@ -66,9 +128,58 @@ def encode_canonical(doc) -> str:
     decimal string; object keys must be strings.  Lists of small integers,
     and lists of such rows, are written with one join per list instead of
     going through the pure-Python encoder that ``json`` uses whenever an
-    indent is set.
+    indent is set.  It is the join of :func:`encode_chunks`.
     """
-    return _encode(doc, "") + "\n"
+    return "".join(encode_chunks(doc))
+
+
+def cone_texts(k: int):
+    """Item texts of the cones of a stage-k tower fan, codes in binary order.
+
+    The cone of the code w lists the ray indices 2i + w_i; each index text
+    is made once, with the brackets folded into the first and last.
+    """
+    opener, sep, close = _frame(_ITEM)
+    choices = [[str(2 * i), str(2 * i + 1)] for i in range(k)]
+    choices[0] = [opener + text for text in choices[0]]
+    choices[-1] = [text + close for text in choices[-1]]
+    return map(sep.join, product(*choices))
+
+
+def chart_texts(rows):
+    """Item texts of the `charts` list from `charts._prefix_rows` events.
+
+    Each event (j, w_j, u_j) encodes one row, once per prefix; a chart is
+    written when its code is complete (j equals the row length).
+    """
+    head, middle, tail = _object_frame(("code", "monomials"), _ITEM)
+    opener, sep, close = _frame(_ITEM + "  ")
+    row_indent = _ITEM + "    "
+    code, texts = [], []
+    for j, bit, row in rows:
+        del code[j - 1:], texts[j - 1:]
+        code.append("1" if bit else "0")
+        texts.append(_encode(row, row_indent))
+        if j == len(row):
+            yield (head + opener + sep.join(code) + close + middle
+                   + opener + sep.join(texts) + close + tail)
+
+
+def number_texts(pairs):
+    """Item texts of the `numbers` list from (index set, Bott number) pairs."""
+    head, middle, tail = _object_frame(("set", "value"), _ITEM)
+    inner = _ITEM + "  "
+    for ids, value in pairs:
+        yield head + _encode(ids, inner) + middle + _int_text(value) + tail
+
+
+def term_texts(terms):
+    """Item texts of the `total_chern` list from (indices, coefficient)
+    pairs; the degree-0 term has the empty index list."""
+    opener, sep, close = _frame(_ITEM)
+    inner = _ITEM + "  "
+    for indices, coeff in terms:
+        yield opener + _encode(indices, inner) + sep + _int_text(coeff) + close
 
 
 def parse_int(value, what: str) -> int:

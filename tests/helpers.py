@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+from itertools import combinations
+
 from bott_towers import (
     ClassificationResult,
     GeneralFan,
@@ -20,8 +22,15 @@ from bott_towers import (
     Poset,
     RejectionError,
     ValidationError,
+    binary_codes,
+    bott_matrix,
+    bott_number,
+    build_fan,
+    c_matrix,
     crosspolytope_check,
+    dual_generators,
     extend_sequence,
+    fan_to_doc,
     is_complete,
     linalg,
     support_function,
@@ -416,3 +425,28 @@ def reference_bundle_doc(c: IntegralSequence, k: int) -> dict:
     if k < c.n:
         doc["xi"] = [c.value(i, k + 1) for i in range(1, k + 1)]
     return doc
+
+
+def reference_fan_doc(c: IntegralSequence, k: int) -> dict:
+    """The `fan -k k` document, through the validated `GeneralFan`."""
+    return fan_to_doc(build_fan(c, k))
+
+
+def reference_charts_doc(c: IntegralSequence, k: int) -> dict:
+    """The `charts -k k` document, from `dual_generators` per code."""
+    return {"k": k,
+            "charts": [{"code": list(w),
+                        "monomials": [list(u)
+                                      for u in dual_generators(c, k, w)]}
+                       for w in binary_codes(k)]}
+
+
+def reference_numbers_doc(c: IntegralSequence) -> dict:
+    """The `numbers --sets` document, from `bott_number` per index set."""
+    full = tuple(range(1, c.n + 1))
+    return {"n": c.n,
+            "c_matrix": c_matrix(c, full),
+            "bott_matrix": bott_matrix(c, full),
+            "numbers": [{"set": list(ids), "value": bott_number(c, ids)}
+                        for size in range(1, c.n + 1)
+                        for ids in combinations(full, size)]}

@@ -7,7 +7,9 @@ Core claims:
    are the transpose of the kernel generator matrix.
 2. Character exponent arithmetic: conjugation negates, the rank-2 splitting
    lambda(k) + lambda(k)-perp matches trivial + lifted xi_{k-1}, and xi_k
-   decomposes over the stage bundles lambda(i).
+   decomposes over the stage bundles lambda(i).  The library's own bundle
+   producers do not check their exponents again; the public constructor
+   does.
 3. The tangent splitting assigns e_j to ray (j,0) and the perp vector to
    ray (j,1); for the bounded-flag tower the perp vector is (0,..,0,-1,1).
 4. Support values on the 2k generators determine one exact integer vector
@@ -155,6 +157,24 @@ class TestCharacters:
                 expected = tuple(c.value(i, j) if i < j else (1 if i == j else 0)
                                  for i in range(1, k + 1))
                 assert bundles[2 * j - 1].exps == expected
+
+    def test_internal_producers_skip_exponent_checks(self, monkeypatch):
+        from bott_towers import bundles
+
+        seen = []
+        check = bundles._check_int
+        monkeypatch.setattr(bundles, "_check_int",
+                            lambda x, what: seen.append(what) or check(x, what))
+        c = random_sequence(random.Random(3006), 6)
+        made = [*tangent_splitting(c, 5), lambda_perp(c, 5), xi_bundle(c, 5),
+                canonical_lambda(5), lambda_bundle(2, 5)]
+        made += [made[0] * made[1], made[2] ** 3, made[3].conjugate()]
+        assert all(isinstance(x, int) for b in made for x in b.exps)
+        assert "character exponent" not in seen
+        with pytest.raises(ValidationError):
+            CharacterBundle((1, 0.5))
+        with pytest.raises(ValidationError):
+            CharacterBundle(())
 
     def test_bounded_flag_perp_vector(self):
         for k in range(2, 7):

@@ -8,10 +8,13 @@ Core claims:
    the same code (checked exactly for every code), and their matrix is
    unimodular; explicit small tables are frozen.
 3. Chart monomials carry the same exponent vectors; the all-zeros code gives
-   the standard coordinate chart.
+   the standard coordinate chart.  `dual_chart` wraps its checked exponents
+   without checking them again; the public constructors still check.
 4. Transition matrices glue charts: identity on equal codes, inverse in the
    reversed direction, cocycle under composition, and they transport the
    dual-generator rows.
+5. The prefix walk behind `bott charts` yields one row per prefix, and the
+   rows of every code, in binary order, are its dual generators.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import random
 import pytest
 
 from bott_towers import (
+    DualChart,
     IntegralSequence,
     LaurentMonomial,
     ValidationError,
@@ -33,6 +37,7 @@ from bott_towers import (
     prefix_set,
     transition,
 )
+from bott_towers.charts import _prefix_rows
 from helpers import mat_id, mat_mul, minor_det, random_sequence
 
 
@@ -165,6 +170,41 @@ class TestChartRing:
         assert chart.code == (1, 0)
         assert chart.upsilon == ((-1, 0), (5, 1))
         assert tuple(m.exps for m in chart.phi) == ((-1, 0), (5, 1))
+        assert DualChart((1, 0), [[-1, 0], [5, 1]]).upsilon == chart.upsilon
+
+    def test_dual_chart_skips_exponent_checks(self, monkeypatch):
+        from bott_towers import charts
+
+        seen = []
+        check = charts._check_int
+        monkeypatch.setattr(charts, "_check_int",
+                            lambda x, what: seen.append(what) or check(x, what))
+        chart = dual_chart(random_sequence(random.Random(4003), 5), 5,
+                           (1, 0, 1, 1, 0))
+        assert [m.exps for m in chart.phi] == list(chart.upsilon)
+        assert "exponent" not in seen
+        with pytest.raises(ValidationError):
+            DualChart((0,), [[0.5]])
+
+
+class TestPrefixRows:
+    """The prefix walk behind `bott charts` against `dual_generators`."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rows_of_each_code(self, k):
+        c = random_sequence(random.Random(4100 + k), k + 1, -3, 3)
+        codes, rows, path = [], [], [None] * k
+        for j, bit, row in _prefix_rows(c, k):
+            path[j - 1] = (bit, row)
+            if j == k:
+                codes.append(tuple(b for b, _ in path))
+                rows.append([r for _, r in path])
+        assert codes == list(binary_codes(k))
+        assert rows == [dual_generators(c, k, w) for w in codes]
+
+    def test_one_row_per_prefix(self):
+        c = random_sequence(random.Random(4200), 9, -3, 3)
+        assert sum(1 for _ in _prefix_rows(c, 9)) == 2 ** 10 - 2
 
 
 # ===================================================================

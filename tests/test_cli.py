@@ -16,6 +16,11 @@ Core claims:
    pairing search would run for hours still end in a documented exit code.
 5. The cohomology and bundle documents of seeded sequences at k = 2..9 are
    byte-identical to documents written from the reference oracles.
+6. The streamed documents (fan, charts, numbers --sets) are byte-identical
+   to the reference oracles on stdout and through -o, big integers
+   included.  Oracle comparisons run before the first byte, -o leaves no
+   partial file, and a streamed run holds far less memory than the
+   document it writes.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ from helpers import (
     random_sequence,
     reference_bundle_doc,
     reference_canonical,
+    reference_charts_doc,
     reference_cohomology_doc,
+    reference_fan_doc,
+    reference_numbers_doc,
 )
 
 BIG = 2 ** 54  # one bit past the precision guard threshold
@@ -365,6 +373,144 @@ class TestRingDocumentsAgainstReference:
         for argv, expected in runs:
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == reference_canonical(expected)
+
+
+class TestTablesAgainstReference:
+    """The streamed documents, byte for byte, on stdout and through -o."""
+
+    @staticmethod
+    def assert_bytes(argv, expected, tmp_path, capsys):
+        from bott_towers import cli
+
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "doc.json"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_seeded_sequences(self, k, tmp_path, capsys):
+        from bott_towers import sequence_to_doc
+
+        c = random_sequence(random.Random(8000 + k), k, -3, 3)
+        taller = random_sequence(random.Random(8100 + k), k + 2, -3, 3)
+        seq, tall = (json.dumps(sequence_to_doc(s)) for s in (c, taller))
+        runs = [
+            (["fan", seq], reference_fan_doc(c, k)),
+            (["charts", seq], reference_charts_doc(c, k)),
+            (["numbers", seq, "--sets"], reference_numbers_doc(c)),
+            (["fan", tall, "-k", str(k)], reference_fan_doc(taller, k)),
+            (["charts", tall, "-k", str(k)], reference_charts_doc(taller, k)),
+        ]
+        for argv, expected in runs:
+            self.assert_bytes(argv, reference_canonical(expected), tmp_path,
+                              capsys)
+
+    def test_big_bott_numbers_are_quoted(self, tmp_path, capsys):
+        from bott_towers import IntegralSequence, sequence_to_doc
+
+        c = IntegralSequence(5, {(i, i + 1): 2 ** 30 for i in range(1, 5)})
+        seq = json.dumps(sequence_to_doc(c))
+        for argv, expected in [
+                (["numbers", seq, "--sets"], reference_numbers_doc(c)),
+                (["charts", seq], reference_charts_doc(c, 5)),
+                (["charts", seq, "-k", "4"], reference_charts_doc(c, 4)),
+                (["fan", seq], reference_fan_doc(c, 5))]:
+            text = reference_canonical(expected)
+            assert f'"{2 ** 90}"' in text  # b({1, 2, 3, 4}) = 2^90
+            self.assert_bytes(argv, text, tmp_path, capsys)
+
+    def test_oracle_mismatch_writes_nothing(self, monkeypatch, capsys):
+        from bott_towers import cli
+
+        monkeypatch.setattr(cli, "bott_number_moebius",
+                            lambda c, ids: 10 ** 6)
+        with pytest.raises(RuntimeError, match="oracle mismatch"):
+            cli.main(["numbers", HIRZEBRUCH_SEQ, "--sets", "--oracle"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("existing", [None, "old document\n"])
+    def test_failed_output_leaves_no_partial_file(self, existing, monkeypatch,
+                                                  tmp_path):
+        from bott_towers import cli
+
+        texts = cli.chart_texts
+
+        def broken(rows):
+            yield next(texts(rows))
+            raise RuntimeError("producer failed")
+
+        monkeypatch.setattr(cli, "chart_texts", broken)
+        out = tmp_path / "charts.json"
+        if existing is not None:
+            out.write_text(existing)
+        with pytest.raises(RuntimeError, match="producer failed"):
+            cli.main(["charts", '{"n": 3}', "-o", str(out)])
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["charts.json"]
+            assert out.read_text() == existing
+
+    def test_output_to_a_device_or_a_missing_directory(self, tmp_path,
+                                                      capsys):
+        from bott_towers import cli
+
+        assert cli.main(["fan", HIRZEBRUCH_SEQ, "-o", os.devnull]) == 0
+        assert not os.path.isfile(os.devnull)
+        missing = str(tmp_path / "missing" / "doc.json")
+        assert cli.main(["fan", HIRZEBRUCH_SEQ, "-o", missing]) == 2
+        assert f"cannot write output: [Errno 2] No such file or directory: " \
+               f"{missing!r}" in capsys.readouterr().err
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
+        from bott_towers import cli
+
+        target = tmp_path / "doc.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert cli.main(["fan", HIRZEBRUCH_SEQ, "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["dim"] == 2
+
+
+class CountingSink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+class TestStreamedMemory:
+    """Traced peaks far below the document size: only a stream can pass."""
+
+    @pytest.mark.parametrize("command, n, limit_mb", [
+        (["charts"], 13, 16),
+        (["numbers", "--sets"], 14, 6),
+    ])
+    def test_traced_peak(self, command, n, limit_mb, monkeypatch):
+        import tracemalloc
+
+        from bott_towers import cli, sequence_to_doc
+
+        c = random_sequence(random.Random(9000 + n), n, -3, 3)
+        argv = [*command, json.dumps(sequence_to_doc(c))]
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        assert sink.count > 2 * 10 ** 6
 
 
 # ===================================================================

@@ -3,14 +3,21 @@
 `encode_canonical` writes lists of small integers, and lists of such rows,
 with one join per list; the oracle `helpers.reference_canonical` guards big
 integers and then runs ``json.dumps(..., sort_keys=True, indent=2)``.  The
-two must agree byte for byte on every document with string keys.
+two must agree byte for byte on every document with string keys.  A
+top-level value may instead be a stream of item texts from the item
+encoders: the document must read the same as with the list, and the stream
+is consumed only as chunks are taken.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from bott_towers import encode_canonical
+from bott_towers.serialize import (cone_texts, encode_chunks, number_texts,
+                                   term_texts)
 from helpers import reference_canonical
 
 LIMIT = 2 ** 53
@@ -41,6 +48,44 @@ def test_fixed_documents_match_reference(doc):
 def test_unsupported_values_still_raise():
     with pytest.raises(TypeError):
         encode_canonical({"set": {1, 2}})
+
+
+class TestStreamSlot:
+    def test_item_encoders_match_the_lists(self):
+        sets = [tuple(range(1, m + 1)) for m in range(1, 151)]
+        values = [(-1) ** m * 3 ** m for m in range(1, 151)]  # past 2^53
+        terms = [((), 1)] + list(zip(sets, values))
+        streamed = {"a": 0,
+                    "cones": cone_texts(3),
+                    "numbers": number_texts(zip(sets, values)),
+                    "total": term_texts(terms),
+                    "z": {"empty": []}}
+        listed = {"a": 0,
+                  "cones": [[2 * i + w[i] for i in range(3)]
+                            for w in product((0, 1), repeat=3)],
+                  "numbers": [{"set": list(ids), "value": value}
+                              for ids, value in zip(sets, values)],
+                  "total": [[list(ids), coeff] for ids, coeff in terms],
+                  "z": {"empty": []}}
+        assert encode_canonical(streamed) == reference_canonical(listed)
+
+    def test_empty_stream_is_an_empty_list(self):
+        assert encode_canonical({"n": iter(())}) == '{\n  "n": []\n}\n'
+
+    def test_stream_is_consumed_as_chunks_are_taken(self):
+        taken = []
+
+        def items():
+            for value in (1, 2):
+                taken.append(value)
+                yield from term_texts([((value,), value)])
+
+        chunks = encode_chunks({"a": items(), "b": 1})
+        assert next(chunks) == '{\n  "a": '
+        assert taken == []
+        rest = "".join(chunks)
+        assert taken == [1, 2]
+        assert rest.endswith('\n  ],\n  "b": 1\n}\n')
 
 
 hypothesis = pytest.importorskip("hypothesis")
