@@ -6,19 +6,24 @@ dually each coordinate x_r, y_r carries a character weight.  Line bundles on
 the tower are recorded by their character exponents: a length-k integer tuple
 giving the twist against each stage of the acting torus.
 
-Support-function data attaches one integer to every fan generator; on each
-maximal cone those 2k numbers pin down a unique integer linear functional
-r(w).  Such data lifts the height-k fan to a height-(k+1) fan, and the
-canonical choice (0 on a_{i,0}, the matrix entry b(i,k+1) on a_{i,1})
-reproduces the next tower fan exactly.
+Support-function data attaches one integer h(i, gamma) to every fan
+generator a_{i,gamma}; on the maximal cone of each code w those k numbers
+pin down a unique integer linear functional
+
+    r(w) = sum_j h(j, w_j) u_j(w),
+
+where u_j(w) are the chart's dual generators, which pair to the Kronecker
+delta against a_{1,w_1}, ..., a_{k,w_k}.  Such data lifts the height-k fan
+to a height-(k+1) fan, and the canonical choice (0 on a_{i,0}, the matrix
+entry b(i,k+1) on a_{i,1}) reproduces the next tower fan exactly.
 """
 
 from __future__ import annotations
 
-from .errors import RejectionError, ValidationError
-from .fans import BottFan, GeneralFan, binary_codes, build_fan
-from .sequences import (IntegralSequence, _check_int, _check_sequence,
-                        bott_matrix)
+from .charts import dual_generators
+from .errors import ValidationError
+from .sequences import (IntegralSequence, _check_code, _check_int,
+                        _check_range, _check_sequence, bott_matrix)
 
 
 # ===================================================================
@@ -126,27 +131,19 @@ def xi_bundle(c: IntegralSequence, k: int) -> CharacterBundle:
     Its projectivization (with a trivial summand) produces stage k+1, so it
     only exists when the tower has a stage k+1 to grow into.
     """
-    _check_sequence(c)
-    _check_int(k, "k")
-    if not 1 <= k < c.n:
-        raise ValidationError(f"k={k} needs a following stage, tower height {c.n}")
+    _check_range(k, "k", 1, _check_sequence(c).n - 1)
     return CharacterBundle._of(c.column(k + 1))
 
 
 def canonical_lambda(k: int) -> CharacterBundle:
     """The tautological bundle of the stage-k fiber: exponents (0,...,0,-1)."""
-    _check_int(k, "k")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    _check_range(k, "k")
     return CharacterBundle._of((0,) * (k - 1) + (-1,))
 
 
 def lambda_bundle(j: int, k: int) -> CharacterBundle:
     """The stage-j tautological bundle pulled back to stage k: -e_j."""
-    _check_int(j, "j")
-    _check_int(k, "k")
-    if not 1 <= j <= k:
-        raise ValidationError(f"stage {j} outside 1..{k}")
+    _check_range(j, "j", 1, _check_int(k, "k"))
     return CharacterBundle._of(
         tuple(-1 if i == j else 0 for i in range(1, k + 1)))
 
@@ -186,11 +183,10 @@ class SupportFunctionData:
 
     `value(i, gamma)` returns the number attached to generator a_{i,gamma};
     `r(w)` returns the unique integer vector with <r(w), a_{i,w_i}> equal to
-    the attached value for every stage i.  The cone systems are triangular
-    with diagonal +-1, so the solutions are exact integers.
+    the attached value for every stage i.
     """
 
-    __slots__ = ("sequence", "k", "_fan", "_values", "_r_cache")
+    __slots__ = ("sequence", "k", "_values")
 
     def __init__(self, sequence: IntegralSequence, k: int, values):
         self.sequence = _check_sequence(sequence)
@@ -206,9 +202,7 @@ class SupportFunctionData:
         if len(values) != 2 * k:
             raise ValidationError(
                 f"expected {2 * k} support values, got {len(values)}")
-        self._fan = build_fan(sequence, k)
         self._values = table
-        self._r_cache = {}
 
     def value(self, i: int, gamma: int) -> int:
         key = (i, gamma)
@@ -217,29 +211,13 @@ class SupportFunctionData:
         return self._values[key]
 
     def r(self, w):
-        """The linear functional on the maximal cone of the code w."""
-        w = tuple(w)
-        if len(w) != self.k or any(g not in (0, 1) or isinstance(g, bool)
-                                   for g in w):
-            raise ValidationError(f"code {w!r} is not a length-{self.k} 0/1 tuple")
-        if w in self._r_cache:
-            return self._r_cache[w]
-        k = self.k
-        rows = [self._fan.generator(i, w[i - 1]) for i in range(1, k + 1)]
-        rhs = [self._values[(i, w[i - 1])] for i in range(1, k + 1)]
-        # back substitution: row i is supported on coordinates >= i-1 with a
-        # +-1 pivot at i-1
-        r = [0] * k
-        for i in range(k, 0, -1):
-            tail = sum(rows[i - 1][j] * r[j] for j in range(i, k))
-            r[i - 1] = (rhs[i - 1] - tail) * rows[i - 1][i - 1]
-        for i in range(k):
-            if sum(a * b for a, b in zip(r, rows[i])) != rhs[i]:
-                raise RejectionError("values not linear on cone",
-                                     {"code": list(w)})
-        result = tuple(r)
-        self._r_cache[w] = result
-        return result
+        """The linear functional on the maximal cone of the code w:
+        sum_j h(j, w_j) u_j(w) over the chart's dual generators u_j(w)."""
+        w = _check_code(w, self.k)
+        heights = [self._values[key] for key in enumerate(w, 1)]
+        duals = dual_generators(self.sequence, self.k, w)
+        return tuple(sum(h * u for h, u in zip(heights, column))
+                     for column in zip(*duals))
 
     def values_table(self):
         """All (i, gamma, value) triples in generator order."""
@@ -270,10 +248,7 @@ def hk_support(c: IntegralSequence, k: int) -> SupportFunctionData:
     Assigns 0 to every a_{i,0} and the matrix entry b(i,k+1) to a_{i,1};
     needs the tower to possess a stage k+1 supplying those entries.
     """
-    _check_sequence(c)
-    _check_int(k, "k")
-    if not 1 <= k < c.n:
-        raise ValidationError(f"k={k} needs a following stage, tower height {c.n}")
+    _check_range(k, "k", 1, _check_sequence(c).n - 1)
     rows = bott_matrix(c, range(1, k + 2))
     values = {}
     for i in range(1, k + 1):

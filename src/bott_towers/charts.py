@@ -17,14 +17,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _bott_number, _check_code,
-                        _check_int, _check_sequence)
-
-
-def _check_position(k: int, value: int, name: str) -> int:
-    _check_int(value, name)
-    if not 1 <= value <= k:
-        raise ValidationError(f"{name}={value} outside 1..{k}")
-    return value
+                        _check_int, _check_range, _check_sequence)
 
 
 def index_sets(w, i: int, j: int):
@@ -34,9 +27,8 @@ def index_sets(w, i: int, j: int):
     those with w_l = 0.
     """
     w = _check_code(w)
-    k = len(w)
-    _check_position(k, i, "i")
-    _check_position(k, j, "j")
+    _check_range(i, "i", 1, len(w))
+    _check_range(j, "j", 1, len(w))
     if not i < j:
         raise ValidationError(f"need i < j, got i={i}, j={j}")
     ones = tuple(l for l in range(i + 1, j) if w[l - 1] == 1)
@@ -47,16 +39,8 @@ def index_sets(w, i: int, j: int):
 def prefix_set(w, j: int):
     """Positions l < j with w_l = 1, as a sorted tuple."""
     w = _check_code(w)
-    _check_position(len(w), j, "j")
+    _check_range(j, "j", 1, len(w))
     return tuple(l for l in range(1, j) if w[l - 1] == 1)
-
-
-def _check_chart_args(c, k, w):
-    _check_sequence(c).check_stage(k)
-    w = _check_code(w)
-    if len(w) != k:
-        raise ValidationError(f"code length {len(w)} != k={k}")
-    return w
 
 
 def dual_generators(c: IntegralSequence, k: int, w):
@@ -67,7 +51,7 @@ def dual_generators(c: IntegralSequence, k: int, w):
     zero positions of w strictly between l and j.  Pairing the j-th vector
     with a_{m,w_m} gives the Kronecker delta.
     """
-    w = _check_chart_args(c, k, w)
+    w = _check_code(w, _check_sequence(c).check_stage(k))
     vectors = []
     for j in range(1, k + 1):
         sign = -1 if w[j - 1] == 1 else 1
@@ -166,7 +150,7 @@ class DualChart:
 
 def dual_chart(c: IntegralSequence, k: int, w) -> DualChart:
     """Bundle the dual generators and chart monomials of one code."""
-    w = _check_chart_args(c, k, w)
+    w = _check_code(w, _check_sequence(c).check_stage(k))
     return DualChart._of(w, dual_generators(c, k, w))
 
 

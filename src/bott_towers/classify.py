@@ -25,11 +25,11 @@ from .fans import (
     _as_general,
     _crosspolytope_pairing,
     _smoothness_report,
-    binary_codes,
+    _tower_cones,
     build_fan,
     is_complete,
 )
-from .sequences import IntegralSequence, _check_int
+from .sequences import IntegralSequence, _check_range
 
 __all__ = [
     "ClassificationResult",
@@ -128,10 +128,7 @@ def project(fan, pair_index: int) -> GeneralFan:
     if gf.dim == 1:
         raise ValidationError("no quotient below dimension 1")
     pairs = crosspolytope_check(gf)
-    _check_int(pair_index, "pair index")
-    if not 1 <= pair_index <= len(pairs):
-        raise ValidationError(
-            f"pair index {pair_index} outside 1..{len(pairs)}")
+    _check_range(pair_index, "pair_index", 1, len(pairs))
     p, q = pairs[pair_index - 1]
     if any(a + b != 0 for a, b in zip(gf.rays[p], gf.rays[q])):
         raise ValidationError(
@@ -184,16 +181,12 @@ def _verify_witness(gf: GeneralFan, sequence, matrix, ray_map):
         raise RuntimeError("classification produced an invalid ray relabeling")
     if abs(linalg.det(matrix)) != 1:
         raise RuntimeError("classification witness is not unimodular")
-    tower = build_fan(sequence, n)
-    for i in range(1, n + 1):
-        for gamma in (0, 1):
-            image = tuple(linalg.matvec(matrix, tower.generator(i, gamma)))
-            if image != gf.rays[ray_map[2 * (i - 1) + gamma]]:
-                raise RuntimeError(
-                    "classification witness does not reproduce the rays")
-    mapped = {tuple(sorted(ray_map[2 * (i - 1) + w[i - 1]]
-                           for i in range(1, n + 1)))
-              for w in binary_codes(n)}
+    for r, ray in enumerate(build_fan(sequence, n).rays()):
+        if linalg.matvec(matrix, ray) != gf.rays[ray_map[r]]:
+            raise RuntimeError(
+                "classification witness does not reproduce the rays")
+    mapped = {tuple(sorted(ray_map[r] for r in cone))
+              for cone in _tower_cones(n)}
     if mapped != set(gf.cones):
         raise RuntimeError(
             "classification witness does not reproduce the cones")

@@ -156,17 +156,15 @@ def _cmd_bundle(args):
     quotient = quotient_presentation(c, k)
     doc = {
         "k": k,
-        "quotient": {
-            "kernel_generators": [list(gen)
-                                  for gen in quotient.kernel_generators],
-            "action_weights": [list(wt) for wt in quotient.action_weights]},
-        "canonical_lambda": list(canonical_lambda(k).exps),
-        "lambda": [list(lambda_bundle(j, k).exps) for j in range(1, k + 1)],
-        "lambda_perp": list(lambda_perp(c, k).exps),
-        "tangent": [list(bundle.exps) for bundle in tangent_splitting(c, k)],
+        "quotient": {"kernel_generators": quotient.kernel_generators,
+                     "action_weights": quotient.action_weights},
+        "canonical_lambda": canonical_lambda(k).exps,
+        "lambda": [lambda_bundle(j, k).exps for j in range(1, k + 1)],
+        "lambda_perp": lambda_perp(c, k).exps,
+        "tangent": [bundle.exps for bundle in tangent_splitting(c, k)],
     }
     if k < c.n:
-        doc["xi"] = list(xi_bundle(c, k).exps)
+        doc["xi"] = xi_bundle(c, k).exps
     return encode_chunks(doc), 0
 
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .sequences import IntegralSequence, _check_int, _check_sequence
+from .sequences import (IntegralSequence, _check_int, _check_range,
+                        _check_sequence)
 
 
 def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
@@ -96,7 +97,7 @@ class CohomologyRing:
 
     def gen(self, j: int) -> "CohomologyClass":
         """The degree-2 generator x_j."""
-        self._check_index(j)
+        _check_range(j, "j", 1, self.k)
         return CohomologyClass._of(self, {1 << (j - 1): 1})
 
     def ray_class(self, j: int, gamma: int) -> "CohomologyClass":
@@ -105,9 +106,8 @@ class CohomologyRing:
         Ray (j,0) maps to x_j; ray (j,1) maps to x_j + sum of the stage-j
         twist entries times the lower generators.
         """
-        self._check_index(j)
-        if gamma not in (0, 1) or isinstance(gamma, bool):
-            raise ValidationError(f"gamma must be 0 or 1, got {gamma!r}")
+        _check_range(j, "j", 1, self.k)
+        _check_range(gamma, "gamma", 0, 1)
         coeffs = {1 << (j - 1): 1}
         if gamma == 1:
             for i, value in self._twists[j]:
@@ -148,16 +148,13 @@ class CohomologyRing:
 
     # -- internals ----------------------------------------------------
 
-    def _check_index(self, j: int) -> None:
-        _check_int(j, "generator index")
-        if not 1 <= j <= self.k:
-            raise ValidationError(f"generator index {j} outside 1..{self.k}")
-
     def _mask(self, indices):
-        """The bitmask of a monomial's indices, or None if one is not in 1..k."""
+        """The bitmask of a monomial's indices, or None if one is not an int
+        in 1..k (a bool is not)."""
         mask = 0
         for j in indices:
-            if not isinstance(j, int) or not 1 <= j <= self.k:
+            if (isinstance(j, bool) or not isinstance(j, int)
+                    or not 1 <= j <= self.k):
                 return None
             mask |= 1 << (j - 1)
         return mask

@@ -19,15 +19,19 @@ from itertools import permutations, product
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .sequences import IntegralSequence, bott_matrix, _check_code, _check_int
+from .sequences import (IntegralSequence, bott_matrix, _check_code,
+                        _check_int, _check_range, _check_sequence)
 
 
 def binary_codes(k: int):
     """All codes (w_1, ..., w_k) in binary order, w_1 most significant."""
-    _check_int(k, "k")
-    if k < 1:
-        raise ValidationError(f"code length must be >= 1, got {k}")
-    return product((0, 1), repeat=k)
+    return product((0, 1), repeat=_check_range(k, "code length"))
+
+
+def _tower_cones(k: int):
+    """The cones (2i + w_i) of the stage-k tower fan, codes in binary order."""
+    return [tuple(2 * i + bit for i, bit in enumerate(w))
+            for w in product((0, 1), repeat=k)]
 
 
 class BottFan:
@@ -36,9 +40,7 @@ class BottFan:
     __slots__ = ("sequence", "k", "_rows", "_general")
 
     def __init__(self, sequence: IntegralSequence, k: int):
-        if not isinstance(sequence, IntegralSequence):
-            raise ValidationError("sequence must be an IntegralSequence")
-        self.sequence = sequence
+        self.sequence = _check_sequence(sequence)
         self.k = sequence.check_stage(k)
         self._rows = bott_matrix(sequence, range(1, k + 1))
         self._general = None
@@ -49,37 +51,30 @@ class BottFan:
 
     def generator(self, i: int, gamma: int):
         """The ray a_{i,gamma} as an integer tuple of length k."""
-        _check_int(i, "i")
-        if not 1 <= i <= self.k:
-            raise ValidationError(f"stage {i} outside 1..{self.k}")
-        if gamma not in (0, 1) or isinstance(gamma, bool):
-            raise ValidationError(f"gamma must be 0 or 1, got {gamma!r}")
+        _check_range(i, "i", 1, self.k)
+        _check_range(gamma, "gamma", 0, 1)
         if gamma == 0:
-            return tuple(1 if j == i - 1 else 0 for j in range(self.k))
-        return tuple(0 if j < i - 1 else self._rows[i - 1][j]
-                     for j in range(self.k))
+            return tuple(int(j == i - 1) for j in range(self.k))
+        return tuple(self._rows[i - 1])
 
     def rays(self):
-        """All 2k generators in the order (1,0), (1,1), ..., (k,0), (k,1)."""
-        out = []
-        for i in range(1, self.k + 1):
-            out.append(self.generator(i, 0))
-            out.append(self.generator(i, 1))
-        return tuple(out)
+        """All 2k generators in the order (1,0), (1,1), ..., (k,0), (k,1).
+
+        a_{i,1} is row i of the Bott matrix, which is 0 below the diagonal.
+        """
+        return tuple(ray for i, row in enumerate(self._rows)
+                     for ray in (tuple(int(j == i) for j in range(self.k)),
+                                 tuple(row)))
 
     def cone(self, w):
         """Ray indices of the maximal cone for the binary code w."""
-        w = _check_code(w)
-        if len(w) != self.k:
-            raise ValidationError(f"code length {len(w)} != k={self.k}")
+        w = _check_code(w, self.k)
         return tuple(2 * i + w[i] for i in range(self.k))
 
     def as_general_fan(self) -> "GeneralFan":
-        if self._general is None:  # cone(w) without re-checking each code
-            self._general = GeneralFan(
-                self.k, self.rays(),
-                [tuple(2 * i + bit for i, bit in enumerate(w))
-                 for w in binary_codes(self.k)])
+        if self._general is None:
+            self._general = GeneralFan(self.k, self.rays(),
+                                       _tower_cones(self.k))
         return self._general
 
     def __eq__(self, other):
@@ -105,9 +100,7 @@ class GeneralFan:
     __slots__ = ("dim", "rays", "cones", "_dets")
 
     def __init__(self, dim: int, rays, cones):
-        _check_int(dim, "dim")
-        if dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {dim}")
+        _check_range(dim, "dim")
         ray_list = []
         for ray in rays:
             vec = tuple(_check_int(x, "ray coordinate") for x in ray)
@@ -396,16 +389,10 @@ def lift_with_support_function(fan: BottFan, h) -> GeneralFan:
     if seq is not None and (seq != fan.sequence or getattr(h, "k", fan.k) != fan.k):
         raise ValidationError("support data belongs to a different fan")
     k = fan.k
-    rays = []
-    for i in range(1, k + 1):
-        for gamma in (0, 1):
-            rays.append(fan.generator(i, gamma) + (h.value(i, gamma),))
-    rays.append(tuple(0 for _ in range(k)) + (1,))
-    rays.append(tuple(0 for _ in range(k)) + (-1,))
-    cones = []
-    for w in binary_codes(k + 1):
-        cones.append(tuple(2 * i + w[i] for i in range(k + 1)))
-    return GeneralFan(k + 1, rays, cones)
+    rays = [ray + (h.value(r // 2 + 1, r % 2),)
+            for r, ray in enumerate(fan.rays())]
+    rays += [(0,) * k + (1,), (0,) * k + (-1,)]
+    return GeneralFan(k + 1, rays, _tower_cones(k + 1))
 
 
 def apply_unimodular(fan, matrix) -> GeneralFan:

@@ -6,20 +6,22 @@ coefficient matrix C(I) has (r,s) entry c(i_r, i_s) on and above the diagonal,
 and the Bott matrix B(I) is defined by C(I)^(-1) = -B(I).  Its entries follow
 the triangular recursion
 
-    b(i,i) = -1,      b(i,j) = - sum_{i < k <= j} c(i,k) b(k,j),
+    b(i,i) = -1,      b(i,j) = - sum_{i < k <= j} c(i,k) b(k,j).
 
-which :func:`bott_matrix` evaluates in exact integer arithmetic.  The
-top-right entry b(I) of B(I) is the Bott number of I.  Read along the last
-column, the recursion only ever needs Bott numbers of suffixes of I:
+The top-right entry b(I) of B(I) is the Bott number of I, and the (r,s)
+entry is the Bott number of the run {i_r < ... < i_s} of I.  Read along the
+last column, the recursion only ever needs Bott numbers of suffixes of I:
 
     b({i}) = -1,      b(I) = - sum_{t >= 2} c(i_1, i_t) b(I_{>=t}),
 
-where I_{>=t} = {i_t < ... < i_m}.  :func:`bott_number` evaluates this form
-and memoises every value on its sequence, so the suffixes shared between index
-sets are computed once; the memo holds one entry per requested set and per
-suffix of it, hence at most 2^n - 1 entries.  The Bott number also admits an
-independent expansion as an alternating sum over chains through the interior
-of I, implemented in :func:`bott_number_moebius`.
+where I_{>=t} = {i_t < ... < i_m}.  This suffix recursion is the one
+evaluator.  :func:`bott_number` memoises every value on its sequence, so the
+suffixes shared between index sets are computed once; the memo holds one
+entry per requested set and per suffix of it, hence at most 2^n - 1
+entries.  :func:`bott_matrix` reads the same memo, and the tests keep the
+triangular recursion as its reference.  The Bott number also admits an
+independent expansion as an alternating sum over chains through the
+interior of I, implemented in :func:`bott_number_moebius`.
 
 >>> c = IntegralSequence(3, {(1, 2): 2, (1, 3): 5, (2, 3): 3})
 >>> bott_matrix(c, (1, 2, 3))
@@ -47,6 +49,18 @@ def _check_int(x, what: str) -> int:
     return x
 
 
+def _check_range(x, what: str, lo: int = 1, hi: int | None = None) -> int:
+    """x itself, once it is checked to be an integer in lo..hi (lo.. when
+    hi is None)."""
+    _check_int(x, what)
+    if hi is None:
+        if x < lo:
+            raise ValidationError(f"{what} must be >= {lo}, got {x}")
+    elif not lo <= x <= hi:
+        raise ValidationError(f"{what}={x} outside {lo}..{hi}")
+    return x
+
+
 def _check_sequence(c) -> "IntegralSequence":
     if not isinstance(c, IntegralSequence):
         raise ValidationError("expected an IntegralSequence")
@@ -59,10 +73,7 @@ class IntegralSequence:
     __slots__ = ("n", "_entries", "_cache")
 
     def __init__(self, n: int, entries=None):
-        _check_int(n, "n")
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
-        self.n = n
+        self.n = _check_range(n, "n")
         stored = {}
         if entries:
             for key, val in dict(entries).items():
@@ -108,18 +119,13 @@ class IntegralSequence:
         j is checked once, so a loop over many entries reads whole columns
         instead of paying value()'s two index checks per entry.
         """
-        _check_int(j, "index j")
-        if not 1 <= j <= self.n:
-            raise ValidationError(f"column {j} outside 1..{self.n}")
+        _check_range(j, "j", 1, self.n)
         entries = self._entries
         return tuple(entries.get((i, j), 0) for i in range(1, j))
 
     def check_stage(self, k: int) -> int:
         """k itself, once it is checked to be a stage 1..n of this tower."""
-        _check_int(k, "k")
-        if not 1 <= k <= self.n:
-            raise ValidationError(f"k={k} outside 1..{self.n}")
-        return k
+        return _check_range(k, "k", 1, self.n)
 
     def entries(self):
         """Sorted tuple of the nonzero (i, j, value) triples."""
@@ -127,9 +133,7 @@ class IntegralSequence:
 
     def restrict(self, m: int) -> "IntegralSequence":
         """The sub-tower on stages 1..m."""
-        _check_int(m, "m")
-        if not 1 <= m <= self.n:
-            raise ValidationError(f"restriction size {m} outside 1..{self.n}")
+        _check_range(m, "m", 1, self.n)
         return IntegralSequence(
             m, {k: v for k, v in self._entries.items() if k[1] <= m})
 
@@ -177,17 +181,12 @@ def c_matrix(c: IntegralSequence, ids):
 
 
 def bott_matrix(c: IntegralSequence, ids):
-    """B(I) by the triangular recursion; satisfies C(I) @ (-B(I)) = Id."""
+    """B(I), with C(I) @ (-B(I)) = Id: entry (r,s) is the memoised Bott
+    number of the run i_r..i_s of I, and 0 below the diagonal."""
     ids = _index_set(c, ids)
-    cols = [c.column(j) for j in ids]
     m = len(ids)
-    b = [[0] * m for _ in range(m)]
-    for s in range(m):
-        b[s][s] = -1
-        for r in range(s - 1, -1, -1):
-            i = ids[r] - 1
-            b[r][s] = -sum(cols[t][i] * b[t][s] for t in range(r + 1, s + 1))
-    return b
+    return [[_bott_number(c, ids[r:s + 1]) if r <= s else 0
+             for s in range(m)] for r in range(m)]
 
 
 def bott_number(c: IntegralSequence, ids) -> int:
@@ -257,11 +256,14 @@ def bott_number_moebius(c: IntegralSequence, ids) -> int:
     return total
 
 
-def _check_code(w) -> tuple:
+def _check_code(w, k: int | None = None) -> tuple:
+    """w as a tuple of 0/1 ints, of length k unless k is None."""
     w = tuple(w)
     for bit in w:
         if isinstance(bit, bool) or bit not in (0, 1):
             raise ValidationError(f"binary code entries must be 0 or 1: {w!r}")
+    if k is not None and len(w) != k:
+        raise ValidationError(f"code length {len(w)} != k={k}")
     return w
 
 
@@ -313,10 +315,7 @@ class Poset:
     __slots__ = ("n", "_strict")
 
     def __init__(self, n: int, relation=()):
-        _check_int(n, "n")
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
-        self.n = n
+        self.n = _check_range(n, "n")
         strict = set()
         for pair in relation:
             try:

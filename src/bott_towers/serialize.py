@@ -186,19 +186,29 @@ def parse_int(value, what: str) -> int:
     """An integer from a JSON number or its decimal-string form.
 
     Floats are refused even when integral: the interchange format is exact.
+    A string must be ASCII digits after an optional "-", as the encoder
+    writes them.
     """
     if isinstance(value, bool):
         raise ValidationError(f"{what}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ValidationError(
-                f"{what}: not a decimal integer: {value!r}") from None
+        if value.isascii() and value.removeprefix("-").isdigit():
+            try:
+                return int(value, 10)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ValidationError(f"{what}: not a decimal integer: {value!r}")
     raise ValidationError(
         f"{what}: expected an integer, got {type(value).__name__}")
+
+
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"{what}: expected a JSON array, got {type(value).__name__}")
+    return value
 
 
 def _require_keys(doc, allowed, required, what: str):
@@ -221,7 +231,7 @@ def sequence_from_doc(doc) -> IntegralSequence:
     _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
     n = parse_int(doc["n"], "sequence height n")
     entries = {}
-    for triple in doc.get("entries", []):
+    for triple in _require_list(doc.get("entries", []), "sequence entries"):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise ValidationError(
                 f"sequence entry must be an [i, j, value] triple, got {triple!r}")
@@ -245,10 +255,11 @@ def fan_from_doc(doc) -> GeneralFan:
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
                   "fan document")
     dim = parse_int(doc["dim"], "fan dimension")
-    rays = [[parse_int(x, "ray coordinate") for x in ray]
-            for ray in doc["rays"]]
-    cones = [[parse_int(r, "cone ray index") for r in cone]
-             for cone in doc["cones"]]
+    rays = [[parse_int(x, "ray coordinate") for x in _require_list(ray, "ray")]
+            for ray in _require_list(doc["rays"], "fan rays")]
+    cones = [[parse_int(r, "cone ray index")
+              for r in _require_list(cone, "cone")]
+             for cone in _require_list(doc["cones"], "fan cones")]
     return GeneralFan(dim, rays, cones)
 
 

@@ -1,9 +1,9 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here deliberately use different algorithms from the library
-(Gaussian elimination over Fraction instead of the triangular recursion,
-cofactor expansion instead of Bareiss) so that agreement is evidence, not
-tautology.
+(Gaussian elimination over Fraction and the triangular recursion instead of
+the memoised suffix recursion, cofactor expansion instead of Bareiss) so
+that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -58,6 +58,21 @@ def fraction_inverse(matrix):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def reference_bott_matrix(c: IntegralSequence, ids):
+    """B(I) by the former triangular recursion, kept as a test oracle:
+    b(i,i) = -1 and b(i,j) = -sum over k in I, i < k <= j, of c(i,k) b(k,j).
+    """
+    ids = sorted(ids)
+    m = len(ids)
+    b = [[0] * m for _ in range(m)]
+    for s in range(m):
+        b[s][s] = -1
+        for r in range(s - 1, -1, -1):
+            b[r][s] = -sum(c.value(ids[r], ids[t]) * b[t][s]
+                           for t in range(r + 1, s + 1))
+    return b
 
 
 def _guard_big(doc):

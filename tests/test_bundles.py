@@ -241,6 +241,17 @@ class TestSupportFunction:
                     ray = fan.generator(i, w[i - 1])
                     assert sum(a * b for a, b in zip(r, ray)) == values[(i, w[i - 1])]
 
+    def test_code_validated_before_it_is_read(self):
+        c = IntegralSequence(3, {(1, 2): 2, (1, 3): -1, (2, 3): 3})
+        values = {(i, g): 3 * i - g for i in range(1, 4) for g in (0, 1)}
+        h = support_function(c, 3, values)
+        assert h.r(bit for bit in (1, 0, 1)) == h.r((1, 0, 1))
+        for bad in [(1, 0), (1, 0, 1, 1), (1, 2, 0), (True, 0, 1)]:
+            with pytest.raises(ValidationError):
+                h.r(iter(bad))
+        with pytest.raises(ValidationError, match=r"^code length 2 != k=3$"):
+            h.r([1, 0])
+
     def test_pointwise_perturbation_stays_piecewise_linear(self):
         # Values that agree with a global linear functional except at one
         # generator are still valid piecewise data on a simplicial fan; the

@@ -6,7 +6,9 @@ Core claims:
    or bad usage, 3 well-formed but invalid data, 4 mathematical rejection.
 2. Every document is canonical JSON: sorted keys, two-space indent, one
    trailing newline, integers of magnitude >= 2^53 as decimal strings (and
-   accepted back as strings), ray indices 0-based.
+   accepted back as strings, in exactly the form written), ray indices
+   0-based.  A field or item that must be an array and is not is invalid
+   data.
 3. Outputs are byte-identical across repeated runs, including SVG, and the
    -o file contents equal the stdout of an identical run.
 4. classify prints its rejection document on stdout and still exits 4;
@@ -135,6 +137,26 @@ class TestExitCodes:
         assert run_cli("numbers",
                        '{"n": 2, "entries": [[1, 2, 2.0]]}').returncode == 3
 
+    @pytest.mark.parametrize("args", [
+        ("numbers", '{"n": 2, "entries": 5}'),
+        ("check", '{"dim": 2, "rays": 5, "cones": []}'),
+        ("check", '{"dim": 2, "rays": [5], "cones": []}'),
+        ("check", '{"dim": 2, "rays": [], "cones": 5}'),
+        ("check", '{"dim": 2, "rays": [], "cones": [5]}'),
+    ])
+    def test_non_list_field(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 3
+        assert "expected a JSON array" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("text", ["1_0", " 3 ", "\u0663", "+3", "-"])
+    def test_non_decimal_string(self, text):
+        result = run_cli("numbers", json.dumps({"n": text}))
+        assert result.returncode == 3
+        assert "not a decimal integer" in result.stderr
+
     @pytest.mark.parametrize("command", ["numbers", "classify"])
     def test_deep_nesting_is_unreadable_input(self, command, tmp_path):
         path = tmp_path / "deep.json"
@@ -228,6 +250,15 @@ class TestNumbers:
         negative = json.dumps({"n": 2, "entries": [[1, 2, str(-BIG)]]})
         doc = stdout_doc(run_cli("numbers", negative))
         assert doc["bott_matrix"][0][1] == str(-BIG)
+
+    @pytest.mark.parametrize("value", [2 ** 60, -2 ** 60])
+    def test_quoted_integer_round_trip(self, value):
+        seq = json.dumps({"n": 2, "entries": [[1, 2, str(value)]]})
+        first = run_cli("numbers", seq)
+        written = stdout_doc(first)["c_matrix"][0][1]
+        assert written == str(value)
+        again = json.dumps({"n": 2, "entries": [[1, 2, written]]})
+        assert run_cli("numbers", again).stdout == first.stdout
 
     def test_integers_below_threshold_stay_numbers(self):
         edge = 2 ** 53 - 1

@@ -405,6 +405,15 @@ class TestAgainstReference:
             assert cls.coefficient(indices) == 0
         assert cls.coefficient((1, 2, 3)) == 8
 
+    def test_bool_indices_are_not_indices(self):
+        ring = cohomology_ring(IntegralSequence(3, {(1, 2): 2}), 3)
+        with pytest.raises(ValidationError):
+            CohomologyClass(ring, {(True,): 3})
+        with pytest.raises(ValidationError):
+            CohomologyClass(ring, {(1, True): 3})
+        assert ring.gen(1).coefficient((True,)) == 0
+        assert ring.gen(1).coefficient((1,)) == 1
+
     def test_height_13(self):
         rng = random.Random(5014)
         k = 13

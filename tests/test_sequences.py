@@ -2,8 +2,9 @@
 
 Core claims exercised here:
 
-1. The triangular recursion for B(I) inverts C(I) exactly: C(I)·(-B(I)) = Id,
-   and -B(I) agrees entry-by-entry with a Fraction Gauss-Jordan inverse.
+1. B(I), read from the memoised Bott numbers of the runs of I, inverts C(I)
+   exactly: C(I)·(-B(I)) = Id, -B(I) agrees entry-by-entry with a Fraction
+   Gauss-Jordan inverse, and B(I) equals the triangular recursion's matrix.
 2. bott_number over an index set depends only on the entries c(i,j) with both
    indices in the set (sub-tower locality).
 3. bott_number_moebius (alternating sum over chains through the interior of I)
@@ -12,6 +13,8 @@ Core claims exercised here:
 4. The two mixed-code identities evaluate to zero for every (c, w, i, j).
 5. Posets with the identity labeling as linear extension bridge to sequences:
    B(n) = -M(P) with M the Moebius matrix of P.
+6. Every "integer in lo..hi" check goes through one routine: each call site
+   rejects lo - 1, hi + 1, True and 1.0, and accepts its bounds.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from itertools import combinations
 import pytest
 
 from bott_towers import (
+    GeneralFan,
     IntegralSequence,
     Poset,
     ValidationError,
@@ -29,15 +33,25 @@ from bott_towers import (
     bott_matrix,
     bott_number,
     bott_number_moebius,
+    build_fan,
     c_matrix,
+    canonical_lambda,
+    cohomology_ring,
     dual_generators,
+    hk_support,
+    index_sets,
+    lambda_bundle,
     lemma_identities,
     moebius_matrix,
     poset_to_sequence,
+    prefix_set,
+    project,
+    xi_bundle,
     zeta_matrix,
 )
 from bott_towers import sequences
-from helpers import fraction_inverse, mat_mul, mat_id, random_poset, random_sequence
+from helpers import (fraction_inverse, mat_mul, mat_id, random_poset,
+                     random_sequence, reference_bott_matrix)
 
 
 # ===================================================================
@@ -227,6 +241,17 @@ class TestInverseOracle:
             bm = bott_matrix(c, ids)
             assert all(inv[i][j] == -bm[i][j] for i in range(n)
                        for j in range(n))
+
+    def test_matches_the_triangular_recursion(self):
+        rng = random.Random(1003)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            c = random_sequence(rng, n, -4, 4)
+            start = rng.randint(1, n)
+            run = range(start, rng.randint(start, n) + 1)
+            subset = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for ids in (run, subset):
+                assert bott_matrix(c, ids) == reference_bott_matrix(c, ids)
 
     def test_index_set_validation(self):
         c = IntegralSequence(4)
@@ -465,3 +490,60 @@ class TestPoset:
             m = moebius_matrix(p)
             assert all(inv[i][j] == m[i][j] for i in range(p.n)
                        for j in range(p.n))
+
+
+# ===================================================================
+# 7. One range check
+# ===================================================================
+
+SEQ3 = IntegralSequence(3, {(1, 2): 2, (1, 3): -1, (2, 3): 1})
+RING3 = cohomology_ring(SEQ3, 3)
+FAN3 = build_fan(SEQ3, 3)
+PRODUCT3 = build_fan(IntegralSequence(3), 3)  # every ray pair sums to zero
+
+
+# (call, lo, hi, accepted): hi None means no upper bound; `accepted`
+# defaults to (lo, hi), or (lo, lo + 1) without an upper bound.
+RANGE_SITES = {
+    "IntegralSequence.n": (IntegralSequence, 1, None, None),
+    "IntegralSequence.column": (SEQ3.column, 1, 3, None),
+    "IntegralSequence.check_stage": (SEQ3.check_stage, 1, 3, None),
+    "IntegralSequence.restrict": (SEQ3.restrict, 1, 3, None),
+    "Poset.n": (Poset, 1, None, None),
+    "index_sets.i": (lambda x: index_sets((0, 1, 0, 1), x, 4), 1, 4, (1, 3)),
+    "index_sets.j": (lambda x: index_sets((0, 1, 0, 1), 1, x), 1, 4, (2, 4)),
+    "prefix_set.j": (lambda x: prefix_set((0, 1, 1), x), 1, 3, None),
+    "canonical_lambda": (canonical_lambda, 1, None, None),
+    "lambda_bundle": (lambda x: lambda_bundle(x, 3), 1, 3, None),
+    "xi_bundle": (lambda x: xi_bundle(SEQ3, x), 1, 2, None),
+    "hk_support": (lambda x: hk_support(SEQ3, x), 1, 2, None),
+    "CohomologyRing.gen": (RING3.gen, 1, 3, None),
+    "CohomologyRing.ray_class.j": (lambda x: RING3.ray_class(x, 1), 1, 3,
+                                   None),
+    "CohomologyRing.ray_class.gamma": (lambda x: RING3.ray_class(2, x), 0,
+                                       1, None),
+    "binary_codes": (binary_codes, 1, None, None),
+    "BottFan.generator.i": (lambda x: FAN3.generator(x, 1), 1, 3, None),
+    "BottFan.generator.gamma": (lambda x: FAN3.generator(2, x), 0, 1, None),
+    "GeneralFan.dim": (lambda x: GeneralFan(x, [(1,), (-1,)], [(0,), (1,)]),
+                       1, None, (1,)),
+    "project": (lambda x: project(PRODUCT3, x), 1, 3, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_SITES))
+def test_range_check_sites(name):
+    call, lo, hi, accepted = RANGE_SITES[name]
+    message = (rf"must be >= {lo}, got {lo - 1}$" if hi is None
+               else rf"={lo - 1} outside {lo}\.\.{hi}$")
+    with pytest.raises(ValidationError, match=message):
+        call(lo - 1)
+    if hi is not None:
+        with pytest.raises(ValidationError,
+                           match=rf"={hi + 1} outside {lo}\.\.{hi}$"):
+            call(hi + 1)
+    for bad in (True, 1.0):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(bad)
+    for good in accepted or (lo, lo + 1 if hi is None else hi):
+        call(good)
