@@ -20,7 +20,7 @@ entry b(i,k+1) on a_{i,1}) reproduces the next tower fan exactly.
 
 from __future__ import annotations
 
-from .charts import dual_generators
+from .charts import _dual_generators
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _check_code, _check_int,
                         _check_range, _check_sequence, bott_matrix)
@@ -215,7 +215,7 @@ class SupportFunctionData:
         sum_j h(j, w_j) u_j(w) over the chart's dual generators u_j(w)."""
         w = _check_code(w, self.k)
         heights = [self._values[key] for key in enumerate(w, 1)]
-        duals = dual_generators(self.sequence, self.k, w)
+        duals = _dual_generators(self.sequence, self.k, w)
         return tuple(sum(h * u for h, u in zip(heights, column))
                      for column in zip(*duals))
 

@@ -51,7 +51,12 @@ def dual_generators(c: IntegralSequence, k: int, w):
     zero positions of w strictly between l and j.  Pairing the j-th vector
     with a_{m,w_m} gives the Kronecker delta.
     """
-    w = _check_code(w, _check_sequence(c).check_stage(k))
+    return _dual_generators(
+        c, k, _check_code(w, _check_sequence(c).check_stage(k)))
+
+
+def _dual_generators(c: IntegralSequence, k: int, w: tuple):
+    """dual_generators for a checked sequence, stage and code."""
     vectors = []
     for j in range(1, k + 1):
         sign = -1 if w[j - 1] == 1 else 1
@@ -151,7 +156,7 @@ class DualChart:
 def dual_chart(c: IntegralSequence, k: int, w) -> DualChart:
     """Bundle the dual generators and chart monomials of one code."""
     w = _check_code(w, _check_sequence(c).check_stage(k))
-    return DualChart._of(w, dual_generators(c, k, w))
+    return DualChart._of(w, _dual_generators(c, k, w))
 
 
 def chart_ring(c: IntegralSequence, k: int, w):

@@ -3,9 +3,11 @@
 Given any complete smooth fan whose rays pair up into minimal non-faces
 forming a combinatorial crosspolytope, this module recovers an integral
 twist sequence, a unimodular coordinate change, and a ray relabeling that
-reproduce the input exactly from the standard fan of that sequence.  Inputs
-that fail one of the structural conditions are rejected with a stable
-reason code and a witness of the first failure.
+reproduce the input exactly from the standard fan of that sequence.  A fan
+reproduced so is smooth and complete because the tower fan is, so
+recognition is witness first and costs no per-cone determinant; only a fan
+without a witness goes through the structural checks, and is rejected with
+a stable reason code and a witness of the first failure.
 
 The tower fan of a sequence has a_{i,0} = e_i and a_{i,1} = row i of its
 Bott matrix B, and every smooth complete crosspolytope fan is one up to
@@ -25,7 +27,6 @@ from .fans import (
     _as_general,
     _crosspolytope_pairing,
     _smoothness_report,
-    _tower_cones,
     build_fan,
     is_complete,
 )
@@ -174,48 +175,13 @@ def _stage_order(rays, pairs):
     return peeled[::-1]
 
 
-def _verify_witness(gf: GeneralFan, sequence, matrix, ray_map):
-    """Check the success invariant exactly; raise RuntimeError if broken."""
-    n = sequence.n
-    if len(gf.rays) != 2 * n or sorted(ray_map) != list(range(2 * n)):
-        raise RuntimeError("classification produced an invalid ray relabeling")
-    if abs(linalg.det(matrix)) != 1:
-        raise RuntimeError("classification witness is not unimodular")
-    for r, ray in enumerate(build_fan(sequence, n).rays()):
-        if linalg.matvec(matrix, ray) != gf.rays[ray_map[r]]:
-            raise RuntimeError(
-                "classification witness does not reproduce the rays")
-    mapped = {tuple(sorted(ray_map[r] for r in cone))
-              for cone in _tower_cones(n)}
-    if mapped != set(gf.cones):
-        raise RuntimeError(
-            "classification witness does not reproduce the cones")
-
-
-def classify(fan, seed: int = 0) -> ClassificationResult:
-    """Recover tower data from a fan, or explain why none exists.
-
-    Runs the structural checks in order (crosspolytope pairing, smoothness,
-    completeness), then finds the stage order of the ray pairs and reads
-    the witness off it: the first rays of the pairs, in stage order, are
-    the columns of the matrix M, the rows of the Bott matrix B are M^-1
-    applied to the second rays, and c(i,j) = -(B^-1)[i][j].  A success
-    result is verified exactly before being returned: the matrix maps the
-    standard fan of the recovered sequence onto the input rays and cones
-    through ray_map.  A fan that passes the checks but yields no witness
-    would contradict the converse theorem and raises RuntimeError.
-    ``seed`` is accepted for compatibility and has no effect.
-    """
-    gf = _as_general(fan)
-    try:
-        pairs = crosspolytope_check(gf)
-        smooth, witness = _smoothness_report(gf)
-        if not smooth:
-            raise RejectionError("not smooth", witness)
-        if not is_complete(gf):
-            raise RejectionError("not complete")
-    except RejectionError as err:
-        return ClassificationResult(reject=err.code, witness=err.witness)
+def _tower_witness(gf: GeneralFan, pairs):
+    """(sequence, order, matrix, ray_map) with M a_{i,gamma} equal to ray
+    ray_map[2(i-1)+gamma] of gf, or None when any step fails."""
+    # No cone is compared: the checked pairing makes every transversal of
+    # the pairs a cone, and there are exactly 2^k distinct cones, so the
+    # cones are the transversals.  ray_map sends tower pair i onto input
+    # pair order[i-1], hence the tower's transversals onto the input's.
     try:
         order = _stage_order(gf.rays, pairs)
         stages = [pairs[t] for t in order]
@@ -223,16 +189,45 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
         inverse = linalg.invert_unimodular(matrix)
         neg_c = linalg.invert_unimodular(
             [linalg.matvec(inverse, gf.rays[q]) for _, q in stages])
-    except (RejectionError, ValidationError) as exc:
-        raise RuntimeError(
-            f"classification found no tower witness: {exc}") from exc
+    except (RejectionError, ValidationError):
+        return None
     k = len(stages)
     sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
                                     for i in range(k) for j in range(i + 1, k)})
     ray_map = tuple(r for pair in stages for r in pair)
-    _verify_witness(gf, sequence, matrix, ray_map)
-    return ClassificationResult(
-        sequence=sequence,
-        order=tuple(t + 1 for t in order),
-        matrix=matrix,
-        ray_map=ray_map)
+    for r, ray in enumerate(build_fan(sequence, k).rays()):
+        if linalg.matvec(matrix, ray) != gf.rays[ray_map[r]]:
+            return None
+    return sequence, tuple(t + 1 for t in order), matrix, ray_map
+
+
+def classify(fan, seed: int = 0) -> ClassificationResult:
+    """Recover tower data from a fan, or explain why none exists.
+
+    Witness first: after the crosspolytope pairing, finds the stage order of
+    the ray pairs and reads the witness off it (the first rays of the pairs,
+    in stage order, are the columns of the matrix M, the rows of the Bott
+    matrix B are M^-1 applied to the second rays, c(i,j) = -(B^-1)[i][j]),
+    then checks exactly that M maps the standard fan of the recovered
+    sequence onto the input through ray_map.  Such a fan is smooth and
+    complete, so no cone determinant is computed.  Only a fan with no
+    witness goes through the ordered checks (smoothness, completeness),
+    which choose the rejection code and witness; one that passes them would
+    contradict the converse theorem and raises RuntimeError.  ``seed`` is
+    accepted for compatibility and has no effect.
+    """
+    gf = _as_general(fan)
+    try:
+        witness = _tower_witness(gf, crosspolytope_check(gf))
+        if witness is None:
+            smooth, report = _smoothness_report(gf)
+            if not smooth:
+                raise RejectionError("not smooth", report)
+            if not is_complete(gf):
+                raise RejectionError("not complete")
+    except RejectionError as err:
+        return ClassificationResult(reject=err.code, witness=err.witness)
+    if witness is None:
+        raise RuntimeError("classification found no tower witness for a "
+                           "smooth complete crosspolytope fan")
+    return ClassificationResult(*witness)

@@ -32,10 +32,10 @@ from .bundles import (
     xi_bundle,
 )
 from .charts import _prefix_rows
-from .classify import classify, crosspolytope_check
+from .classify import _tower_witness, classify, crosspolytope_check
 from .cohomology import betti, integrate, presentation, total_chern_class
 from .errors import RejectionError, ValidationError
-from .fans import _fano_condition, build_fan, is_complete, is_smooth
+from .fans import _fano_condition, build_fan, is_complete, is_fano, is_smooth
 from .render import render_svg
 from .sequences import (_bott_number, bott_matrix, bott_number_moebius,
                         c_matrix)
@@ -46,6 +46,7 @@ from .serialize import (
     encode_chunks,
     fan_from_doc,
     number_texts,
+    parse_int,
     sequence_from_doc,
     term_texts,
 )
@@ -58,8 +59,8 @@ EXIT_REJECTION = 4
 def _seed() -> int:
     raw = os.environ.get("BOTT_SEED", "0")
     try:
-        return int(raw, 10)
-    except ValueError:
+        return parse_int(raw, "BOTT_SEED")
+    except ValidationError:
         raise ValidationError(
             f"BOTT_SEED must be a decimal integer, got {raw!r}") from None
 
@@ -126,10 +127,10 @@ def _cmd_fan(args):
                           "cones": cone_texts(k)}), 0
 
 
-def _verdict(predicate, gf) -> bool:
-    """Whether predicate(gf) holds, a rejection counting as False."""
+def _verdict(predicate, gf):
+    """predicate(gf), a rejection counting as False."""
     try:
-        return bool(predicate(gf))
+        return predicate(gf)
     except RejectionError:
         return False
 
@@ -137,11 +138,16 @@ def _verdict(predicate, gf) -> bool:
 def _cmd_check(args):
     gf = _load_fan(args.input)
     _seed()  # validated only: completeness is exact
-    smooth = _verdict(is_smooth, gf)
+    pairs = _verdict(crosspolytope_check, gf)
+    witness = pairs and _tower_witness(gf, pairs)
+    if witness:  # a tower fan up to GL(Z), so smooth and complete
+        fano = is_fano(build_fan(witness[0], gf.dim))
+        return encode_chunks({"smooth": True, "complete": True,
+                              "fano": fano, "crosspolytope": True}), 0
     complete = _verdict(is_complete, gf)
-    doc = {"smooth": smooth, "complete": complete,
+    doc = {"smooth": _verdict(is_smooth, gf), "complete": complete,
            "fano": complete and _fano_condition(gf),
-           "crosspolytope": _verdict(crosspolytope_check, gf)}
+           "crosspolytope": bool(pairs)}
     return encode_chunks(doc), 0
 
 

@@ -362,13 +362,36 @@ def _fano_condition(gf: GeneralFan) -> bool:
     return True
 
 
+def _tower_fano(c: IntegralSequence, k: int) -> bool:
+    """Batyrev's test: the stage-k tower is Fano iff each primitive relation
+    a_{i,0} + a_{i,1} = sum_j lam_j a_{j,g_j} has degree 2 - sum lam_j > 0.
+
+    Forward substitution over the Bott-matrix rows locates the sum: it is 0
+    up to coordinate i, a coordinate j >= 0 is lam a_{j,0} = lam e_j, and a
+    coordinate j < 0 is lam a_{j,1}, whose coordinate j is -1.
+    """
+    rows = bott_matrix(c, range(1, k + 1))
+    for i in range(k):
+        rest = [0] * (i + 1) + rows[i][i + 1:]  # ends as +-lam_j at j
+        for j in range(i + 1, k):
+            if rest[j] < 0:
+                for t in range(j + 1, k):
+                    rest[t] += rest[j] * rows[j][t]
+        if sum(map(abs, rest)) >= 2:
+            return False
+    return True
+
+
 def is_fano(fan) -> bool:
     """Strict convexity of the anticanonical support data.
 
     For each maximal cone the unique vector m with <m, ray> = -1 on the
     cone's rays is computed exactly; the fan is Fano when every other ray
-    satisfies <m, ray> > -1 strictly.  Requires a complete fan.
+    satisfies <m, ray> > -1 strictly.  Requires a complete fan.  A
+    BottFan is decided by its primitive relations, without its cones.
     """
+    if isinstance(fan, BottFan):
+        return _tower_fano(fan.sequence, fan.k)
     gf = _as_general(fan)
     if not is_complete(gf):
         raise RejectionError("not complete")

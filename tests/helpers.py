@@ -22,6 +22,7 @@ from bott_towers import (
     Poset,
     RejectionError,
     ValidationError,
+    apply_unimodular,
     binary_codes,
     bott_matrix,
     bott_number,
@@ -32,10 +33,11 @@ from bott_towers import (
     extend_sequence,
     fan_to_doc,
     is_complete,
+    is_smooth,
     linalg,
     support_function,
 )
-from bott_towers.fans import _smoothness_report
+from bott_towers.fans import _fano_condition, _smoothness_report
 
 
 def fraction_inverse(matrix):
@@ -314,6 +316,21 @@ def reference_classify(gf: GeneralFan) -> ClassificationResult:
         matrix=tuple(tuple(row) for row in matrix), ray_map=ray_map)
 
 
+def reference_check_doc(gf: GeneralFan) -> dict:
+    """The `check` document from four independent verdicts, each computed
+    on the fan itself, a rejection counting as False."""
+    def verdict(predicate):
+        try:
+            return bool(predicate(gf))
+        except RejectionError:
+            return False
+
+    complete = verdict(is_complete)
+    return {"smooth": verdict(is_smooth), "complete": complete,
+            "fano": complete and _fano_condition(gf),
+            "crosspolytope": verdict(crosspolytope_check)}
+
+
 def permute_rays(rng: random.Random, fan: GeneralFan) -> GeneralFan:
     """Relabel the rays of a fan by a random permutation."""
     m = len(fan.rays)
@@ -325,6 +342,109 @@ def permute_rays(rng: random.Random, fan: GeneralFan) -> GeneralFan:
         new_rays[new] = fan.rays[old]
     new_cones = [tuple(perm[i] for i in cone) for cone in fan.cones]
     return GeneralFan(fan.dim, new_rays, new_cones)
+
+def scrambled_tower(rng: random.Random, k: int, lo: int = -9,
+                    hi: int = 9) -> GeneralFan:
+    """A random tower fan under a random unimodular map, rays relabeled."""
+    gf = build_fan(random_sequence(rng, k, lo, hi), k).as_general_fan()
+    change = random_unimodular(rng, k)
+    return permute_rays(rng, GeneralFan(
+        k, [linalg.matvec(change, ray) for ray in gf.rays], gf.cones))
+
+
+def tower_ladder(seed: int, height: int, per_height: int):
+    """Scrambled towers, entries in [-3, 3], per_height at each k <= height."""
+    rng = random.Random(seed)
+    return [scrambled_tower(rng, k, -3, 3) for k in range(1, height + 1)
+            for _ in range(per_height)]
+
+
+def acceptance_08_fans():
+    """The 200 scrambled tower fans (k <= 5) of acceptance test 08."""
+    rng = random.Random(9008)
+    return [scrambled_tower(rng, rng.randint(1, 5)) for _ in range(200)]
+
+
+# 2-D factors of the known rejects: a complete fan whose cones all have
+# determinant +-2, and a smooth complex that covers only x >= 0, twice.
+NONSMOOTH_2D = ([(1, 0), (-1, 0), (1, 2), (-1, -2)],
+                [(0, 2), (0, 3), (1, 2), (1, 3)])
+INCOMPLETE_2D = ([(1, 0), (1, 1), (0, 1), (0, -1)],
+                 [(0, 2), (0, 3), (1, 2), (1, 3)])
+# Seven rays, consecutive pairs as cones, winding twice around the origin:
+# every wall lies in two cones on opposite sides, yet it is not a fan.
+DOUBLE_WRAP = GeneralFan(
+    2, [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (1, -1)],
+    [(i, (i + 1) % 7) for i in range(7)])
+
+
+def product_fan(rays, cones, tail: GeneralFan) -> GeneralFan:
+    """The product of a fan given by rays and cones with the fan `tail`."""
+    dim = len(rays[0])
+    out_rays = [tuple(r) + (0,) * tail.dim for r in rays]
+    out_rays += [(0,) * dim + r for r in tail.rays]
+    out_cones = [tuple(a) + tuple(len(rays) + r for r in b)
+                 for a in cones for b in tail.cones]
+    return GeneralFan(dim + tail.dim, out_rays, out_cones)
+
+
+def known_answer_fan(rng, k: int, kind: str):
+    """A scrambled tower fan or known reject of height k >= 2, with its
+    completeness."""
+    tower = build_fan(random_sequence(rng, k, -3, 3), k).as_general_fan()
+    rays, cones, complete = list(tower.rays), tower.cones, True
+    if kind == "odd":
+        rays.append((1, 1) + (0,) * (k - 2))
+    elif kind == "missing":
+        cones = list(cones)
+        del cones[rng.randrange(len(cones))]
+        complete = False
+    elif kind in ("nonsmooth", "incomplete"):
+        factor = NONSMOOTH_2D if kind == "nonsmooth" else INCOMPLETE_2D
+        if k == 2:
+            rays, cones = factor
+        else:
+            tail = build_fan(random_sequence(rng, k - 2, -3, 3), k - 2)
+            product = product_fan(*factor, tail.as_general_fan())
+            rays, cones = product.rays, product.cones
+        complete = kind == "nonsmooth"
+    fan = apply_unimodular(GeneralFan(k, rays, cones),
+                           random_unimodular(rng, k))
+    return permute_rays(rng, fan), complete
+
+
+# Three pairs whose third pair lies in the plane of the first two, so every
+# cone is flat while the pairing holds.
+DEGENERATE_3D = GeneralFan(
+    3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0),
+        (-1, -1, 0)],
+    [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+
+
+def reject_fans(rng: random.Random):
+    """Fans of every reject kind: scrambled odd, missing-cone, non-smooth
+    product and half-plane product fans at k = 2..6, the double wrap
+    (alone and times a line), and degenerate fans at k = 3..6."""
+    fans = [known_answer_fan(rng, k, kind)[0] for k in range(2, 7)
+            for kind in ("odd", "missing", "nonsmooth", "incomplete")]
+    line = GeneralFan(1, [(1,), (-1,)], [(0,), (1,)])
+    fans += [DOUBLE_WRAP, product_fan(DOUBLE_WRAP.rays, DOUBLE_WRAP.cones,
+                                      line), DEGENERATE_3D]
+    for k in range(4, 7):
+        tail = build_fan(random_sequence(rng, k - 3, -3, 3), k - 3)
+        fan = product_fan(DEGENERATE_3D.rays, DEGENERATE_3D.cones,
+                          tail.as_general_fan())
+        fans.append(permute_rays(rng, apply_unimodular(
+            fan, random_unimodular(rng, k))))
+    return fans
+
+
+# Where witness-first recognition must agree with the ordered checks.
+RECOGNITION_FAN_SETS = {
+    "scrambled": lambda: tower_ladder(6012, 8, 12),
+    "acceptance_08": acceptance_08_fans,
+    "rejects": lambda: reject_fans(random.Random(6013)),
+}
 
 
 # -------------------------------------------------------------------

@@ -49,14 +49,12 @@ from bott_towers import (
     zeta_matrix,
 )
 from bott_towers.fans import binary_codes
-from bott_towers.linalg import matvec
 from helpers import (
+    acceptance_08_fans,
     mat_id,
     mat_mul,
-    permute_rays,
     random_poset,
     random_sequence,
-    random_unimodular,
 )
 
 
@@ -205,17 +203,10 @@ def test_07_lift_and_extension_round_trip():
 
 def test_08_classification_round_trip_and_rejections():
     def body():
-        rng = random.Random(9008)
-        for _ in range(200):
-            k = rng.randint(1, 5)
-            c = random_sequence(rng, k)
-            gf = build_fan(c, k).as_general_fan()
-            change = random_unimodular(rng, k)
-            scrambled = permute_rays(rng, GeneralFan(
-                k, [matvec(change, ray) for ray in gf.rays], gf.cones))
+        for scrambled in acceptance_08_fans():
             result = classify(scrambled)
             assert result.ok
-            recovered = build_fan(result.sequence, k)
+            recovered = build_fan(result.sequence, scrambled.dim)
             assert fans_isomorphic(recovered, scrambled) is not None
         plane = GeneralFan(2, [(1, 0), (0, 1), (-1, -1)],
                            [(0, 1), (1, 2), (0, 2)])

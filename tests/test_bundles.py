@@ -13,9 +13,9 @@ Core claims:
 3. The tangent splitting assigns e_j to ray (j,0) and the perp vector to
    ray (j,1); for the bounded-flag tower the perp vector is (0,..,0,-1,1).
 4. Support values on the 2k generators determine one exact integer vector
-   r(w) per cone; the canonical values (0 and b(i,k+1)) lift the fan to the
-   next tower fan on the nose, and the extension rule X_i - r(1..1)_i
-   recovers the stored column.
+   r(w) per cone, whose code is checked once; the canonical values (0 and
+   b(i,k+1)) lift the fan to the next tower fan on the nose, and the
+   extension rule X_i - r(1..1)_i recovers the stored column.
 5. Lifting along values shifted by a global linear functional changes the
    result by the block unimodular matrix with that functional as bottom row.
 """
@@ -251,6 +251,21 @@ class TestSupportFunction:
                 h.r(iter(bad))
         with pytest.raises(ValidationError, match=r"^code length 2 != k=3$"):
             h.r([1, 0])
+
+    def test_code_checked_once(self, monkeypatch):
+        from bott_towers import bundles, charts
+
+        c = random_sequence(random.Random(3007), 5, -3, 3)
+        h = hk_support(c, 4)
+        expected = {w: h.r(w) for w in binary_codes(4)}
+        seen = []
+        check = bundles._check_code
+        monkeypatch.setattr(bundles, "_check_code",
+                            lambda w, k: seen.append(w) or check(w, k))
+        for name in ("_check_code", "_check_sequence"):
+            monkeypatch.setattr(charts, name, None)  # not called again
+        assert {w: h.r(w) for w in expected} == expected
+        assert seen == list(expected)
 
     def test_pointwise_perturbation_stays_piecewise_linear(self):
         # Values that agree with a global linear functional except at one

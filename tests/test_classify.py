@@ -22,6 +22,10 @@ Core claims:
 6. classify reads the witness off the stage order without building a fan,
    and agrees field by field with the former recursive peel, kept as an
    oracle in helpers.
+7. classify is witness first: on scrambled towers, acceptance test 08's
+   fans and rejects of every kind it equals the ordered checks followed by
+   the peel, and it accepts towers up to k = 10 without a cone
+   determinant.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ from bott_towers import (
     project,
 )
 from helpers import (
+    RECOGNITION_FAN_SETS,
     minor_det,
     permute_rays,
     random_sequence,
     random_unimodular,
     reference_classify,
+    tower_ladder,
 )
 from bott_towers.linalg import matvec
 
@@ -460,3 +466,46 @@ class TestDirectWitness:
 def assert_same_result(result, reference):
     for field in ClassificationResult.__slots__:
         assert getattr(result, field) == getattr(reference, field), field
+
+
+# ===================================================================
+# 7. Witness first
+# ===================================================================
+
+FANS = importlib.import_module("bott_towers.fans")
+
+
+class TestWitnessFirst:
+    @pytest.mark.parametrize("name", sorted(RECOGNITION_FAN_SETS))
+    def test_agrees_with_ordered_checks(self, name):
+        fans = RECOGNITION_FAN_SETS[name]()
+        results = [classify(gf) for gf in fans]
+        for gf, result in zip(fans, results):
+            assert_same_result(result, reference_classify(gf))
+        accepted = sum(result.ok for result in results)
+        assert accepted == (0 if name == "rejects" else len(fans))
+
+    def test_rejects_of_every_kind(self):
+        codes = {classify(gf).reject
+                 for gf in RECOGNITION_FAN_SETS["rejects"]()}
+        assert codes == {"ray count odd", "cone set not full binary cube",
+                         "not smooth", "not complete", "degenerate cone"}
+
+    def test_no_cone_determinant_for_a_tower(self, monkeypatch):
+        towers = tower_ladder(6014, 10, 3)
+        computed = []
+
+        def refuse(gf):
+            computed.append(gf)
+            raise AssertionError("a cone determinant was computed")
+
+        monkeypatch.setattr(FANS, "_cone_dets", refuse)
+        for gf in towers:
+            assert classify(gf).ok
+        assert computed == []
+        # a reject still reaches the ordered checks, and so the guard
+        nonsmooth = GeneralFan(2, [(1, 0), (-1, 0), (1, 2), (-1, -2)],
+                               [(0, 2), (0, 3), (1, 2), (1, 3)])
+        with pytest.raises(AssertionError):
+            classify(nonsmooth)
+        assert computed == [nonsmooth]

@@ -23,6 +23,11 @@ Core claims:
    included.  Oracle comparisons run before the first byte, -o leaves no
    partial file, and a streamed run holds far less memory than the
    document it writes.
+7. check is witness first: on scrambled towers, acceptance test 08's fans
+   and rejects of every kind its document equals the four verdicts
+   computed independently, and it answers towers up to k = 10 without a
+   cone determinant.  BOTT_SEED must be ASCII digits after an optional
+   "-", or the run exits 3.
 """
 
 from __future__ import annotations
@@ -36,13 +41,16 @@ import sys
 import pytest
 
 from helpers import (
+    RECOGNITION_FAN_SETS,
     random_sequence,
     reference_bundle_doc,
     reference_canonical,
     reference_charts_doc,
+    reference_check_doc,
     reference_cohomology_doc,
     reference_fan_doc,
     reference_numbers_doc,
+    tower_ladder,
 )
 
 BIG = 2 ** 54  # one bit past the precision guard threshold
@@ -326,6 +334,38 @@ class TestFanAndCheck:
                                  '  "fano": false,\n'
                                  '  "smooth": true\n'
                                  '}\n')
+
+
+def check_doc(fan, capsys):
+    """The `check` document of a fan, through cli.main in-process."""
+    from bott_towers import cli, fan_to_doc
+
+    assert cli.main(["check", json.dumps(fan_to_doc(fan))]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestCheckWitnessFirst:
+    @pytest.mark.parametrize("name", sorted(RECOGNITION_FAN_SETS))
+    def test_agrees_with_independent_verdicts(self, name, capsys):
+        for gf in RECOGNITION_FAN_SETS[name]():
+            assert check_doc(gf, capsys) == reference_check_doc(gf)
+
+    def test_no_cone_determinant_for_a_tower(self, monkeypatch, capsys):
+        from bott_towers import fans
+        from bott_towers.fans import _fano_condition
+
+        towers = tower_ladder(6017, 10, 3)
+        expected = [{"smooth": True, "complete": True, "crosspolytope": True,
+                     "fano": _fano_condition(gf)} for gf in towers]
+        computed = []
+
+        def refuse(gf):
+            computed.append(gf)
+            raise AssertionError("a cone determinant was computed")
+
+        monkeypatch.setattr(fans, "_cone_dets", refuse)
+        assert [check_doc(gf, capsys) for gf in towers] == expected
+        assert computed == []
 
 
 # ===================================================================
@@ -655,6 +695,20 @@ class TestDeterminism:
         result = run_cli("check", HIRZEBRUCH_SEQ,
                          env_extra={"BOTT_SEED": "not-a-number"})
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("raw, code", [
+        ("+3", 3), (" 3 ", 3), ("1_0", 3), ("\u0663", 3), ("", 3),
+        ("-", 3), ("3", 0), ("-3", 0), ("007", 0)])
+    def test_seed_is_ascii_digits(self, raw, code, monkeypatch, capsys):
+        from bott_towers import cli
+
+        monkeypatch.setenv("BOTT_SEED", raw)
+        assert cli.main(["classify", '{"n": 2}']) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err == ("error: BOTT_SEED must be a decimal integer, "
+                           f"got {raw!r}\n")
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "numbers.json"

@@ -8,7 +8,9 @@ Core claims:
    maximal cones, and their minimal non-faces are the k opposite pairs.
 3. is_smooth / is_complete / is_fano behave correctly on hand-built
    non-tower inputs, including the degenerate-cone error path.
-4. Hirzebruch-type Fano boundary: c in {-1, 0, 1} exactly.
+4. Hirzebruch-type Fano boundary: c in {-1, 0, 1} exactly.  On a tower
+   fan, is_fano decides by the primitive relations (Batyrev), without
+   expanding the cones, and agrees with the cone-by-cone Fano test.
 5. apply_unimodular and fans_isomorphic: scrambling by GL_n(Z) and ray
    relabeling is undone by the search; non-isomorphic fans return None.
 6. is_complete is exact: cone complexes that pass wall pairing, orientation
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -44,21 +47,31 @@ from bott_towers import (
     primitive_collections,
 )
 from helpers import (
+    DOUBLE_WRAP,
+    known_answer_fan,
     mat_mul,
     minor_det,
     permute_rays,
     probe_complete,
+    product_fan,
     random_sequence,
     random_unimodular,
     reference_match_rays,
 )
 from bott_towers.classify import crosspolytope_check
-from bott_towers.fans import _match_rays
+from bott_towers.fans import _fano_condition, _match_rays, _tower_fano
 
 
 def masks(partners, count):
     """The bitmask of each ray's partners, as `_match_rays` takes them."""
     return [sum(1 << b for b in partners[r]) for r in range(count)]
+
+
+def seeded_sequences(seed: int, count: int, height: int, lo: int, hi: int):
+    """count random sequences of heights 1..height, entries in [lo, hi]."""
+    rng = random.Random(seed)
+    return [random_sequence(rng, rng.randint(1, height), lo, hi)
+            for _ in range(count)]
 
 
 def hirzebruch_fan(c: int) -> GeneralFan:
@@ -236,54 +249,6 @@ class TestChecks:
         assert err.value.code == "not crosspolytope combinatorics"
 
 
-# 2-D factors of the known rejects: a complete fan whose cones all have
-# determinant +-2, and a smooth complex that covers only x >= 0, twice.
-NONSMOOTH_2D = ([(1, 0), (-1, 0), (1, 2), (-1, -2)],
-                [(0, 2), (0, 3), (1, 2), (1, 3)])
-INCOMPLETE_2D = ([(1, 0), (1, 1), (0, 1), (0, -1)],
-                 [(0, 2), (0, 3), (1, 2), (1, 3)])
-# Seven rays, consecutive pairs as cones, winding twice around the origin:
-# every wall lies in two cones on opposite sides, yet it is not a fan.
-DOUBLE_WRAP = GeneralFan(
-    2, [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (1, -1)],
-    [(i, (i + 1) % 7) for i in range(7)])
-
-
-def product_fan(rays, cones, tail: GeneralFan) -> GeneralFan:
-    """The product of a fan given by rays and cones with the fan `tail`."""
-    dim = len(rays[0])
-    out_rays = [tuple(r) + (0,) * tail.dim for r in rays]
-    out_rays += [(0,) * dim + r for r in tail.rays]
-    out_cones = [tuple(a) + tuple(len(rays) + r for r in b)
-                 for a in cones for b in tail.cones]
-    return GeneralFan(dim + tail.dim, out_rays, out_cones)
-
-
-def known_answer_fan(rng, k: int, kind: str):
-    """A scrambled tower fan or known reject of height k >= 2, with its
-    completeness."""
-    tower = build_fan(random_sequence(rng, k, -3, 3), k).as_general_fan()
-    rays, cones, complete = list(tower.rays), tower.cones, True
-    if kind == "odd":
-        rays.append((1, 1) + (0,) * (k - 2))
-    elif kind == "missing":
-        cones = list(cones)
-        del cones[rng.randrange(len(cones))]
-        complete = False
-    elif kind in ("nonsmooth", "incomplete"):
-        factor = NONSMOOTH_2D if kind == "nonsmooth" else INCOMPLETE_2D
-        if k == 2:
-            rays, cones = factor
-        else:
-            tail = build_fan(random_sequence(rng, k - 2, -3, 3), k - 2)
-            product = product_fan(*factor, tail.as_general_fan())
-            rays, cones = product.rays, product.cones
-        complete = kind == "nonsmooth"
-    fan = apply_unimodular(GeneralFan(k, rays, cones),
-                           random_unimodular(rng, k))
-    return permute_rays(rng, fan), complete
-
-
 class TestExactCompleteness:
     def test_double_wrap_not_complete(self):
         assert is_smooth(DOUBLE_WRAP)
@@ -357,6 +322,35 @@ class TestFano:
         with pytest.raises(RejectionError) as err:
             is_fano(half)
         assert err.value.code == "not complete"
+
+    @pytest.mark.parametrize("towers", [
+        lambda: [IntegralSequence(2, {(1, 2): v}) for v in range(-5, 6)],
+        lambda: [IntegralSequence(3, dict(zip(((1, 2), (1, 3), (2, 3)), v)))
+                 for v in product(range(-2, 3), repeat=3)],
+        lambda: seeded_sequences(4010, 100, 7, -1, 1),
+    ], ids=["height_2", "height_3", "seeded"])
+    def test_tower_fano_against_expanded_fan(self, towers):
+        for c in towers():
+            expected = _fano_condition(build_fan(c, c.n).as_general_fan())
+            assert _tower_fano(c, c.n) is expected
+            assert is_fano(build_fan(c, c.n)) is expected
+            if c.n == 2:
+                assert expected is (abs(c.value(1, 2)) <= 1)
+
+    def test_tower_fano_builds_no_general_fan(self, monkeypatch):
+        towers = [build_fan(random_sequence(random.Random(4011), k, -1, 1),
+                            k) for k in range(1, 11)]
+        built = []
+        init = GeneralFan.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralFan, "__init__", counted)
+        for fan in towers:
+            is_fano(fan)
+        assert built == []
 
 
 # ===================================================================
