@@ -18,20 +18,25 @@ so the work per monomial is at most quadratic in k and never branches.
 
 Divisor and line-bundle data enter through `ray_class` and
 `character_class`.  The total Chern class is the product over stages of
-1 + L_j, where L_j = 2 x_j + sum_{i<j} c(i,j) x_i is the sum of the two ray
-classes of stage j.  The product of the stages below j lies in the subring
-on x_1, ..., x_{j-1}, so its product with 2 x_j only sets bit j-1 and just
-the lower terms of L_j need reduction.  Its top integral counts the maximal
-cones of the fan.
+1 + L_j, where L_j = 2 x_j + m_j, m_j = sum_{i<j} c(i,j) x_i, is the sum of
+the two ray classes of stage j; its top integral counts the maximal cones.
+It is one flat table, a list of 2^k ints indexed by mask, built by doubling:
+total_j = total_{j-1} (1 + m_j) + 2 x_j total_{j-1}.  total_{j-1} lies in
+the subring on x_1, ..., x_{j-1}, the first 2^(j-1) entries, so the x_j
+half is a doubled copy at offset 2^(j-1) and only the product with m_j
+reduces anything.  Stages above `_MAX_TABLE_STAGE` are refused first.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul, sub
 
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _check_int, _check_range,
                         _check_sequence)
+
+_MAX_TABLE_STAGE = 20  # the total Chern table holds 2^k coefficients
 
 
 def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
@@ -234,23 +239,12 @@ class CohomologyClass:
         return 0 if mask is None else self._coeffs.get(mask, 0)
 
     def terms(self):
-        """All (sorted index tuple, coefficient) pairs, graded then lex.
-
-        Among masks of one popcount, lex order of the index tuples is the
-        descending order of the masks with their k bits reversed.
-        """
-        k = self.ring.k
-        full = (1 << k) - 1
-
-        def order(mask):
-            reverse = int(bin(mask)[:1:-1].ljust(k, "0"), 2)
-            return (mask.bit_count() << k) | (full ^ reverse)
-
-        coeffs = self._coeffs
-        return tuple(
-            (tuple([j for j, bit in enumerate(bin(mask)[:1:-1], 1)
-                    if bit == "1"]), coeffs[mask])
-            for mask in sorted(coeffs, key=order))
+        """All (sorted index tuple, coefficient) pairs, graded then lex: a
+        lex sort of the index tuples, then a stable one by their length."""
+        terms = sorted((tuple([j for j, bit in enumerate(bin(mask)[:1:-1], 1)
+                               if bit == "1"]), value)
+                       for mask, value in self._coeffs.items())
+        return tuple(sorted(terms, key=lambda term: len(term[0])))
 
     def graded_part(self, size: int) -> "CohomologyClass":
         """The terms on monomials of exactly `size` variables (degree 2*size)."""
@@ -364,18 +358,55 @@ def character_class(c: IntegralSequence, k: int, exps) -> CohomologyClass:
     return CohomologyRing(c, k).character_class(exps)
 
 
-def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
-    """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1).
+def _total_chern_table(c: IntegralSequence, k: int) -> list:
+    """The total Chern class as 2^k coefficients indexed by mask.
 
-    Each step adds total * L_j to total; by the subring argument of the
-    module docstring only the lower terms of L_j rewrite anything.
+    The product with m_j resolves x_i for i = j-1, ..., 1 as `_times_linear`
+    does, but pending coefficients depend only on the bits above i-1, so
+    pend[h-1] holds one for x_h per block of 2^i masks that share them:
+    x_i adds a times each block's lower half into its upper half, then the
+    blocks split in two and the half with x_i adds -a c(h,i) to x_h.
     """
-    ring = CohomologyRing(c, k)
-    total = {0: 1}
+    if _check_sequence(c).check_stage(k) > _MAX_TABLE_STAGE:
+        raise ValidationError(
+            f"the total Chern class at stage k={k} has 2^{k} coefficients; "
+            f"stages above {_MAX_TABLE_STAGE} are refused")
+    twists = CohomologyRing(c, k)._twists
+    table = [1]
     for j in range(1, k + 1):
-        form = ring._twists[j] + ((j, 2),)  # L_j as (index, coefficient)
-        _accumulate(total, ring._times_linear(total, form))
-    return CohomologyClass._of(ring, total)
+        out = table.copy()
+        pend = [[value] for value in c.column(j)]
+        for i in range(j - 1, 0, -1):
+            a = pend.pop()
+            half = 1 << (i - 1)
+            size = half << 1
+            if len(a) < half:  # fewer blocks than offsets: a slice per block
+                for lo, scale in zip(range(0, len(table), size), a):
+                    if scale:
+                        top = slice(lo + half, lo + size)
+                        out[top] = map(add, out[top], map(
+                            scale.__mul__, table[lo:lo + half]))
+            elif any(a):  # a strided slice per offset within the blocks
+                for r in range(half):
+                    top = slice(half + r, None, size)
+                    out[top] = map(add, out[top], map(mul, a, table[r::size]))
+            for h, col in enumerate(pend):
+                pend[h] = split = col * 2
+                split[::2] = split[1::2] = col
+            for h, value in twists[i]:
+                pend[h - 1][1::2] = map(sub, pend[h - 1][1::2],
+                                        map(value.__mul__, a))
+        out += map(add, table, table)  # the x_j half: 2 x_j total_{j-1}
+        table = out
+    return table
+
+
+def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
+    """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1):
+    the nonzero entries of the flat table of the module docstring."""
+    table = _total_chern_table(c, k)
+    return CohomologyClass._of(CohomologyRing(c, k), {
+        mask: value for mask, value in enumerate(table) if value})
 
 
 def top_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:

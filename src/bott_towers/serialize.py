@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
@@ -173,13 +173,22 @@ def number_texts(pairs):
         yield head + _encode(ids, inner) + middle + _int_text(value) + tail
 
 
-def term_texts(terms):
-    """Item texts of the `total_chern` list from (indices, coefficient)
-    pairs; the degree-0 term has the empty index list."""
+def term_texts(table):
+    """Item texts of the `total_chern` list from a table of 2^k coefficients
+    indexed by mask (bit j-1 is x_j): graded, then lex by indices, with
+    zeros skipped.  Masks and index texts come from side-by-side
+    combinations, the empty one giving the degree-0 term."""
     opener, sep, close = _frame(_ITEM)
-    inner = _ITEM + "  "
-    for indices, coeff in terms:
-        yield opener + _encode(indices, inner) + sep + _int_text(coeff) + close
+    start, comma, end = _frame(_ITEM + "  ")
+    k = len(table).bit_length() - 1
+    texts = [str(j) for j in range(1, k + 1)]
+    bits = [1 << j for j in range(k)]
+    for size in range(k + 1):
+        for mask, body in zip(map(sum, combinations(bits, size)),
+                              map(comma.join, combinations(texts, size))):
+            if table[mask]:
+                yield (opener + (start + body + end if size else "[]") + sep
+                       + _int_text(table[mask]) + close)
 
 
 def parse_int(value, what: str) -> int:

@@ -520,17 +520,21 @@ def reference_terms(coeffs: dict) -> tuple:
     return tuple((tuple(sorted(key)), coeffs[key]) for key in keys)
 
 
-def reference_cohomology_doc(c: IntegralSequence, k: int) -> dict:
-    """The `cohomology --oracle` document, from the oracles above."""
-    return {"k": k,
-            "relations": [[c.value(i, j) for i in range(1, j + 1)]
-                          for j in range(1, k + 1)],
-            "betti": [math.comb(k, i) for i in range(k + 1)],
-            "euler_characteristic": 2 ** k,
-            "total_chern": [[list(indices), coeff] for indices, coeff
-                            in reference_terms(
-                                reference_total_chern_class(c, k))],
-            "oracle": {"checked": k + 3, "match": True}}
+def reference_cohomology_doc(c: IntegralSequence, k: int,
+                             oracle: bool = True) -> dict:
+    """The `cohomology -k k` document, from the oracles above, with the
+    `--oracle` summary when `oracle` is set."""
+    doc = {"k": k,
+           "relations": [[c.value(i, j) for i in range(1, j + 1)]
+                         for j in range(1, k + 1)],
+           "betti": [math.comb(k, i) for i in range(k + 1)],
+           "euler_characteristic": 2 ** k,
+           "total_chern": [[list(indices), coeff] for indices, coeff
+                           in reference_terms(
+                               reference_total_chern_class(c, k))]}
+    if oracle:
+        doc["oracle"] = {"checked": k + 3, "match": True}
+    return doc
 
 
 def reference_bundle_doc(c: IntegralSequence, k: int) -> dict:

@@ -16,8 +16,11 @@ Core claims:
    Inputs deeper than the recursion limit (JSON nesting, or more ray
    pairs than stack frames), repeated JSON keys, and fans whose ray
    pairing search would run for hours still end in a documented exit code.
-5. The cohomology and bundle documents of seeded sequences at k = 2..9 are
-   byte-identical to documents written from the reference oracles.
+5. The cohomology and bundle documents of seeded sequences at k = 1..11
+   are byte-identical to documents written from the reference oracles.  The
+   cohomology document is streamed from the flat Chern table, never from
+   a listed class, with cancelled terms omitted; a stage above 20 exits 3
+   before any table is built.
 6. The streamed documents (fan, charts, numbers --sets) are byte-identical
    to the reference oracles on stdout and through -o, big integers
    included.  Oracle comparisons run before the first byte, -o leaves no
@@ -428,7 +431,7 @@ class TestCohomology:
 class TestRingDocumentsAgainstReference:
     """Ordering or arithmetic faults in the ring show up byte for byte."""
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_cohomology_and_bundle_bytes(self, k, capsys):
         from bott_towers import cli, sequence_to_doc
 
@@ -437,6 +440,10 @@ class TestRingDocumentsAgainstReference:
         runs = [
             (["cohomology", seq, "-k", str(k), "--oracle"],
              reference_cohomology_doc(c, k)),
+            (["cohomology", seq, "-k", str(k)],
+             reference_cohomology_doc(c, k, oracle=False)),
+            (["cohomology", seq],
+             reference_cohomology_doc(c, k + 1, oracle=False)),
             (["bundle", seq, "-k", str(k)], reference_bundle_doc(c, k)),
             (["bundle", seq, "-k", str(k + 1)],
              reference_bundle_doc(c, k + 1)),
@@ -444,6 +451,83 @@ class TestRingDocumentsAgainstReference:
         for argv, expected in runs:
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == reference_canonical(expected)
+
+
+class TestCohomologyTable:
+    """`total_chern` is streamed from the flat coefficient table: a
+    cancelled term is omitted, no class is listed, the stream stays small,
+    and stages past the table cap are refused at once."""
+
+    CANCELLING = '{"n": 2, "entries": [[1, 2, -2]]}'
+
+    def test_cancelled_coefficient_is_omitted(self, capsys):
+        from bott_towers import IntegralSequence, cli
+
+        assert cli.main(["cohomology", self.CANCELLING]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["total_chern"] == [
+            [[], 1], [[2], 2], [[1, 2], 4]]  # x_1: 2 + c(1,2) = 0
+        assert out == reference_canonical(reference_cohomology_doc(
+            IntegralSequence(2, {(1, 2): -2}), 2, oracle=False))
+
+    def test_no_class_is_listed(self, monkeypatch, capsys):
+        from bott_towers import CohomologyClass, cli, sequence_to_doc
+
+        def refuse(self):
+            raise AssertionError("terms() listed a class")
+
+        monkeypatch.setattr(CohomologyClass, "terms", refuse)
+        c = random_sequence(random.Random(7200), 8, -3, 3)
+        assert cli.main(["cohomology", json.dumps(sequence_to_doc(c))]) == 0
+        assert capsys.readouterr().out == reference_canonical(
+            reference_cohomology_doc(c, 8, oracle=False))
+
+    def test_traced_peak_at_k14(self, monkeypatch):
+        import tracemalloc
+
+        from bott_towers import cli, sequence_to_doc
+
+        c = random_sequence(random.Random(9014), 14, -3, 3)
+        argv = ["cohomology", json.dumps(sequence_to_doc(c))]
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
+        assert sink.count > 1.8 * 10 ** 6
+
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_stage_above_cap_exits_3_at_once(self, n):
+        import time
+
+        def timed(doc):
+            # the timeout stops a run that builds the table after all
+            start = time.perf_counter()
+            result = subprocess.run(
+                [sys.executable, "-m", "bott_towers", "cohomology", doc],
+                capture_output=True, text=True, timeout=10)
+            return result, time.perf_counter() - start
+
+        _, baseline = timed('{"n": 1}')
+        result, elapsed = timed(json.dumps({"n": n}))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: the total Chern class at stage k={n} has 2^{n} "
+            "coefficients; stages above 20 are refused\n")
+        # interpreter start-up aside, the refusal takes no time
+        assert elapsed < baseline + 0.2
+
+    def test_stage_below_cap_still_runs(self, capsys):
+        from bott_towers import IntegralSequence, cli
+
+        assert cli.main(["cohomology", '{"n": 40}', "-k", "12"]) == 0
+        assert capsys.readouterr().out == reference_canonical(
+            reference_cohomology_doc(IntegralSequence(40), 12, oracle=False))
 
 
 class TestTablesAgainstReference:

@@ -16,12 +16,16 @@ Core claims:
 6. The bitmask arithmetic agrees term by term, in order, with the former
    exponent-tuple arithmetic kept in helpers as reference oracles, and the
    public class constructor and coefficient lookup keep their contracts.
+7. The total Chern class is one flat table of 2^k coefficients, refused
+   above stage 20 before it is built, and listing the terms of a sparse
+   class costs its terms, not 2^k.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -45,6 +49,7 @@ from bott_towers import (
     top_chern_class,
     total_chern_class,
 )
+from bott_towers.cohomology import _MAX_TABLE_STAGE, _total_chern_table
 from helpers import (
     random_sequence,
     reference_multiply,
@@ -425,3 +430,74 @@ class TestAgainstReference:
                 c.value(i, j) for j in range(i + 1, k + 1))
         assert top_chern_class(c, k).terms() == ((tuple(range(1, k + 1)),
                                                   2 ** k),)
+
+
+# ===================================================================
+# 7. The flat Chern table and sparse listings
+# ===================================================================
+
+def _best_time(call, repeat=3):
+    """(result, least wall seconds) over a few calls."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return result, min(times)
+
+
+class TestFlatTable:
+    def test_table_holds_the_class_by_mask(self):
+        rng = random.Random(5015)
+        for _ in range(12):
+            k = rng.randint(1, 10)
+            c = random_sequence(rng, k, -3, 3)
+            table = _total_chern_table(c, k)
+            assert len(table) == 2 ** k
+            assert table[-1] == 2 ** k
+            expected = reference_total_chern_class(c, k)
+            assert table == [
+                expected.get(frozenset(j + 1 for j in range(k)
+                                       if mask >> j & 1), 0)
+                for mask in range(2 ** k)]
+
+    def test_twist_free_tower(self):
+        # the product of the 1 + 2 x_j: every monomial of size s has 2^s
+        table = _total_chern_table(IntegralSequence(6), 6)
+        assert table == [2 ** mask.bit_count() for mask in range(2 ** 6)]
+
+    def test_stage_cap(self):
+        assert _MAX_TABLE_STAGE == 20
+        c = IntegralSequence(3000)
+        for k in (21, 40, 3000):  # refused before the twist rows are read
+            _, seconds = _best_time(lambda: pytest.raises(
+                ValidationError, total_chern_class, c, k))
+            assert seconds < 0.01
+        with pytest.raises(ValidationError, match="stages above 20"):
+            _total_chern_table(c, 21)
+        assert euler_characteristic(c, 40) == 2 ** 40  # needs no table
+
+
+class TestSparseTerms:
+    def test_generator_at_k40(self):
+        ring = cohomology_ring(IntegralSequence(40), 40)
+        terms, seconds = _best_time(ring.gen(3).terms)
+        assert terms == (((3,), 1),)
+        assert seconds < 0.01
+
+    def test_ray_class_at_k40(self):
+        c = random_sequence(random.Random(5016), 40, -3, 3)
+        terms, seconds = _best_time(ray_class(c, 40, 40, 1).terms)
+        assert terms == tuple(((i,), c.value(i, 40)) for i in range(1, 40)
+                              if c.value(i, 40)) + (((40,), 1),)
+        assert seconds < 0.01
+
+    def test_sparse_product_at_k40(self):
+        c = random_sequence(random.Random(5017), 40, -3, 3)
+        ring = cohomology_ring(c, 40)
+        left = {frozenset((40,)): 1, frozenset((2, 7)): -3}
+        right = {frozenset((40,)): 2, frozenset((39,)): 1}
+        product = CohomologyClass(ring, left) * CohomologyClass(ring, right)
+        terms, seconds = _best_time(product.terms)
+        assert terms == reference_terms(reference_multiply(c, 40, left, right))
+        assert seconds < 0.01

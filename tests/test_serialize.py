@@ -54,11 +54,16 @@ class TestStreamSlot:
     def test_item_encoders_match_the_lists(self):
         sets = [tuple(range(1, m + 1)) for m in range(1, 151)]
         values = [(-1) ** m * 3 ** m for m in range(1, 151)]  # past 2^53
-        terms = [((), 1)] + list(zip(sets, values))
+        k = 8  # a coefficient table indexed by mask, with zeros to skip
+        table = [0 if m % 7 == 3 else (-1) ** m * 3 ** (m % 60)
+                 for m in range(2 ** k)]
+        terms = sorted(((tuple(j + 1 for j in range(k) if mask >> j & 1),
+                         value) for mask, value in enumerate(table) if value),
+                       key=lambda term: (len(term[0]), term[0]))
         streamed = {"a": 0,
                     "cones": cone_texts(3),
                     "numbers": number_texts(zip(sets, values)),
-                    "total": term_texts(terms),
+                    "total": term_texts(table),
                     "z": {"empty": []}}
         listed = {"a": 0,
                   "cones": [[2 * i + w[i] for i in range(3)]
@@ -78,7 +83,7 @@ class TestStreamSlot:
         def items():
             for value in (1, 2):
                 taken.append(value)
-                yield from term_texts([((value,), value)])
+                yield from term_texts([0, value])
 
         chunks = encode_chunks({"a": items(), "b": 1})
         assert next(chunks) == '{\n  "a": '
