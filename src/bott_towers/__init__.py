@@ -92,76 +92,9 @@ from .sequences import (
     zeta_matrix,
 )
 
-__all__ = [
-    "CharacterBundle",
-    "QuotientPresentation",
-    "SupportFunctionData",
-    "canonical_lambda",
-    "extend_sequence",
-    "hk_support",
-    "lambda_bundle",
-    "lambda_perp",
-    "quotient_presentation",
-    "support_function",
-    "tangent_splitting",
-    "xi_bundle",
-    "ClassificationResult",
-    "classify",
-    "crosspolytope_check",
-    "find_opposite_pair",
-    "project",
-    "render_svg",
-    "classification_to_doc",
-    "encode_canonical",
-    "fan_from_doc",
-    "fan_to_doc",
-    "sequence_from_doc",
-    "sequence_to_doc",
-    "DualChart",
-    "LaurentMonomial",
-    "chart_ring",
-    "dual_chart",
-    "dual_generators",
-    "index_sets",
-    "prefix_set",
-    "transition",
-    "CohomologyClass",
-    "CohomologyRing",
-    "RingPresentation",
-    "betti",
-    "character_class",
-    "cohomology_ring",
-    "euler_characteristic",
-    "integrate",
-    "multiply",
-    "normal_form",
-    "presentation",
-    "ray_class",
-    "top_chern_class",
-    "total_chern_class",
-    "RejectionError",
-    "ValidationError",
-    "BottFan",
-    "GeneralFan",
-    "apply_unimodular",
-    "binary_codes",
-    "build_fan",
-    "fans_isomorphic",
-    "is_complete",
-    "is_fano",
-    "is_smooth",
-    "lift_with_support_function",
-    "primitive_collections",
-    "IntegralSequence",
-    "Poset",
-    "bott_matrix",
-    "bott_number",
-    "bott_number_moebius",
-    "c_matrix",
-    "lemma_identities",
-    "moebius_matrix",
-    "poset_to_sequence",
-    "zeta_matrix",
-]
+# every class and function imported above from the package's modules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + "."))
 
 __version__ = "0.1.0"

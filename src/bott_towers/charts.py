@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .sequences import (IntegralSequence, _bott_number, _check_code,
-                        _check_int, _check_range, _check_sequence)
+from .sequences import (IntegralSequence, _check_code, _check_int,
+                        _check_range, _check_sequence, _prepend)
 
 
 def index_sets(w, i: int, j: int):
@@ -56,38 +56,44 @@ def dual_generators(c: IntegralSequence, k: int, w):
 
 
 def _dual_generators(c: IntegralSequence, k: int, w: tuple):
-    """dual_generators for a checked sequence, stage and code."""
+    """dual_generators for a checked sequence, stage and code.  For each j,
+    the sets {l} + zeros(l, j) + {j}, l = j-1, ..., 1, share one suffix pass:
+    a zero position l joins the chain of later sets."""
+    entries = c._entries
     vectors = []
     for j in range(1, k + 1):
         sign = -1 if w[j - 1] == 1 else 1
         vec = [0] * k
         vec[j - 1] = sign
-        zeros = ()  # zero positions of w strictly between l and j
+        chain, values = [j], [-1]  # zeros(l, j) + {j}, b of their suffixes
         for l in range(j - 1, 0, -1):
+            value = _prepend(entries, l, chain, values)
             if w[l - 1] == 1:
-                vec[l - 1] = sign * _bott_number(c, (l,) + zeros + (j,))
+                vec[l - 1] = sign * value
             else:
-                zeros = (l,) + zeros
+                chain.append(l)
+                values.append(value)
         vectors.append(tuple(vec))
     return vectors
 
 
-def _prefix_rows(c: IntegralSequence, k: int):
-    """Every dual generator u_j(w) once per prefix (w_1, ..., w_j).
+def _prefix_rows(table: list, k: int):
+    """Every dual generator u_j(w) once per prefix (w_1, ..., w_j), with the
+    Bott numbers read from `table = sequences._bott_table(c, k)`.
 
     u_j(w) depends on w_1..w_j only, so a depth-first walk over the codes in
     binary order yields (j, w_j, u_j(w)) once per prefix: sum_j 2^j rows
     instead of k 2^k, and the rows of a code are the last ones yielded at
     depths 1..k when j reaches k.  The two prefixes ending in w_j = 0 and 1
-    share the unsigned row, so each set of Bott numbers is looked up once.
-    A node carries, for each l < j with w_l = 1, the set {l} + zeros(l, j)
-    awaiting j.  `c` and `k` must already be checked.
+    share the unsigned row.  A node carries, for each l < j with w_l = 1,
+    the mask of {l} + zeros(l, j) awaiting j.
     """
     def node(j, ones):
         vec = [0] * k
         vec[j - 1] = 1
+        bit = 1 << (j - 1)
         for l, chain in ones:
-            vec[l - 1] = _bott_number(c, chain + (j,))
+            vec[l - 1] = table[chain | bit]
         return (j, 1, ones, vec), (j, 0, ones, vec)
 
     stack = [*node(1, ())]
@@ -95,8 +101,9 @@ def _prefix_rows(c: IntegralSequence, k: int):
         j, bit, ones, vec = stack.pop()
         yield j, bit, (tuple([-x for x in vec]) if bit else tuple(vec))
         if j < k:
-            ones = (ones + ((j, (j,)),) if bit
-                    else tuple([(l, chain + (j,)) for l, chain in ones]))
+            mask = 1 << (j - 1)
+            ones = (ones + ((j, mask),) if bit
+                    else tuple([(l, chain | mask) for l, chain in ones]))
             stack += node(j + 1, ones)
 
 

@@ -24,7 +24,8 @@ It is one flat table, a list of 2^k ints indexed by mask, built by doubling:
 total_j = total_{j-1} (1 + m_j) + 2 x_j total_{j-1}.  total_{j-1} lies in
 the subring on x_1, ..., x_{j-1}, the first 2^(j-1) entries, so the x_j
 half is a doubled copy at offset 2^(j-1) and only the product with m_j
-reduces anything.  Stages above `_MAX_TABLE_STAGE` are refused first.
+reduces anything.  Stages above `sequences._MAX_TABLE_STAGE` are refused
+first.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from operator import add, mul, sub
 
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _check_int, _check_range,
-                        _check_sequence)
-
-_MAX_TABLE_STAGE = 20  # the total Chern table holds 2^k coefficients
+                        _check_sequence, _check_table_stage)
 
 
 def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
@@ -367,10 +366,7 @@ def _total_chern_table(c: IntegralSequence, k: int) -> list:
     x_i adds a times each block's lower half into its upper half, then the
     blocks split in two and the half with x_i adds -a c(h,i) to x_h.
     """
-    if _check_sequence(c).check_stage(k) > _MAX_TABLE_STAGE:
-        raise ValidationError(
-            f"the total Chern class at stage k={k} has 2^{k} coefficients; "
-            f"stages above {_MAX_TABLE_STAGE} are refused")
+    _check_table_stage(c, k, "the total Chern class", "coefficients")
     twists = CohomologyRing(c, k)._twists
     table = [1]
     for j in range(1, k + 1):

@@ -14,13 +14,12 @@ last column, the recursion only ever needs Bott numbers of suffixes of I:
 
     b({i}) = -1,      b(I) = - sum_{t >= 2} c(i_1, i_t) b(I_{>=t}),
 
-where I_{>=t} = {i_t < ... < i_m}.  This suffix recursion is the one
-evaluator.  :func:`bott_number` memoises every value on its sequence, so the
-suffixes shared between index sets are computed once; the memo holds one
-entry per requested set and per suffix of it, hence at most 2^n - 1
-entries.  :func:`bott_matrix` reads the same memo, and the tests keep the
-triangular recursion as its reference.  The Bott number also admits an
-independent expansion as an alternating sum over chains through the
+where I_{>=t} = {i_t < ... < i_m}.  :func:`bott_number` is a point lookup,
+one pass of this recursion with no memo, and each column of
+:func:`bott_matrix` is one more.  Commands that list every index set read
+:func:`_bott_table` instead: 2^n ints indexed by mask, one multiply-add per
+set, refused above stage `_MAX_TABLE_STAGE`.  The Bott number also admits
+an independent expansion as an alternating sum over chains through the
 interior of I, implemented in :func:`bott_number_moebius`.
 
 >>> c = IntegralSequence(3, {(1, 2): 2, (1, 3): 5, (2, 3): 3})
@@ -39,8 +38,11 @@ matrix, so B(n) is the negated Moebius matrix.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import sub
 
 from .errors import ValidationError
+
+_MAX_TABLE_STAGE = 20  # a table over the subsets of 1..k has 2^k entries
 
 
 def _check_int(x, what: str) -> int:
@@ -67,10 +69,18 @@ def _check_sequence(c) -> "IntegralSequence":
     return c
 
 
+def _check_table_stage(c, k: int, what: str, items: str) -> int:
+    """k, once checked to be a stage of `c` small enough for 2^k `items`."""
+    if _check_sequence(c).check_stage(k) > _MAX_TABLE_STAGE:
+        raise ValidationError(f"{what} at stage k={k} has 2^{k} {items}; "
+                              f"stages above {_MAX_TABLE_STAGE} are refused")
+    return k
+
+
 class IntegralSequence:
     """Upper-triangular integer data c(i,j), 1 <= i < j <= n, c(i,i) = 1."""
 
-    __slots__ = ("n", "_entries", "_cache")
+    __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries=None):
         self.n = _check_range(n, "n")
@@ -90,7 +100,6 @@ class IntegralSequence:
                 if val != 0:
                     stored[(i, j)] = val
         self._entries = stored
-        self._cache = {}
 
     @classmethod
     def zero(cls, n: int) -> "IntegralSequence":
@@ -181,51 +190,67 @@ def c_matrix(c: IntegralSequence, ids):
 
 
 def bott_matrix(c: IntegralSequence, ids):
-    """B(I), with C(I) @ (-B(I)) = Id: entry (r,s) is the memoised Bott
-    number of the run i_r..i_s of I, and 0 below the diagonal."""
+    """B(I), with C(I) @ (-B(I)) = Id: entry (r,s) is the Bott number of the
+    run i_r..i_s of I, column s one suffix pass; 0 below the diagonal."""
     ids = _index_set(c, ids)
     m = len(ids)
-    return [[_bott_number(c, ids[r:s + 1]) if r <= s else 0
-             for s in range(m)] for r in range(m)]
+    columns = [_suffix_pass(c, ids[:s + 1]) for s in range(m)]
+    return [[columns[s][s - r] if r <= s else 0 for s in range(m)]
+            for r in range(m)]
 
 
 def bott_number(c: IntegralSequence, ids) -> int:
     """The Bott number b(I): top-right entry of B(I); -1 for singletons.
 
-    Evaluated by the suffix recursion of the module docstring and memoised
-    on `c` together with every suffix of I, so the memo never exceeds
-    2^n - 1 entries.
+    A point lookup: I is validated once and evaluated by one pass of the
+    suffix recursion, in a loop (no recursion limit), with no memo.
     """
-    return _bott_number(c, _index_set(c, ids))
+    return _suffix_pass(c, _index_set(c, ids))[-1]
 
 
-def _bott_number(c: IntegralSequence, ids: tuple) -> int:
-    """b(ids) for a sorted, validated index tuple, via its memoised suffixes.
+def _prepend(entries: dict, i: int, chain, values) -> int:
+    """b({i} + S) for a set S above i, given in any order as its elements
+    `chain` and the Bott numbers `values` of the suffixes they start."""
+    total = 0
+    for s, value in zip(chain, values):
+        twist = entries.get((i, s))
+        if twist:
+            total -= twist * value
+    return total
 
-    Suffixes are filled shortest first in a loop, so no set is too long for
-    the recursion limit; every memoised set has all its suffixes memoised.
+
+def _suffix_pass(c: IntegralSequence, ids: tuple) -> list:
+    """b of the suffixes of a sorted, validated tuple, shortest first."""
+    values = [-1]
+    for t in range(len(ids) - 2, -1, -1):
+        values.append(_prepend(c._entries, ids[t], ids[:t:-1], values))
+    return values
+
+
+def _bott_table(c: IntegralSequence, n: int) -> list:
+    """b(I) for every nonempty I in 1..n, as 2^n ints indexed by mask (bit
+    i-1 is i; entry 0 is unused).
+
+    With i = min(I), J = I - {i} and j = min(J), the suffix recursion reads
+    b(I) = -T(i, J), T(i, J) = c(i, j) b(J) + T(i, J - {j}), T(i, {}) = 0:
+    one multiply-add per set.  T(i, K) = -b({i} + K) lives in the table
+    itself, slot {i} holding 0 until the sets with least element i are
+    done.  Grouped by j, those sets, their J and their {i} + J - {j} are
+    strided slices, filled with i and j running downwards.
     """
-    cache = c._cache
-    value = cache.get(ids)
-    if value is not None:
-        return value
-    entries = c._entries
-    m = len(ids)
-    tail = [-1] * m  # tail[t] = b(ids[t:]); -1 for the last singleton
-    cache[ids[-1:]] = -1
-    for t in range(m - 2, -1, -1):
-        key = ids[t:]
-        value = cache.get(key)
-        if value is None:
-            i = ids[t]
-            value = 0
-            for s in range(t + 1, m):
-                entry = entries.get((i, ids[s]))
-                if entry:
-                    value -= entry * tail[s]
-            cache[key] = value
-        tail[t] = value
-    return tail[0]
+    _check_table_stage(c, n, "the Bott number table", "entries")
+    table = [0] * (1 << n)
+    for i in range(n, 0, -1):
+        low = 1 << (i - 1)
+        for j in range(n, i, -1):
+            half, step = 1 << (j - 1), 1 << j
+            twist = c._entries.get((i, j))
+            rest = table[low::step]  # the sets {i} + J - {j}
+            table[low + half::step] = (
+                map(sub, rest, map(twist.__mul__, table[half::step]))
+                if twist else rest)
+        table[low] = -1
+    return table
 
 
 def bott_number_moebius(c: IntegralSequence, ids) -> int:
@@ -241,6 +266,7 @@ def bott_number_moebius(c: IntegralSequence, ids) -> int:
     ids = _index_set(c, ids)
     if len(ids) < 2:
         raise ValidationError("interior-chain expansion needs |I| >= 2")
+    entries = c._entries  # I is checked, so c(a, b) is read unchecked
     lo, hi = ids[0], ids[-1]
     interior = ids[1:-1]
     total = 0
@@ -249,7 +275,7 @@ def bott_number_moebius(c: IntegralSequence, ids) -> int:
             stops = (lo,) + chain + (hi,)
             prod = 1
             for a, b in zip(stops, stops[1:]):
-                prod *= c.value(a, b)
+                prod *= entries.get((a, b), 0)
                 if prod == 0:
                     break
             total += -prod if size % 2 else prod

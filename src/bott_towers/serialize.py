@@ -165,12 +165,20 @@ def chart_texts(rows):
                    + opener + sep.join(texts) + close + tail)
 
 
-def number_texts(pairs):
-    """Item texts of the `numbers` list from (index set, Bott number) pairs."""
+def number_texts(table):
+    """Item texts of the `numbers` list from `sequences._bott_table`: the
+    nonempty index sets by size, then lex.  Masks and index texts come from
+    side-by-side combinations, as in :func:`term_texts`."""
     head, middle, tail = _object_frame(("set", "value"), _ITEM)
-    inner = _ITEM + "  "
-    for ids, value in pairs:
-        yield head + _encode(ids, inner) + middle + _int_text(value) + tail
+    start, comma, end = _frame(_ITEM + "  ")
+    head, middle = head + start, end + middle
+    n = len(table).bit_length() - 1
+    texts = [str(i) for i in range(1, n + 1)]
+    bits = [1 << i for i in range(n)]
+    for size in range(1, n + 1):
+        for mask, body in zip(map(sum, combinations(bits, size)),
+                              map(comma.join, combinations(texts, size))):
+            yield head + body + middle + _int_text(table[mask]) + tail
 
 
 def term_texts(table):

@@ -1,9 +1,10 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here deliberately use different algorithms from the library
-(Gaussian elimination over Fraction and the triangular recursion instead of
-the memoised suffix recursion, cofactor expansion instead of Bareiss) so
-that agreement is evidence, not tautology.
+(Gaussian elimination over Fraction, the triangular recursion and the
+memoised suffix recursion instead of the flat Bott table and its point
+lookups, cofactor expansion instead of Bareiss) so that agreement is
+evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from bott_towers import (
     ValidationError,
     apply_unimodular,
     binary_codes,
-    bott_matrix,
-    bott_number,
     build_fan,
     c_matrix,
     crosspolytope_check,
@@ -75,6 +74,29 @@ def reference_bott_matrix(c: IntegralSequence, ids):
             b[r][s] = -sum(c.value(ids[r], ids[t]) * b[t][s]
                            for t in range(r + 1, s + 1))
     return b
+
+
+def reference_bott_number(c: IntegralSequence, ids, memo: dict) -> int:
+    """b(I) by the former memoised suffix recursion, kept as a test oracle.
+
+    `ids` is a sorted tuple; `memo` maps index tuples to Bott numbers and
+    receives the set and every suffix of it, shortest first, in a loop.
+    """
+    value = memo.get(ids)
+    if value is not None:
+        return value
+    m = len(ids)
+    tail = [-1] * m  # tail[t] = b(ids[t:]); -1 for the last singleton
+    memo[ids[-1:]] = -1
+    for t in range(m - 2, -1, -1):
+        key = ids[t:]
+        value = memo.get(key)
+        if value is None:
+            value = -sum(c.value(ids[t], ids[s]) * tail[s]
+                         for s in range(t + 1, m))
+            memo[key] = value
+        tail[t] = value
+    return tail[0]
 
 
 def _guard_big(doc):
@@ -580,12 +602,18 @@ def reference_charts_doc(c: IntegralSequence, k: int) -> dict:
                        for w in binary_codes(k)]}
 
 
-def reference_numbers_doc(c: IntegralSequence) -> dict:
-    """The `numbers --sets` document, from `bott_number` per index set."""
+def reference_numbers_doc(c: IntegralSequence, oracle: bool = False) -> dict:
+    """The `numbers --sets` document (with `--oracle` when `oracle`), from
+    the memoised reference recursion per index set."""
     full = tuple(range(1, c.n + 1))
-    return {"n": c.n,
-            "c_matrix": c_matrix(c, full),
-            "bott_matrix": bott_matrix(c, full),
-            "numbers": [{"set": list(ids), "value": bott_number(c, ids)}
-                        for size in range(1, c.n + 1)
-                        for ids in combinations(full, size)]}
+    memo = {}
+    doc = {"n": c.n,
+           "c_matrix": c_matrix(c, full),
+           "bott_matrix": reference_bott_matrix(c, full),
+           "numbers": [{"set": list(ids),
+                        "value": reference_bott_number(c, ids, memo)}
+                       for size in range(1, c.n + 1)
+                       for ids in combinations(full, size)]}
+    if oracle:
+        doc["oracle"] = {"checked": 2 ** c.n - 1 - c.n, "match": True}
+    return doc

@@ -38,6 +38,7 @@ from bott_towers import (
     transition,
 )
 from bott_towers.charts import _prefix_rows
+from bott_towers.sequences import _bott_table
 from helpers import mat_id, mat_mul, minor_det, random_sequence
 
 
@@ -194,7 +195,7 @@ class TestPrefixRows:
     def test_rows_of_each_code(self, k):
         c = random_sequence(random.Random(4100 + k), k + 1, -3, 3)
         codes, rows, path = [], [], [None] * k
-        for j, bit, row in _prefix_rows(c, k):
+        for j, bit, row in _prefix_rows(_bott_table(c, k), k):
             path[j - 1] = (bit, row)
             if j == k:
                 codes.append(tuple(b for b, _ in path))
@@ -204,7 +205,8 @@ class TestPrefixRows:
 
     def test_one_row_per_prefix(self):
         c = random_sequence(random.Random(4200), 9, -3, 3)
-        assert sum(1 for _ in _prefix_rows(c, 9)) == 2 ** 10 - 2
+        rows = _prefix_rows(_bott_table(c, 9), 9)
+        assert sum(1 for _ in rows) == 2 ** 10 - 2
 
 
 # ===================================================================

@@ -21,11 +21,13 @@ Core claims:
    cohomology document is streamed from the flat Chern table, never from
    a listed class, with cancelled terms omitted; a stage above 20 exits 3
    before any table is built.
-6. The streamed documents (fan, charts, numbers --sets) are byte-identical
-   to the reference oracles on stdout and through -o, big integers
-   included.  Oracle comparisons run before the first byte, -o leaves no
-   partial file, and a streamed run holds far less memory than the
-   document it writes.
+6. The streamed documents (fan, charts, numbers --sets, with and without
+   --oracle and -k) are byte-identical to the reference oracles on stdout
+   and through -o, big integers included.  Oracle comparisons run before
+   the first byte, -o leaves no partial file, and a streamed run holds far
+   less memory than the document it writes.  numbers and charts read one
+   flat Bott table per job, which a stage above 20 refuses with exit 3
+   before it is built; the ring and recognition commands build none.
 7. check is witness first: on scrambled towers, acceptance test 08's fans
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
@@ -40,6 +42,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +108,15 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "bott_towers", *args],
                           capture_output=True, text=True, env=env)
+
+
+def timed_cli(*args):
+    """The finished run and its wall seconds; the timeout stops a run that
+    builds a refused table after all."""
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "bott_towers", *args],
+                            capture_output=True, text=True, timeout=10)
+    return result, time.perf_counter() - start
 
 
 def stdout_doc(result):
@@ -238,20 +250,59 @@ class TestNumbers:
         doc = stdout_doc(run_cli("numbers", '{"n": 3}', "--oracle"))
         assert doc["oracle"] == {"checked": 4, "match": True}
 
-    def test_sets_fill_one_memo_entry_per_index_set(self, monkeypatch,
-                                                    capsys):
+    def test_numbers_builds_the_table_once_per_job(self, monkeypatch,
+                                                  capsys):
         from bott_towers import cli
 
-        parse, made = cli.sequence_from_doc, []
-        monkeypatch.setattr(cli, "sequence_from_doc",
-                            lambda doc: made.append(parse(doc)) or made[-1])
+        build, sizes = cli._bott_table, []
+        monkeypatch.setattr(
+            cli, "_bott_table",
+            lambda c, n: sizes.append(n) or build(c, n))
         entries = [[i, j, (i * j) % 7 - 3]
                    for i in range(1, 10) for j in range(i + 1, 11)]
         seq = json.dumps({"n": 10, "entries": entries})
-        assert cli.main(["numbers", "--sets", seq]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["numbers"]) == 2 ** 10 - 1
-        assert len(made[0]._cache) == 2 ** 10 - 1
+        for flags, calls in [(["--sets", "--oracle"], 1), (["--sets"], 1),
+                             (["--oracle"], 1), ([], 0)]:
+            sizes.clear()
+            assert cli.main(["numbers", *flags, seq]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert sizes == [10] * calls
+            listed = 2 ** 10 - 1 if "--sets" in flags else 0
+            assert len(doc.get("numbers", ())) == listed
+
+    @pytest.mark.parametrize("argv", [
+        ["charts", '{"n": 40}'],
+        ["numbers", "--sets", '{"n": 40}'],
+        ["numbers", "--sets", '{"n": 3000}'],
+        ["numbers", "--oracle", '{"n": 3000}'],
+    ])
+    def test_bott_table_above_cap_exits_3_at_once(self, argv):
+        _, baseline = timed_cli(argv[0], '{"n": 1}')
+        result, elapsed = timed_cli(*argv)
+        n = json.loads(argv[-1])["n"]
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: the Bott number table at stage k={n} has 2^{n} "
+            "entries; stages above 20 are refused\n")
+        # interpreter start-up aside, the refusal takes no time
+        assert elapsed < baseline + 0.2
+
+    def test_other_commands_build_no_table(self, monkeypatch, capsys):
+        from bott_towers import cli, sequences
+
+        def refuse(*args):
+            raise AssertionError("_bott_table called")
+
+        for module in (cli, sequences):
+            monkeypatch.setattr(module, "_bott_table", refuse)
+        seq = json.dumps({"n": 6, "entries": [[1, 2, 2], [2, 5, -1]]})
+        for argv in (["cohomology", seq, "--oracle"], ["bundle", seq],
+                     ["check", seq], ["classify", seq], ["fan", seq],
+                     ["check", HIRZEBRUCH_FAN], ["classify", HIRZEBRUCH_FAN],
+                     ["numbers", seq]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
 
     def test_big_integers_round_trip_as_strings(self):
         seq = json.dumps({"n": 2, "entries": [[1, 2, str(BIG)]]})
@@ -502,18 +553,8 @@ class TestCohomologyTable:
 
     @pytest.mark.parametrize("n", [21, 40])
     def test_stage_above_cap_exits_3_at_once(self, n):
-        import time
-
-        def timed(doc):
-            # the timeout stops a run that builds the table after all
-            start = time.perf_counter()
-            result = subprocess.run(
-                [sys.executable, "-m", "bott_towers", "cohomology", doc],
-                capture_output=True, text=True, timeout=10)
-            return result, time.perf_counter() - start
-
-        _, baseline = timed('{"n": 1}')
-        result, elapsed = timed(json.dumps({"n": n}))
+        _, baseline = timed_cli("cohomology", '{"n": 1}')
+        result, elapsed = timed_cli("cohomology", json.dumps({"n": n}))
         assert result.returncode == 3
         assert result.stdout == ""
         assert result.stderr == (
@@ -555,6 +596,8 @@ class TestTablesAgainstReference:
             (["fan", seq], reference_fan_doc(c, k)),
             (["charts", seq], reference_charts_doc(c, k)),
             (["numbers", seq, "--sets"], reference_numbers_doc(c)),
+            (["numbers", seq, "--sets", "--oracle"],
+             reference_numbers_doc(c, oracle=True)),
             (["fan", tall, "-k", str(k)], reference_fan_doc(taller, k)),
             (["charts", tall, "-k", str(k)], reference_charts_doc(taller, k)),
         ]

@@ -49,7 +49,8 @@ from bott_towers import (
     top_chern_class,
     total_chern_class,
 )
-from bott_towers.cohomology import _MAX_TABLE_STAGE, _total_chern_table
+from bott_towers.cohomology import _total_chern_table
+from bott_towers.sequences import _MAX_TABLE_STAGE
 from helpers import (
     random_sequence,
     reference_multiply,

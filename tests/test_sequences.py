@@ -2,14 +2,17 @@
 
 Core claims exercised here:
 
-1. B(I), read from the memoised Bott numbers of the runs of I, inverts C(I)
+1. B(I), one suffix pass per column, inverts C(I)
    exactly: C(I)·(-B(I)) = Id, -B(I) agrees entry-by-entry with a Fraction
    Gauss-Jordan inverse, and B(I) equals the triangular recursion's matrix.
 2. bott_number over an index set depends only on the entries c(i,j) with both
    indices in the set (sub-tower locality).
 3. bott_number_moebius (alternating sum over chains through the interior of I)
-   and bott_number (memoised suffix recursion, one memo entry per set and
-   suffix, no recursion limit, no Bott matrix) agree with the matrix route.
+   and bott_number (one unmemoised suffix pass, no recursion limit, no Bott
+   matrix, nothing kept on the sequence) agree with the matrix route, and
+   the flat 2^n table `_bott_table` agrees with the former memoised
+   recursion (`helpers.reference_bott_number`) and the chain sum on every
+   mask, and is refused above stage 20 before anything is allocated.
 4. The two mixed-code identities evaluate to zero for every (c, w, i, j).
 5. Posets with the identity labeling as linear extension bridge to sequences:
    B(n) = -M(P) with M the Moebius matrix of P.
@@ -51,7 +54,8 @@ from bott_towers import (
 )
 from bott_towers import sequences
 from helpers import (fraction_inverse, mat_mul, mat_id, random_poset,
-                     random_sequence, reference_bott_matrix)
+                     random_sequence, reference_bott_matrix,
+                     reference_bott_number)
 
 
 # ===================================================================
@@ -309,7 +313,7 @@ class TestBottNumber:
 
 
 class TestSuffixRecursion:
-    """bott_number's memoised suffix recursion against the matrix route."""
+    """bott_number's unmemoised suffix pass against the matrix route."""
 
     @staticmethod
     def all_sets(n):
@@ -325,22 +329,26 @@ class TestSuffixRecursion:
             sets = self.all_sets(n)
             if order == "longest_first":
                 sets.reverse()
+            memo = {}
             for ids in sets:
                 value = bott_number(c, ids)
                 assert value == bott_matrix(c, ids)[0][-1]
+                assert value == reference_bott_number(c, ids, memo)
                 if len(ids) >= 2:
                     assert value == bott_number_moebius(c, ids)
-            assert len(c._cache) == 2 ** n - 1
 
-    def test_memo_holds_the_set_and_its_suffixes(self):
+    def test_nothing_is_kept_on_the_sequence(self):
         c = random_sequence(random.Random(7), 6, -3, 3)
+        before = repr(c)
+        assert IntegralSequence.__slots__ == ("n", "_entries")
         bott_number(c, (1, 3, 4, 6))
-        assert set(c._cache) == {(1, 3, 4, 6), (3, 4, 6), (4, 6), (6,)}
+        bott_matrix(c, range(1, 7))
+        sequences._bott_table(c, 6)
+        assert repr(c) == before and not hasattr(c, "_cache")
 
     def test_long_set_needs_no_recursion(self):
         c = IntegralSequence.bounded_flag(1500)
         assert bott_number(c, range(1, 1501)) == -1
-        assert len(c._cache) == 1500
 
     def test_never_builds_a_bott_matrix(self, monkeypatch):
         def refuse(*args):
@@ -355,18 +363,59 @@ class TestSuffixRecursion:
             dual_generators(c, 5, w)
             lemma_identities(c, w, 1, 5)
 
-    def test_set_validated_once_and_before_the_memo(self, monkeypatch):
+    def test_set_validated_once(self, monkeypatch):
         c = IntegralSequence(4)
         for bad in [(), (1, 1), (0, 2), (2, 5), (1, True), (1, "2"), (1.0,)]:
             with pytest.raises(ValidationError):
                 bott_number(c, bad)
-        assert c._cache == {}
         calls = []
         check = sequences._index_set
         monkeypatch.setattr(sequences, "_index_set",
                             lambda *args: calls.append(args) or check(*args))
         bott_number(c, [4, 1, 3, 2])
-        assert len(calls) == 1
+        bott_number_moebius(c, [4, 1, 3, 2])
+        assert len(calls) == 2
+
+
+class TestBottTable:
+    """The flat 2^n table of every index set, by mask."""
+
+    @staticmethod
+    def index_tuple(mask):
+        return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def test_matches_reference_and_chain_sum_on_every_mask(self):
+        rng = random.Random(2025)
+        for n in [*range(1, 11), *(rng.randint(1, 10) for _ in range(8))]:
+            c = random_sequence(rng, n, -5, 5)
+            table = sequences._bott_table(c, n)
+            assert len(table) == 2 ** n
+            memo = {}
+            for mask in range(1, 2 ** n):
+                ids = self.index_tuple(mask)
+                assert table[mask] == reference_bott_number(c, ids, memo)
+                if len(ids) >= 2:
+                    assert table[mask] == bott_number_moebius(c, ids)
+
+    def test_lower_stage_is_the_sub_tower(self):
+        c = random_sequence(random.Random(2026), 9, -3, 3)
+        assert sequences._bott_table(c, 6) == sequences._bott_table(
+            c.restrict(6), 6)
+
+    def test_stage_cap(self):
+        import time
+
+        assert sequences._MAX_TABLE_STAGE == 20
+        c = IntegralSequence(3000)
+        for k in (21, 40, 3000):  # refused before the table is allocated
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match="stages above 20"):
+                sequences._bott_table(c, k)
+            assert time.perf_counter() - start < 0.01
+        for bad in (0, 3001, True):
+            with pytest.raises(ValidationError):
+                sequences._bott_table(c, bad)
+        assert sequences._check_table_stage(c, 20, "a table", "entries") == 20
 
 
 # ===================================================================
