@@ -22,14 +22,9 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .fans import (
-    GeneralFan,
-    _as_general,
-    _crosspolytope_pairing,
-    _smoothness_report,
-    build_fan,
-    is_complete,
-)
+from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
+                   _smoothness_report, build_fan, is_complete,
+                   primitive_collections)
 from .sequences import IntegralSequence, _check_range
 
 __all__ = [
@@ -175,20 +170,19 @@ def _stage_order(rays, pairs):
     return peeled[::-1]
 
 
-def _tower_witness(gf: GeneralFan, pairs):
-    """(sequence, order, matrix, ray_map) with M a_{i,gamma} equal to ray
-    ray_map[2(i-1)+gamma] of gf, or None when any step fails."""
-    # No cone is compared: the checked pairing makes every transversal of
-    # the pairs a cone, and there are exactly 2^k distinct cones, so the
-    # cones are the transversals.  ray_map sends tower pair i onto input
-    # pair order[i-1], hence the tower's transversals onto the input's.
+def _tower_witness(rays, pairs):
+    """The ClassificationResult whose matrix M sends a_{i,gamma} to
+    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  No cone is
+    read: those of a checked pairing, or of a tower fan paired as
+    (2i, 2i+1), are the 2^k transversals of the pairs, and ray_map sends
+    tower pair i onto pair order[i-1], hence its transversals onto theirs."""
     try:
-        order = _stage_order(gf.rays, pairs)
+        order = _stage_order(rays, pairs)
         stages = [pairs[t] for t in order]
-        matrix = tuple(zip(*(gf.rays[p] for p, _ in stages)))
+        matrix = tuple(zip(*(rays[p] for p, _ in stages)))
         inverse = linalg.invert_unimodular(matrix)
         neg_c = linalg.invert_unimodular(
-            [linalg.matvec(inverse, gf.rays[q]) for _, q in stages])
+            [linalg.matvec(inverse, rays[q]) for _, q in stages])
     except (RejectionError, ValidationError):
         return None
     k = len(stages)
@@ -196,38 +190,42 @@ def _tower_witness(gf: GeneralFan, pairs):
                                     for i in range(k) for j in range(i + 1, k)})
     ray_map = tuple(r for pair in stages for r in pair)
     for r, ray in enumerate(build_fan(sequence, k).rays()):
-        if linalg.matvec(matrix, ray) != gf.rays[ray_map[r]]:
+        if linalg.matvec(matrix, ray) != rays[ray_map[r]]:
             return None
-    return sequence, tuple(t + 1 for t in order), matrix, ray_map
+    return ClassificationResult(sequence, tuple(t + 1 for t in order), matrix,
+                                ray_map)
 
 
 def classify(fan, seed: int = 0) -> ClassificationResult:
     """Recover tower data from a fan, or explain why none exists.
 
-    Witness first: after the crosspolytope pairing, finds the stage order of
-    the ray pairs and reads the witness off it (the first rays of the pairs,
-    in stage order, are the columns of the matrix M, the rows of the Bott
-    matrix B are M^-1 applied to the second rays, c(i,j) = -(B^-1)[i][j]),
-    then checks exactly that M maps the standard fan of the recovered
-    sequence onto the input through ray_map.  Such a fan is smooth and
-    complete, so no cone determinant is computed.  Only a fan with no
-    witness goes through the ordered checks (smoothness, completeness),
-    which choose the rejection code and witness; one that passes them would
-    contradict the converse theorem and raises RuntimeError.  ``seed`` is
-    accepted for compatibility and has no effect.
+    Witness first: after the crosspolytope pairing (a BottFan's stage pairs
+    (2i, 2i+1), no cone listed), finds the stage order of the ray pairs and
+    reads the witness off it (the first rays of the pairs, in stage order,
+    are the columns of the matrix M, the rows of the Bott matrix B are M^-1
+    applied to the second rays, c(i,j) = -(B^-1)[i][j]), then checks
+    exactly that M maps the standard fan of the recovered sequence onto the
+    input through ray_map.  Such a fan is smooth and complete, so no cone
+    determinant is computed.  Only a fan with no witness goes through the
+    ordered checks (smoothness, completeness), which choose the rejection;
+    one that passes them, or a BottFan without one, would contradict the
+    converse theorem and raises RuntimeError.  ``seed`` has no effect.
     """
-    gf = _as_general(fan)
-    try:
-        witness = _tower_witness(gf, crosspolytope_check(gf))
-        if witness is None:
-            smooth, report = _smoothness_report(gf)
-            if not smooth:
-                raise RejectionError("not smooth", report)
-            if not is_complete(gf):
-                raise RejectionError("not complete")
-    except RejectionError as err:
-        return ClassificationResult(reject=err.code, witness=err.witness)
+    if isinstance(fan, BottFan):
+        witness = _tower_witness(fan.rays(), primitive_collections(fan))
+    else:
+        gf = _as_general(fan)
+        try:
+            witness = _tower_witness(gf.rays, crosspolytope_check(gf))
+            if witness is None:
+                smooth, report = _smoothness_report(gf)
+                if not smooth:
+                    raise RejectionError("not smooth", report)
+                if not is_complete(gf):
+                    raise RejectionError("not complete")
+        except RejectionError as err:
+            return ClassificationResult(reject=err.code, witness=err.witness)
     if witness is None:
         raise RuntimeError("classification found no tower witness for a "
                            "smooth complete crosspolytope fan")
-    return ClassificationResult(*witness)
+    return witness

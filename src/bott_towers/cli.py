@@ -6,7 +6,8 @@ with ``-o``.  Exit codes: 0 success, 2 unreadable input or bad usage, 3
 well-formed but invalid data, 4 mathematical rejection (the rejection
 document is still printed).  The environment variable BOTT_SEED and the
 ``check --probes`` option are validated but have no effect: completeness is
-decided exactly.
+decided exactly.  ``check``, ``classify`` and ``render`` read a sequence
+document as its tower's 2k rays and stage pairs, never as its 2^k cones.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -35,7 +36,8 @@ from .charts import _prefix_rows
 from .classify import _tower_witness, classify, crosspolytope_check
 from .cohomology import _total_chern_table, betti, presentation
 from .errors import RejectionError, ValidationError
-from .fans import _fano_condition, build_fan, is_complete, is_fano, is_smooth
+from .fans import (BottFan, _fano_condition, build_fan, is_complete, is_fano,
+                   is_smooth)
 from .render import render_svg
 from .sequences import (_bott_table, bott_matrix, bott_number_moebius,
                         c_matrix)
@@ -88,12 +90,12 @@ def _load_document(source: str):
 
 
 def _load_fan(source: str):
-    """A fan from either a fan document or a sequence document."""
+    """A GeneralFan from a fan document, a full BottFan from a sequence one."""
     doc = _load_document(source)
     if isinstance(doc, dict) and "rays" in doc:
         return fan_from_doc(doc)
     c = sequence_from_doc(doc)
-    return build_fan(c, c.n).as_general_fan()
+    return build_fan(c, c.n)
 
 
 def _sequence_and_stage(args):
@@ -137,17 +139,20 @@ def _verdict(predicate, gf):
 
 
 def _cmd_check(args):
-    gf = _load_fan(args.input)
+    fan = _load_fan(args.input)
     _seed()  # validated only: completeness is exact
-    pairs = _verdict(crosspolytope_check, gf)
-    witness = pairs and _tower_witness(gf, pairs)
+    if isinstance(fan, BottFan):  # a tower, read off its 2k rays
+        witness = classify(fan)
+    else:
+        pairs = _verdict(crosspolytope_check, fan)
+        witness = pairs and _tower_witness(fan.rays, pairs)
     if witness:  # a tower fan up to GL(Z), so smooth and complete
-        fano = is_fano(build_fan(witness[0], gf.dim))
+        fano = is_fano(build_fan(witness.sequence, fan.dim))
         return encode_chunks({"smooth": True, "complete": True,
                               "fano": fano, "crosspolytope": True}), 0
-    complete = _verdict(is_complete, gf)
-    doc = {"smooth": _verdict(is_smooth, gf), "complete": complete,
-           "fano": complete and _fano_condition(gf),
+    complete = _verdict(is_complete, fan)
+    doc = {"smooth": _verdict(is_smooth, fan), "complete": complete,
+           "fano": complete and _fano_condition(fan),
            "crosspolytope": bool(pairs)}
     return encode_chunks(doc), 0
 

@@ -37,13 +37,12 @@ def _tower_cones(k: int):
 class BottFan:
     """The crosspolytope fan of the first k stages of a tower."""
 
-    __slots__ = ("sequence", "k", "_rows", "_general")
+    __slots__ = ("sequence", "k", "_rows")
 
     def __init__(self, sequence: IntegralSequence, k: int):
         self.sequence = _check_sequence(sequence)
         self.k = sequence.check_stage(k)
         self._rows = bott_matrix(sequence, range(1, k + 1))
-        self._general = None
 
     @property
     def dim(self) -> int:
@@ -72,10 +71,7 @@ class BottFan:
         return tuple(2 * i + w[i] for i in range(self.k))
 
     def as_general_fan(self) -> "GeneralFan":
-        if self._general is None:
-            self._general = GeneralFan(self.k, self.rays(),
-                                       _tower_cones(self.k))
-        return self._general
+        return GeneralFan(self.k, self.rays(), _tower_cones(self.k))
 
     def __eq__(self, other):
         if not isinstance(other, BottFan):

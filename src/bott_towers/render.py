@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .fans import _as_general
+from .fans import BottFan, _as_general
 
 CANVAS = 600
 CENTER = CANVAS / 2
@@ -31,8 +31,8 @@ def _tip(ray, radius: float):
 
 
 def render_svg(fan) -> str:
-    """The SVG text of a dimension-2 fan; rejects other dimensions."""
-    gf = _as_general(fan)
+    """The SVG text of a dimension-2 fan; refuses others before any cone."""
+    gf = fan if isinstance(fan, BottFan) and fan.dim != 2 else _as_general(fan)
     if gf.dim != 2:
         raise ValidationError(
             f"rendering requires a two-dimensional fan, got dimension {gf.dim}")

@@ -33,6 +33,10 @@ Core claims:
    computed independently, and it answers towers up to k = 10 without a
    cone determinant.  BOTT_SEED must be ASCII digits after an optional
    "-", or the run exits 3.
+8. A sequence document is read from its tower's 2k rays, and no cone of it
+   is listed: check and classify print the bytes of the references on the
+   expanded fan, finish at height 30 as fast as at height 1, and render
+   refuses a dimension other than 2 before any cone.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from helpers import (
     reference_canonical,
     reference_charts_doc,
     reference_check_doc,
+    reference_classify,
     reference_cohomology_doc,
     reference_fan_doc,
     reference_numbers_doc,
@@ -422,6 +427,62 @@ class TestCheckWitnessFirst:
         assert computed == []
 
 
+def sequence_documents():
+    """Seeded towers with k <= 10 and twists in [-3, 3], plus the zero
+    towers, whose pairs all sum to zero so that order and matrix come out
+    reversed, and the bounded-flag towers."""
+    from bott_towers import IntegralSequence
+
+    rng = random.Random(6020)
+    towers = [random_sequence(rng, k, -3, 3) for k in range(1, 11)
+              for _ in range(2)]
+    return towers + [maker(k) for k in (2, 5, 9)
+                     for maker in (IntegralSequence.zero,
+                                   IntegralSequence.bounded_flag)]
+
+
+class TestSequenceDocumentsFromRays:
+    def test_bytes_match_the_expanded_fan_references(self, capsys):
+        from bott_towers import (build_fan, classification_to_doc, cli,
+                                 sequence_to_doc)
+
+        for c in sequence_documents():
+            gf = build_fan(c, c.n).as_general_fan()
+            doc = json.dumps(sequence_to_doc(c))
+            assert cli.main(["classify", doc]) == 0
+            assert capsys.readouterr().out == reference_canonical(
+                classification_to_doc(reference_classify(gf)))
+            assert cli.main(["check", doc]) == 0
+            assert capsys.readouterr().out == reference_canonical(
+                reference_check_doc(gf))
+
+    def test_no_cone_is_listed(self, monkeypatch, capsys):
+        from bott_towers import GeneralFan, cli, fans
+
+        def refuse(*args):
+            raise AssertionError("the tower's cones were listed")
+
+        monkeypatch.setattr(fans, "_tower_cones", refuse)
+        monkeypatch.setattr(GeneralFan, "__init__", refuse)
+        doc = json.dumps({"n": 12, "entries": [[1, 2, 2], [3, 12, -1]]})
+        for command in ("check", "classify"):
+            assert cli.main([command, doc]) == 0
+            assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command, expected", [
+        ("check", {"smooth": True, "complete": True, "fano": True,
+                   "crosspolytope": True}),
+        ("classify", {"n": 30, "entries": []}),
+    ])
+    def test_height_30_is_bounded(self, command, expected):
+        _, baseline = timed_cli(command, '{"n": 1}')
+        result, elapsed = timed_cli(command, '{"n": 30}')
+        doc = stdout_doc(result)
+        assert doc.get("sequence", doc) == expected
+        # interpreter start-up aside, 30 stages take O(k^4) witness steps
+        assert elapsed < baseline + 0.5
+
+
 # ===================================================================
 # 4. charts, bundle, cohomology
 # ===================================================================
@@ -753,7 +814,16 @@ class TestClassifyCommand:
 
 class TestRender:
     def test_requires_dimension_two(self):
-        assert run_cli("render", '{"n": 3}').returncode == 3
+        _, baseline = timed_cli("render", '{"n": 2}')
+        for n in (3, 40):
+            result, elapsed = timed_cli("render", json.dumps({"n": n}))
+            assert result.returncode == 3
+            assert result.stdout == ""
+            assert result.stderr == ("error: rendering requires a "
+                                     "two-dimensional fan, got dimension "
+                                     f"{n}\n")
+            # refused before any of the 2^n cones is listed
+            assert elapsed < baseline + 0.2
 
     def test_product_fan_svg(self):
         result = run_cli("render", '{"n": 2}')
