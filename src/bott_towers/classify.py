@@ -23,8 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import RejectionError, ValidationError
 from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
-                   _smoothness_report, build_fan, is_complete,
-                   primitive_collections)
+                   _smoothness_report, _tower_pairs, build_fan, is_complete)
 from .sequences import IntegralSequence, _check_range
 
 __all__ = [
@@ -81,8 +80,11 @@ def crosspolytope_check(fan):
     smaller member) such that paired rays never share a cone and every
     one-ray-per-pair selection is a maximal cone.  Raises RejectionError
     with code "ray count odd", "no valid pairing", or "cone set not full
-    binary cube" when the combinatorics do not match.
+    binary cube" when the combinatorics do not match.  A BottFan is paired
+    as (2i, 2i + 1) by construction, without its cones.
     """
+    if isinstance(fan, BottFan):
+        return _tower_pairs(fan.k)
     return _crosspolytope_pairing(_as_general(fan))
 
 
@@ -212,7 +214,7 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     converse theorem and raises RuntimeError.  ``seed`` has no effect.
     """
     if isinstance(fan, BottFan):
-        witness = _tower_witness(fan.rays(), primitive_collections(fan))
+        witness = _tower_witness(fan.rays(), _tower_pairs(fan.k))
     else:
         gf = _as_general(fan)
         try:

@@ -9,6 +9,12 @@ document is still printed).  The environment variable BOTT_SEED and the
 decided exactly.  ``check``, ``classify`` and ``render`` read a sequence
 document as its tower's 2k rays and stage pairs, never as its 2^k cones.
 
+Each handler imports the layers it uses when it runs, so a process loads
+only the modules of its one command; this module loads just ``errors`` and
+``serialize``.  The handler reads each name from its defining module at
+every call, so a name replaced there (by a tracer or a test) is the one
+called.
+
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
 ``numbers --sets`` and ``cohomology`` are streams that are computed and
@@ -24,34 +30,8 @@ import os
 import sys
 from itertools import combinations
 
-from .bundles import (
-    canonical_lambda,
-    lambda_bundle,
-    lambda_perp,
-    quotient_presentation,
-    tangent_splitting,
-    xi_bundle,
-)
-from .charts import _prefix_rows
-from .classify import _tower_witness, classify, crosspolytope_check
-from .cohomology import _total_chern_table, betti, presentation
 from .errors import RejectionError, ValidationError
-from .fans import (BottFan, _fano_condition, build_fan, is_complete, is_fano,
-                   is_smooth)
-from .render import render_svg
-from .sequences import (_bott_table, bott_matrix, bott_number_moebius,
-                        c_matrix)
-from .serialize import (
-    chart_texts,
-    classification_to_doc,
-    cone_texts,
-    encode_chunks,
-    fan_from_doc,
-    number_texts,
-    parse_int,
-    sequence_from_doc,
-    term_texts,
-)
+from .serialize import encode_chunks, parse_int, sequence_from_doc
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -91,6 +71,9 @@ def _load_document(source: str):
 
 def _load_fan(source: str):
     """A GeneralFan from a fan document, a full BottFan from a sequence one."""
+    from .fans import build_fan
+    from .serialize import fan_from_doc
+
     doc = _load_document(source)
     if isinstance(doc, dict) and "rays" in doc:
         return fan_from_doc(doc)
@@ -104,6 +87,10 @@ def _sequence_and_stage(args):
 
 
 def _cmd_numbers(args):
+    from .sequences import (_bott_table, bott_matrix, bott_number_moebius,
+                            c_matrix)
+    from .serialize import number_texts
+
     c = sequence_from_doc(_load_document(args.input))
     table = _bott_table(c, c.n) if args.sets or args.oracle else None
     full = tuple(range(1, c.n + 1))
@@ -125,6 +112,9 @@ def _cmd_numbers(args):
 
 
 def _cmd_fan(args):
+    from .fans import build_fan
+    from .serialize import cone_texts
+
     c, k = _sequence_and_stage(args)
     return encode_chunks({"dim": k, "rays": build_fan(c, k).rays(),
                           "cones": cone_texts(k)}), 0
@@ -139,6 +129,10 @@ def _verdict(predicate, gf):
 
 
 def _cmd_check(args):
+    from .classify import _tower_witness, classify, crosspolytope_check
+    from .fans import (BottFan, _fano_condition, build_fan, is_complete,
+                       is_fano, is_smooth)
+
     fan = _load_fan(args.input)
     _seed()  # validated only: completeness is exact
     if isinstance(fan, BottFan):  # a tower, read off its 2k rays
@@ -158,12 +152,19 @@ def _cmd_check(args):
 
 
 def _cmd_charts(args):
+    from .charts import _prefix_rows
+    from .sequences import _bott_table
+    from .serialize import chart_texts
+
     c, k = _sequence_and_stage(args)
     rows = _prefix_rows(_bott_table(c, k), k)  # refused here above the cap
     return encode_chunks({"k": k, "charts": chart_texts(rows)}), 0
 
 
 def _cmd_bundle(args):
+    from .bundles import (canonical_lambda, lambda_bundle, lambda_perp,
+                          quotient_presentation, tangent_splitting, xi_bundle)
+
     c, k = _sequence_and_stage(args)
     quotient = quotient_presentation(c, k)
     doc = {
@@ -181,6 +182,9 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
+    from .cohomology import _total_chern_table, betti, presentation
+    from .serialize import term_texts
+
     c, k = _sequence_and_stage(args)
     table = _total_chern_table(c, k)
     ranks = betti(c, k)
@@ -204,12 +208,17 @@ def _cmd_cohomology(args):
 
 
 def _cmd_classify(args):
+    from .classify import classify
+    from .serialize import classification_to_doc
+
     result = classify(_load_fan(args.input), seed=_seed())
     return (encode_chunks(classification_to_doc(result)),
             0 if result.ok else EXIT_REJECTION)
 
 
 def _cmd_render(args):
+    from .render import render_svg
+
     return (render_svg(_load_fan(args.input)),), 0
 
 

@@ -180,8 +180,11 @@ def is_smooth(fan) -> bool:
     """True when every maximal cone has determinant +-1 (exact).
 
     Raises the "degenerate cone" rejection when some cone's rays are
-    linearly dependent, which is reported distinctly from False.
+    linearly dependent, which is reported distinctly from False.  A BottFan
+    is smooth by construction and is answered without its cones.
     """
+    if isinstance(fan, BottFan):
+        return True
     return _smoothness_report(_as_general(fan))[0]
 
 
@@ -194,8 +197,11 @@ def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
     the first cone's rays lies in no other closed cone (degree one).  Raises
     the "degenerate cone" rejection for a cone of determinant 0 when the
     first and third checks pass.  ``probes`` and ``seed`` are accepted for
-    compatibility and have no effect.
+    compatibility and have no effect.  A BottFan is complete by construction
+    and is answered without its cones.
     """
+    if isinstance(fan, BottFan):
+        return True
     gf = _as_general(fan)
     if not gf.cones:
         return False
@@ -285,6 +291,11 @@ def _match_rays(free, count):
     return stack
 
 
+def _tower_pairs(k: int):
+    """The opposite pairs (2i, 2i + 1) of the stage-k tower fan's rays."""
+    return [(2 * i, 2 * i + 1) for i in range(k)]
+
+
 def _crosspolytope_pairing(gf: GeneralFan):
     """Pair the rays so that the fan is combinatorially a crosspolytope.
 
@@ -337,7 +348,7 @@ def primitive_collections(fan):
     exactly the maximal cones; anything else is rejected.
     """
     if isinstance(fan, BottFan):
-        return [(2 * i, 2 * i + 1) for i in range(fan.k)]
+        return _tower_pairs(fan.k)
     try:
         return _crosspolytope_pairing(_as_general(fan))
     except RejectionError as err:

@@ -2,14 +2,15 @@
 
 All matrices are lists of row lists of Python ints (arbitrary precision).
 Every elimination is fraction-free; fractions.Fraction appears only in the
-results of solve_fraction and invert_fraction, which no package code calls
-any more: both remain only because bench/tracing.py names them.  Sizes here
-are tiny (at most a couple dozen), so clarity beats asymptotics.
+results of solve_fraction and invert_fraction, which import it themselves so
+that loading this module does not load fractions (and decimal).  No package
+code calls either any more: both remain only because bench/tracing.py names
+them.  Sizes here are tiny (at most a couple dozen), so clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
@@ -90,12 +91,16 @@ def solve_fraction_free(matrix, columns):
 def solve_fraction(matrix, rhs):
     """Solve matrix @ x = rhs exactly as a tuple of Fraction; raises
     ValidationError on a singular matrix."""
+    from fractions import Fraction
+
     d, (y,) = solve_fraction_free(matrix, [rhs])
     return tuple(Fraction(v, d) for v in y)
 
 
 def invert_fraction(matrix):
     """Exact inverse as a matrix of Fraction; raises on singular input."""
+    from fractions import Fraction
+
     d, cols = solve_fraction_free(matrix, identity(len(matrix)))
     return [[Fraction(v, d) for v in row] for row in transpose(cols)]
 

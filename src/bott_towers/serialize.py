@@ -24,7 +24,6 @@ from itertools import chain, combinations, islice, product
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
-from .fans import GeneralFan, _as_general
 from .sequences import IntegralSequence
 
 PRECISION_LIMIT = 2 ** 53
@@ -262,13 +261,18 @@ def sequence_from_doc(doc) -> IntegralSequence:
 
 def fan_to_doc(fan) -> dict:
     """{"dim": d, "rays": [[...]], "cones": [[0-based indices]]}."""
+    from .fans import _as_general
+
     gf = _as_general(fan)
     return {"dim": gf.dim,
             "rays": [list(ray) for ray in gf.rays],
             "cones": [list(cone) for cone in gf.cones]}
 
 
-def fan_from_doc(doc) -> GeneralFan:
+def fan_from_doc(doc):
+    """The GeneralFan of a fan document."""
+    from .fans import GeneralFan
+
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
                   "fan document")
     dim = parse_int(doc["dim"], "fan dimension")

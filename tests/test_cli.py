@@ -257,11 +257,11 @@ class TestNumbers:
 
     def test_numbers_builds_the_table_once_per_job(self, monkeypatch,
                                                   capsys):
-        from bott_towers import cli
+        from bott_towers import cli, sequences
 
-        build, sizes = cli._bott_table, []
+        build, sizes = sequences._bott_table, []
         monkeypatch.setattr(
-            cli, "_bott_table",
+            sequences, "_bott_table",
             lambda c, n: sizes.append(n) or build(c, n))
         entries = [[i, j, (i * j) % 7 - 3]
                    for i in range(1, 10) for j in range(i + 1, 11)]
@@ -299,8 +299,7 @@ class TestNumbers:
         def refuse(*args):
             raise AssertionError("_bott_table called")
 
-        for module in (cli, sequences):
-            monkeypatch.setattr(module, "_bott_table", refuse)
+        monkeypatch.setattr(sequences, "_bott_table", refuse)
         seq = json.dumps({"n": 6, "entries": [[1, 2, 2], [2, 5, -1]]})
         for argv in (["cohomology", seq, "--oracle"], ["bundle", seq],
                      ["check", seq], ["classify", seq], ["fan", seq],
@@ -681,9 +680,9 @@ class TestTablesAgainstReference:
             self.assert_bytes(argv, text, tmp_path, capsys)
 
     def test_oracle_mismatch_writes_nothing(self, monkeypatch, capsys):
-        from bott_towers import cli
+        from bott_towers import cli, sequences
 
-        monkeypatch.setattr(cli, "bott_number_moebius",
+        monkeypatch.setattr(sequences, "bott_number_moebius",
                             lambda c, ids: 10 ** 6)
         with pytest.raises(RuntimeError, match="oracle mismatch"):
             cli.main(["numbers", HIRZEBRUCH_SEQ, "--sets", "--oracle"])
@@ -692,15 +691,15 @@ class TestTablesAgainstReference:
     @pytest.mark.parametrize("existing", [None, "old document\n"])
     def test_failed_output_leaves_no_partial_file(self, existing, monkeypatch,
                                                   tmp_path):
-        from bott_towers import cli
+        from bott_towers import cli, serialize
 
-        texts = cli.chart_texts
+        texts = serialize.chart_texts
 
         def broken(rows):
             yield next(texts(rows))
             raise RuntimeError("producer failed")
 
-        monkeypatch.setattr(cli, "chart_texts", broken)
+        monkeypatch.setattr(serialize, "chart_texts", broken)
         out = tmp_path / "charts.json"
         if existing is not None:
             out.write_text(existing)

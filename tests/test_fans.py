@@ -6,6 +6,9 @@ Core claims:
    Bott matrix from coordinate i on (so -1 at coordinate i, zeros before).
 2. Tower fans are smooth (triangular determinant +-1), complete, have 2^k
    maximal cones, and their minimal non-faces are the k opposite pairs.
+   On a tower fan, is_smooth, is_complete and crosspolytope_check answer
+   from the construction, without expanding the cones, and agree with the
+   expanded GeneralFan.
 3. is_smooth / is_complete / is_fano behave correctly on hand-built
    non-tower inputs, including the degenerate-cone error path.
 4. Hirzebruch-type Fano boundary: c in {-1, 0, 1} exactly.  On a tower
@@ -40,6 +43,7 @@ from bott_towers import (
     apply_unimodular,
     binary_codes,
     build_fan,
+    crosspolytope_check,
     fans_isomorphic,
     is_complete,
     is_fano,
@@ -197,6 +201,27 @@ class TestChecks:
             fan = build_fan(random_sequence(rng, k), k)
             assert is_smooth(fan)
             assert is_complete(fan)
+
+    def test_tower_predicates_against_expanded_fan(self, monkeypatch):
+        towers = [build_fan(c, c.n)
+                  for c in seeded_sequences(2003, 40, 6, -3, 3)]
+        expected = [(is_smooth(gf), is_complete(gf), crosspolytope_check(gf))
+                    for gf in (fan.as_general_fan() for fan in towers)]
+        built = []
+        init = GeneralFan.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralFan, "__init__", counted)
+        for fan, (smooth, complete, pairs) in zip(towers, expected):
+            assert (smooth, complete) == (True, True)
+            assert pairs == [(2 * i, 2 * i + 1) for i in range(fan.k)]
+            assert is_smooth(fan) is smooth
+            assert is_complete(fan) is complete
+            assert crosspolytope_check(fan) == pairs
+        assert built == []
 
     def test_non_smooth_example(self):
         fan = GeneralFan(2, [(1, 0), (1, 2), (-1, 0), (0, -1)],
