@@ -118,13 +118,6 @@ class LaurentMonomial:
             raise ValidationError("monomial needs at least one exponent")
         self.exps = vec
 
-    @classmethod
-    def _of(cls, exps: tuple) -> "LaurentMonomial":
-        """Wrap a non-empty tuple of checked integers without re-checking."""
-        self = cls.__new__(cls)
-        self.exps = exps
-        return self
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMonomial):
             return NotImplemented
@@ -147,15 +140,6 @@ class DualChart:
         self.upsilon = tuple(tuple(v) for v in upsilon)
         self.phi = tuple(LaurentMonomial(v) for v in self.upsilon)
 
-    @classmethod
-    def _of(cls, code: tuple, upsilon) -> "DualChart":
-        """A chart from a checked code and its dual generator tuples."""
-        self = cls.__new__(cls)
-        self.code = code
-        self.upsilon = tuple(upsilon)
-        self.phi = tuple(map(LaurentMonomial._of, self.upsilon))
-        return self
-
     def __repr__(self):
         return f"DualChart(code={self.code!r})"
 
@@ -163,7 +147,7 @@ class DualChart:
 def dual_chart(c: IntegralSequence, k: int, w) -> DualChart:
     """Bundle the dual generators and chart monomials of one code."""
     w = _check_code(w, _check_sequence(c).check_stage(k))
-    return DualChart._of(w, _dual_generators(c, k, w))
+    return DualChart(w, _dual_generators(c, k, w))
 
 
 def chart_ring(c: IntegralSequence, k: int, w):

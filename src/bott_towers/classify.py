@@ -11,11 +11,11 @@ a stable reason code and a witness of the first failure.
 
 The tower fan of a sequence has a_{i,0} = e_i and a_{i,1} = row i of its
 Bott matrix B, and every smooth complete crosspolytope fan is one up to
-GL(Z).  So once the stage order of the ray pairs is known the witness is
-fixed: the columns of M are the pairs' first rays, B = M^-1 (second rays),
-and C = -B^-1.  The stage order comes from peeling: the top stage is a pair
-of rays summing to zero, and collapsing it leaves the rays of the tower one
-stage down, in the coordinates a unimodular change of basis gives them.
+GL(Z).  So in the basis of the pairs' first rays the second rays are the
+rows of B up to one permutation, the stage order.  The top live stage is
+the first live pair whose second ray is -e_t on every live coordinate: its
+rays sum to zero modulo the stages above.  The columns of M are the first
+rays in stage order, B is the second rays' coordinates in it, C = -B^-1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 from . import linalg
 from .errors import RejectionError, ValidationError
 from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
-                   _smoothness_report, _tower_pairs, build_fan, is_complete)
+                   _rays, _smoothness_report, _tower_pairs, build_fan,
+                   is_complete)
 from .sequences import IntegralSequence, _check_range
 
 __all__ = [
@@ -107,8 +108,7 @@ def find_opposite_pair(fan) -> int:
     Raises the "no zero-sum pair" rejection when every pair has a nonzero
     sum (possible only for non-complete fans).
     """
-    gf = _as_general(fan)
-    return _zero_sum_index(gf.rays, crosspolytope_check(gf)) + 1
+    return _zero_sum_index(_rays(fan), crosspolytope_check(fan)) + 1
 
 
 def project(fan, pair_index: int) -> GeneralFan:
@@ -151,45 +151,30 @@ def project(fan, pair_index: int) -> GeneralFan:
     return GeneralFan(gf.dim - 1, heads, cones)
 
 
-def _stage_order(rays, pairs):
-    """0-based indices into ``pairs`` of the tower stages 1, ..., k.
-
-    Each round peels the top live stage: the first live pair whose images
-    sum to zero.  complete_to_basis moves it onto the last axis, and the
-    other images drop that coordinate, giving the rays of the quotient fan,
-    whose pairing is the live pairs; its cones are never needed.
-    """
-    images = list(rays)
-    live = list(range(len(pairs)))
-    peeled = []
-    while live:
-        stage = live.pop(_zero_sum_index(images, [pairs[t] for t in live]))
-        peeled.append(stage)
-        transform = linalg.complete_to_basis(images[pairs[stage][0]])
-        for t in live:
-            for r in pairs[t]:
-                images[r] = linalg.matvec(transform, images[r])[:-1]
-    return peeled[::-1]
-
-
 def _tower_witness(rays, pairs):
     """The ClassificationResult whose matrix M sends a_{i,gamma} to
-    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  No cone is
-    read: those of a checked pairing, or of a tower fan paired as
-    (2i, 2i+1), are the 2^k transversals of the pairs, and ray_map sends
-    tower pair i onto pair order[i-1], hence its transversals onto theirs."""
+    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  x[t] is the
+    second ray of pair t in the basis of the first rays.  No cone is read:
+    those of a checked pairing, or of a tower fan paired as (2i, 2i+1), are
+    the 2^k transversals of the pairs, and ray_map sends tower pair i onto
+    pair order[i-1], hence its transversals onto theirs."""
     try:
-        order = _stage_order(rays, pairs)
-        stages = [pairs[t] for t in order]
-        matrix = tuple(zip(*(rays[p] for p, _ in stages)))
-        inverse = linalg.invert_unimodular(matrix)
-        neg_c = linalg.invert_unimodular(
-            [linalg.matvec(inverse, rays[q]) for _, q in stages])
-    except (RejectionError, ValidationError):
+        inverse = linalg.invert_unimodular(
+            list(zip(*(rays[p] for p, _ in pairs))))
+        x = [linalg.matvec(inverse, rays[q]) for _, q in pairs]
+        live, order = list(range(len(pairs))), []
+        while live:  # the top live stage goes in front
+            order.insert(0, next(t for t in live
+                                 if all(x[t][s] == -(s == t) for s in live)))
+            live.remove(order[0])
+    except (StopIteration, ValidationError):
         return None
-    k = len(stages)
+    k = len(order)
+    neg_c = linalg.invert_unimodular([[x[t][s] for s in order] for t in order])
     sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
                                     for i in range(k) for j in range(i + 1, k)})
+    stages = [pairs[t] for t in order]
+    matrix = tuple(zip(*(rays[p] for p, _ in stages)))
     ray_map = tuple(r for pair in stages for r in pair)
     for r, ray in enumerate(build_fan(sequence, k).rays()):
         if linalg.matvec(matrix, ray) != rays[ray_map[r]]:
@@ -202,31 +187,29 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     """Recover tower data from a fan, or explain why none exists.
 
     Witness first: after the crosspolytope pairing (a BottFan's stage pairs
-    (2i, 2i+1), no cone listed), finds the stage order of the ray pairs and
-    reads the witness off it (the first rays of the pairs, in stage order,
-    are the columns of the matrix M, the rows of the Bott matrix B are M^-1
-    applied to the second rays, c(i,j) = -(B^-1)[i][j]), then checks
-    exactly that M maps the standard fan of the recovered sequence onto the
-    input through ray_map.  Such a fan is smooth and complete, so no cone
-    determinant is computed.  Only a fan with no witness goes through the
+    (2i, 2i+1), no cone listed), reads the witness off the coordinates of
+    the second rays in the basis of the first rays: their order gives the
+    stages, the first rays in stage order are the columns of the matrix M,
+    the coordinates in stage order are the Bott matrix B, and c(i,j) =
+    -(B^-1)[i][j].  It then checks exactly that M maps the standard fan of
+    the recovered sequence onto the input through ray_map.  Such a fan is
+    smooth and complete, so no cone determinant is computed, and a BottFan
+    always has a witness.  Only a fan with no witness goes through the
     ordered checks (smoothness, completeness), which choose the rejection;
-    one that passes them, or a BottFan without one, would contradict the
-    converse theorem and raises RuntimeError.  ``seed`` has no effect.
+    one that passes them would contradict the converse theorem and raises
+    RuntimeError.  ``seed`` has no effect.
     """
-    if isinstance(fan, BottFan):
-        witness = _tower_witness(fan.rays(), _tower_pairs(fan.k))
-    else:
-        gf = _as_general(fan)
-        try:
-            witness = _tower_witness(gf.rays, crosspolytope_check(gf))
-            if witness is None:
-                smooth, report = _smoothness_report(gf)
-                if not smooth:
-                    raise RejectionError("not smooth", report)
-                if not is_complete(gf):
-                    raise RejectionError("not complete")
-        except RejectionError as err:
-            return ClassificationResult(reject=err.code, witness=err.witness)
+    try:
+        witness = _tower_witness(_rays(fan), crosspolytope_check(fan))
+        if witness is None:
+            gf = _as_general(fan)
+            smooth, report = _smoothness_report(gf)
+            if not smooth:
+                raise RejectionError("not smooth", report)
+            if not is_complete(gf):
+                raise RejectionError("not complete")
+    except RejectionError as err:
+        return ClassificationResult(reject=err.code, witness=err.witness)
     if witness is None:
         raise RuntimeError("classification found no tower witness for a "
                            "smooth complete crosspolytope fan")

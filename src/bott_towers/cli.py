@@ -89,7 +89,7 @@ def _sequence_and_stage(args):
 def _cmd_numbers(args):
     from .sequences import (_bott_table, bott_matrix, bott_number_moebius,
                             c_matrix)
-    from .serialize import number_texts
+    from .serialize import _index_sets, number_texts
 
     c = sequence_from_doc(_load_document(args.input))
     table = _bott_table(c, c.n) if args.sets or args.oracle else None
@@ -97,14 +97,11 @@ def _cmd_numbers(args):
     doc = {"n": c.n, "c_matrix": c_matrix(c, full),
            "bott_matrix": bott_matrix(c, full)}
     if args.oracle:  # compared here, before "numbers" is written
-        bits = [1 << i for i in range(c.n)]
         checked = 0
-        for size in range(2, c.n + 1):
-            for mask, ids in zip(map(sum, combinations(bits, size)),
-                                 combinations(full, size)):
-                if table[mask] != bott_number_moebius(c, ids):
-                    raise RuntimeError(f"oracle mismatch on index set {ids}")
-                checked += 1
+        for mask, ids in _index_sets(full, 2):
+            if table[mask] != bott_number_moebius(c, ids):
+                raise RuntimeError(f"oracle mismatch on index set {ids}")
+            checked += 1
         doc["oracle"] = {"checked": checked, "match": True}
     if args.sets:
         doc["numbers"] = number_texts(table)
@@ -129,17 +126,14 @@ def _verdict(predicate, gf):
 
 
 def _cmd_check(args):
-    from .classify import _tower_witness, classify, crosspolytope_check
-    from .fans import (BottFan, _fano_condition, build_fan, is_complete,
+    from .classify import _tower_witness, crosspolytope_check
+    from .fans import (_fano_condition, _rays, build_fan, is_complete,
                        is_fano, is_smooth)
 
     fan = _load_fan(args.input)
     _seed()  # validated only: completeness is exact
-    if isinstance(fan, BottFan):  # a tower, read off its 2k rays
-        witness = classify(fan)
-    else:
-        pairs = _verdict(crosspolytope_check, fan)
-        witness = pairs and _tower_witness(fan.rays, pairs)
+    pairs = _verdict(crosspolytope_check, fan)
+    witness = pairs and _tower_witness(_rays(fan), pairs)
     if witness:  # a tower fan up to GL(Z), so smooth and complete
         fano = is_fano(build_fan(witness.sequence, fan.dim))
         return encode_chunks({"smooth": True, "complete": True,

@@ -153,6 +153,11 @@ def _as_general(fan) -> GeneralFan:
     raise ValidationError(f"expected a fan, got {type(fan).__name__}")
 
 
+def _rays(fan):
+    """The rays of a fan, without listing a BottFan's cones."""
+    return fan.rays() if isinstance(fan, BottFan) else _as_general(fan).rays
+
+
 def _cone_matrix(gf: GeneralFan, cone):
     return [list(gf.rays[r]) for r in cone]
 

@@ -164,38 +164,38 @@ def chart_texts(rows):
                    + opener + sep.join(texts) + close + tail)
 
 
+def _index_sets(labels, start: int):
+    """(mask, labels) of every index set of sizes start to len(labels), by
+    size, then lex, bit i of the mask standing for labels[i]: masks and
+    labels come from side-by-side combinations."""
+    bits = [1 << i for i in range(len(labels))]
+    for size in range(start, len(labels) + 1):
+        yield from zip(map(sum, combinations(bits, size)),
+                       combinations(labels, size))
+
+
 def number_texts(table):
     """Item texts of the `numbers` list from `sequences._bott_table`: the
-    nonempty index sets by size, then lex.  Masks and index texts come from
-    side-by-side combinations, as in :func:`term_texts`."""
+    nonempty index sets in :func:`_index_sets` order."""
     head, middle, tail = _object_frame(("set", "value"), _ITEM)
     start, comma, end = _frame(_ITEM + "  ")
     head, middle = head + start, end + middle
     n = len(table).bit_length() - 1
-    texts = [str(i) for i in range(1, n + 1)]
-    bits = [1 << i for i in range(n)]
-    for size in range(1, n + 1):
-        for mask, body in zip(map(sum, combinations(bits, size)),
-                              map(comma.join, combinations(texts, size))):
-            yield head + body + middle + _int_text(table[mask]) + tail
+    for mask, ids in _index_sets([str(i) for i in range(1, n + 1)], 1):
+        yield head + comma.join(ids) + middle + _int_text(table[mask]) + tail
 
 
 def term_texts(table):
     """Item texts of the `total_chern` list from a table of 2^k coefficients
-    indexed by mask (bit j-1 is x_j): graded, then lex by indices, with
-    zeros skipped.  Masks and index texts come from side-by-side
-    combinations, the empty one giving the degree-0 term."""
+    indexed by mask (bit j-1 is x_j): the index sets in :func:`_index_sets`
+    order, the empty one giving the degree-0 term, with zeros skipped."""
     opener, sep, close = _frame(_ITEM)
     start, comma, end = _frame(_ITEM + "  ")
     k = len(table).bit_length() - 1
-    texts = [str(j) for j in range(1, k + 1)]
-    bits = [1 << j for j in range(k)]
-    for size in range(k + 1):
-        for mask, body in zip(map(sum, combinations(bits, size)),
-                              map(comma.join, combinations(texts, size))):
-            if table[mask]:
-                yield (opener + (start + body + end if size else "[]") + sep
-                       + _int_text(table[mask]) + close)
+    for mask, ids in _index_sets([str(j) for j in range(1, k + 1)], 0):
+        if table[mask]:
+            yield (opener + (start + comma.join(ids) + end if ids else "[]")
+                   + sep + _int_text(table[mask]) + close)
 
 
 def parse_int(value, what: str) -> int:

@@ -338,6 +338,59 @@ def reference_classify(gf: GeneralFan) -> ClassificationResult:
         matrix=tuple(tuple(row) for row in matrix), ray_map=ray_map)
 
 
+def reference_stage_order(rays, pairs):
+    """The former quotient peel: 0-based indices into ``pairs`` of the tower
+    stages 1, ..., k.
+
+    Each round peels the top live stage, the first live pair whose images
+    sum to zero: complete_to_basis moves its first ray onto the last axis,
+    and the other images drop that coordinate, giving the rays of the
+    quotient fan.  Raises the "no zero-sum pair" rejection when no live
+    pair sums to zero.
+    """
+    images = list(rays)
+    live = list(range(len(pairs)))
+    peeled = []
+    while live:
+        idx = next((i for i, t in enumerate(live)
+                    if not any(a + b for a, b in zip(images[pairs[t][0]],
+                                                     images[pairs[t][1]]))),
+                   None)
+        if idx is None:
+            raise RejectionError("no zero-sum pair", {})
+        stage = live.pop(idx)
+        peeled.append(stage)
+        transform = linalg.complete_to_basis(images[pairs[stage][0]])
+        for t in live:
+            for r in pairs[t]:
+                images[r] = linalg.matvec(transform, images[r])[:-1]
+    return peeled[::-1]
+
+
+def reference_tower_witness(rays, pairs):
+    """The witness read off the stage order of the former quotient peel, or
+    None: M has the first rays in stage order as columns, B = M^-1 (second
+    rays), C = -B^-1, checked exactly on every ray."""
+    try:
+        order = reference_stage_order(rays, pairs)
+        stages = [pairs[t] for t in order]
+        matrix = tuple(zip(*(rays[p] for p, _ in stages)))
+        inverse = linalg.invert_unimodular(matrix)
+        neg_c = linalg.invert_unimodular(
+            [linalg.matvec(inverse, rays[q]) for _, q in stages])
+    except (RejectionError, ValidationError):
+        return None
+    k = len(stages)
+    sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
+                                    for i in range(k) for j in range(i + 1, k)})
+    ray_map = tuple(r for pair in stages for r in pair)
+    for r, ray in enumerate(build_fan(sequence, k).rays()):
+        if linalg.matvec(matrix, ray) != rays[ray_map[r]]:
+            return None
+    return ClassificationResult(sequence, tuple(t + 1 for t in order), matrix,
+                                ray_map)
+
+
 def reference_check_doc(gf: GeneralFan) -> dict:
     """The `check` document from four independent verdicts, each computed
     on the fan itself, a rejection counting as False."""

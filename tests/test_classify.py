@@ -26,16 +26,23 @@ Core claims:
    fans and rejects of every kind it equals the ordered checks followed by
    the peel, and it accepts towers up to k = 10 without a cone
    determinant.
+8. The witness is read in one basis, the pairs' first rays: it equals the
+   witness built on the former quotient peel (kept in helpers) on towers
+   with scrambled pair order and sides, one-coordinate perturbations and
+   random ray sets, and a tower fan is classified, checked and paired from
+   its 2k rays alone, up to k = 24.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import random
 
 import pytest
 
 from bott_towers import (
+    BottFan,
     ClassificationResult,
     GeneralFan,
     IntegralSequence,
@@ -43,9 +50,11 @@ from bott_towers import (
     ValidationError,
     build_fan,
     classify,
+    classification_to_doc,
     crosspolytope_check,
     fans_isomorphic,
     find_opposite_pair,
+    is_fano,
     project,
 )
 from helpers import (
@@ -55,6 +64,8 @@ from helpers import (
     random_sequence,
     random_unimodular,
     reference_classify,
+    reference_tower_witness,
+    scrambled_tower,
     tower_ladder,
 )
 from bott_towers.linalg import matvec
@@ -509,3 +520,91 @@ class TestWitnessFirst:
         with pytest.raises(AssertionError):
             classify(nonsmooth)
         assert computed == [nonsmooth]
+
+
+# ===================================================================
+# 8. One basis
+# ===================================================================
+
+def swapped_tower(rng: random.Random):
+    """A scrambled tower's rays and pairs, the pairs shuffled and each
+    turned round with probability 1/2."""
+    gf = scrambled_tower(rng, rng.randint(1, 7), -3, 3)
+    pairs = [(q, p) if rng.random() < 0.5 else (p, q)
+             for p, q in crosspolytope_check(gf)]
+    rng.shuffle(pairs)
+    return list(gf.rays), pairs
+
+
+def perturbed_tower(rng: random.Random):
+    """A swapped tower with one coordinate of one ray moved by +-1 or +-2."""
+    rays, pairs = swapped_tower(rng)
+    r = rng.randrange(len(rays))
+    ray = list(rays[r])
+    ray[rng.randrange(len(ray))] += rng.choice((-2, -1, 1, 2))
+    rays[r] = tuple(ray)
+    return rays, pairs
+
+
+def random_rays(rng: random.Random):
+    """2k random rays with entries in [-1, 1], paired in a random order."""
+    k = rng.randint(1, 4)
+    rays = [tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(2 * k)]
+    ids = list(range(2 * k))
+    rng.shuffle(ids)
+    return rays, [(ids[2 * i], ids[2 * i + 1]) for i in range(k)]
+
+
+class TestOneBasis:
+    @pytest.mark.parametrize("make", [swapped_tower, perturbed_tower,
+                                      random_rays], ids=lambda f: f.__name__)
+    def test_agrees_with_the_quotient_peel(self, make):
+        rng = random.Random(6030)
+        found = 0
+        for _ in range(400):
+            rays, pairs = make(rng)
+            result = CLASSIFY._tower_witness(rays, pairs)
+            assert repr(result) == repr(reference_tower_witness(rays, pairs))
+            found += result is not None
+        # each kind has witnesses to compare, and only towers always do
+        assert found == 400 if make is swapped_tower else 0 < found < 400
+
+    def test_no_completion_is_built(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a unimodular completion was built")
+
+        monkeypatch.setattr(CLASSIFY.linalg, "complete_to_basis", refuse)
+        for gf in tower_ladder(6031, 8, 2):
+            assert classify(gf).ok
+
+    def test_tower_fan_is_read_from_its_rays(self, monkeypatch, capsys):
+        from bott_towers import cli, fan_to_doc, sequence_to_doc
+
+        rng = random.Random(6032)
+        towers = [random_sequence(rng, k, -3, 3) for k in range(1, 7)]
+        towers += [IntegralSequence.zero(5), random_sequence(rng, 24, -3, 3)]
+
+        def answers(fan, doc):
+            assert cli.main(["check", json.dumps(doc)]) == 0
+            return (classification_to_doc(classify(fan)),
+                    capsys.readouterr().out, find_opposite_pair(fan))
+
+        expanded = [answers(gf, fan_to_doc(gf)) for gf in
+                    (build_fan(c, c.n).as_general_fan() for c in towers[:-1])]
+
+        def refuse(self):
+            raise AssertionError("the tower fan was expanded")
+
+        monkeypatch.setattr(BottFan, "as_general_fan", refuse)
+        read = [answers(build_fan(c, c.n), sequence_to_doc(c))
+                for c in towers]
+        assert read[:-1] == expanded
+        result, check, pair = read[-1]
+        fan = build_fan(towers[-1], 24)
+        rays = fan.rays()
+        assert result["sequence"]["n"] == 24
+        assert json.loads(check) == {"smooth": True, "complete": True,
+                                     "crosspolytope": True,
+                                     "fano": is_fano(fan)}
+        assert pair == 1 + next(i for i in range(24) if not any(
+            a + b for a, b in zip(rays[2 * i], rays[2 * i + 1])))

@@ -6,11 +6,17 @@ included.  Start-up stays small: no module loads `fractions` (and with it
 `decimal`) on import, `cli` loads only `errors` and `serialize` before a
 handler runs, and the document layers `serialize`, `sequences` and
 `cohomology` load neither `fans` nor `linalg`.
+
+The benchmark's tracer (bench/tracing.py) wraps public functions by name, so
+each name it lists must exist: installing it resolves every layer, and
+uninstalling it puts every attribute back.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -89,3 +95,32 @@ def test_cli_loads_only_errors_and_serialize():
                                   "cohomology.py"])
 def test_document_layers_load_no_fan_or_linear_algebra(name):
     assert not module_imports(name)[1] & {"fans", "linalg"}
+
+
+def load_bench_tracing():
+    path = PACKAGE.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_resolves_every_layer():
+    tracing = load_bench_tracing()
+    sequences = importlib.import_module("bott_towers.sequences")
+    modules = [importlib.import_module("bott_towers")]
+    modules += [importlib.import_module(f"bott_towers.{name[:-3]}")
+                for name in MODULES if not name.startswith("__")]
+    before = [dict(vars(module)) for module in modules]
+    init = sequences.IntegralSequence.__init__
+    undo = tracing.install(tracing.Recorder())
+    try:
+        for module_name, attr, _ in tracing.LAYERS:
+            owner = importlib.import_module(f"bott_towers.{module_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert hasattr(owner, "__wrapped__"), attr
+    finally:
+        tracing.uninstall(undo)
+    assert [dict(vars(module)) for module in modules] == before
+    assert sequences.IntegralSequence.__init__ is init
