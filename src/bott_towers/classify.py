@@ -23,9 +23,8 @@ from __future__ import annotations
 from . import linalg
 from .errors import RejectionError, ValidationError
 from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
-                   _rays, _smoothness_report, _tower_pairs, build_fan,
-                   is_complete)
-from .sequences import IntegralSequence, _check_range
+                   _rays, _smoothness_report, _tower_pairs, is_complete)
+from .sequences import IntegralSequence, _check_range, bott_matrix
 
 __all__ = [
     "ClassificationResult",
@@ -154,10 +153,14 @@ def project(fan, pair_index: int) -> GeneralFan:
 def _tower_witness(rays, pairs):
     """The ClassificationResult whose matrix M sends a_{i,gamma} to
     rays[ray_map[2(i-1)+gamma]], or None when any step fails.  x[t] is the
-    second ray of pair t in the basis of the first rays.  No cone is read:
-    those of a checked pairing, or of a tower fan paired as (2i, 2i+1), are
-    the 2^k transversals of the pairs, and ray_map sends tower pair i onto
-    pair order[i-1], hence its transversals onto theirs."""
+    second ray of pair t in the basis M0 of the first rays, and B is x in
+    stage order.  No cone is read: those of a checked pairing, or of a tower
+    fan paired as (2i, 2i+1), are the 2^k transversals of the pairs, and
+    ray_map sends tower pair i onto pair order[i-1], hence its transversals
+    onto theirs.  M a_{i,0} is column i of M, the first ray of stage i.
+    M a_{i,1} = sum_j bott(c)[i][j] M e_j, while the input's second ray of
+    stage i is M0 x[order[i]] = sum_j B[i][j] M e_j.  M is unimodular, so
+    the 2k ray equalities hold if and only if bott_matrix(c) == B."""
     try:
         inverse = linalg.invert_unimodular(
             list(zip(*(rays[p] for p, _ in pairs))))
@@ -170,20 +173,19 @@ def _tower_witness(rays, pairs):
     except (StopIteration, ValidationError):
         return None
     k = len(order)
-    neg_c = linalg.invert_unimodular([[x[t][s] for s in order] for t in order])
+    b = [[x[t][s] for s in order] for t in order]
+    neg_c = linalg.invert_unimodular(b)
     sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
                                     for i in range(k) for j in range(i + 1, k)})
+    if bott_matrix(sequence, range(1, k + 1)) != b:
+        return None
     stages = [pairs[t] for t in order]
-    matrix = tuple(zip(*(rays[p] for p, _ in stages)))
-    ray_map = tuple(r for pair in stages for r in pair)
-    for r, ray in enumerate(build_fan(sequence, k).rays()):
-        if linalg.matvec(matrix, ray) != rays[ray_map[r]]:
-            return None
-    return ClassificationResult(sequence, tuple(t + 1 for t in order), matrix,
-                                ray_map)
+    return ClassificationResult(sequence, tuple(t + 1 for t in order),
+                                tuple(zip(*(rays[p] for p, _ in stages))),
+                                tuple(r for pair in stages for r in pair))
 
 
-def classify(fan, seed: int = 0) -> ClassificationResult:
+def classify(fan) -> ClassificationResult:
     """Recover tower data from a fan, or explain why none exists.
 
     Witness first: after the crosspolytope pairing (a BottFan's stage pairs
@@ -191,13 +193,13 @@ def classify(fan, seed: int = 0) -> ClassificationResult:
     the second rays in the basis of the first rays: their order gives the
     stages, the first rays in stage order are the columns of the matrix M,
     the coordinates in stage order are the Bott matrix B, and c(i,j) =
-    -(B^-1)[i][j].  It then checks exactly that M maps the standard fan of
-    the recovered sequence onto the input through ray_map.  Such a fan is
-    smooth and complete, so no cone determinant is computed, and a BottFan
+    -(B^-1)[i][j].  Its exact check bott_matrix(c) == B holds if and only if
+    M maps the standard fan of c onto the input through ray_map.  Such a fan
+    is smooth and complete, so no cone determinant is computed, and a BottFan
     always has a witness.  Only a fan with no witness goes through the
     ordered checks (smoothness, completeness), which choose the rejection;
     one that passes them would contradict the converse theorem and raises
-    RuntimeError.  ``seed`` has no effect.
+    RuntimeError.
     """
     try:
         witness = _tower_witness(_rays(fan), crosspolytope_check(fan))

@@ -4,10 +4,9 @@ Subcommands take one input argument — a file path, or inline JSON when the
 argument starts with ``{`` — and print one canonical document, or write it
 with ``-o``.  Exit codes: 0 success, 2 unreadable input or bad usage, 3
 well-formed but invalid data, 4 mathematical rejection (the rejection
-document is still printed).  The environment variable BOTT_SEED and the
-``check --probes`` option are validated but have no effect: completeness is
-decided exactly.  ``check``, ``classify`` and ``render`` read a sequence
-document as its tower's 2k rays and stage pairs, never as its 2^k cones.
+document is still printed).  ``check``, ``classify`` and ``render`` read a
+sequence document as its tower's 2k rays and stage pairs, never as its 2^k
+cones.
 
 Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
@@ -31,20 +30,11 @@ import sys
 from itertools import combinations
 
 from .errors import RejectionError, ValidationError
-from .serialize import encode_chunks, parse_int, sequence_from_doc
+from .serialize import encode_chunks, sequence_from_doc
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_REJECTION = 4
-
-
-def _seed() -> int:
-    raw = os.environ.get("BOTT_SEED", "0")
-    try:
-        return parse_int(raw, "BOTT_SEED")
-    except ValidationError:
-        raise ValidationError(
-            f"BOTT_SEED must be a decimal integer, got {raw!r}") from None
 
 
 def _unique_keys(pairs):
@@ -67,6 +57,10 @@ def _load_document(source: str):
         return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:  # the decoder recurses once per nesting level
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except (json.JSONDecodeError, ValidationError):
+        raise
+    except ValueError as err:  # an integer literal int() will not convert
+        raise ValidationError(f"integer literal: {err}") from None
 
 
 def _load_fan(source: str):
@@ -131,7 +125,6 @@ def _cmd_check(args):
                        is_fano, is_smooth)
 
     fan = _load_fan(args.input)
-    _seed()  # validated only: completeness is exact
     pairs = _verdict(crosspolytope_check, fan)
     witness = pairs and _tower_witness(_rays(fan), pairs)
     if witness:  # a tower fan up to GL(Z), so smooth and complete
@@ -205,7 +198,7 @@ def _cmd_classify(args):
     from .classify import classify
     from .serialize import classification_to_doc
 
-    result = classify(_load_fan(args.input), seed=_seed())
+    result = classify(_load_fan(args.input))
     return (encode_chunks(classification_to_doc(result)),
             0 if result.ok else EXIT_REJECTION)
 
@@ -248,11 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re-derive every b(I) by the chain-sum formula "
                         "and compare")
     add("fan", _cmd_fan, "rays and cones of the tower fan", stage=True)
-    p = add("check", _cmd_check,
-            "smooth / complete / fano / crosspolytope verdicts for a fan")
-    p.add_argument("--probes", type=int, default=100,
-                   help="accepted for compatibility; completeness is "
-                        "decided exactly and ignores it")
+    add("check", _cmd_check,
+        "smooth / complete / fano / crosspolytope verdicts for a fan")
     add("charts", _cmd_charts,
         "affine chart monomials, one chart per binary code", stage=True)
     add("bundle", _cmd_bundle,
@@ -302,7 +292,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         chunks, code = args.handler(args)
-    except (json.JSONDecodeError, OSError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as err:

@@ -193,7 +193,7 @@ def is_smooth(fan) -> bool:
     return _smoothness_report(_as_general(fan))[0]
 
 
-def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
+def is_complete(fan) -> bool:
     """Exact test that the maximal cones cover R^k without overlap.
 
     Four checks, by the degree argument for simplicial fans: every wall
@@ -201,9 +201,8 @@ def is_complete(fan, probes: int = 100, seed: int = 0) -> bool:
     on opposite sides of it; the wall graph is connected; and the sum x of
     the first cone's rays lies in no other closed cone (degree one).  Raises
     the "degenerate cone" rejection for a cone of determinant 0 when the
-    first and third checks pass.  ``probes`` and ``seed`` are accepted for
-    compatibility and have no effect.  A BottFan is complete by construction
-    and is answered without its cones.
+    first and third checks pass.  A BottFan is complete by construction and
+    is answered without its cones.
     """
     if isinstance(fan, BottFan):
         return True

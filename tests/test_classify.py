@@ -29,7 +29,8 @@ Core claims:
 8. The witness is read in one basis, the pairs' first rays: it equals the
    witness built on the former quotient peel (kept in helpers) on towers
    with scrambled pair order and sides, one-coordinate perturbations and
-   random ray sets, and a tower fan is classified, checked and paired from
+   random ray sets, and on scrambled towers of height 8 to 24 given by
+   their rays alone; a tower fan is classified, checked and paired from
    its 2k rays alone, up to k = 24.
 """
 
@@ -555,19 +556,40 @@ def random_rays(rng: random.Random):
     return rays, [(ids[2 * i], ids[2 * i + 1]) for i in range(k)]
 
 
+def tall_tower(rng: random.Random):
+    """A tower of height 8 to 24 as its 2k rays alone, under a random
+    unimodular map and ray permutation, its pairs shuffled and each turned
+    round with probability 1/2; no cone is listed."""
+    k = rng.randint(8, 24)
+    change = random_unimodular(rng, k)
+    tower = build_fan(random_sequence(rng, k, -3, 3), k).rays()
+    perm = list(range(2 * k))  # perm[old] = new position
+    rng.shuffle(perm)
+    rays = [None] * (2 * k)
+    for old, new in enumerate(perm):
+        rays[new] = matvec(change, tower[old])
+    pairs = [(perm[2 * i], perm[2 * i + 1]) for i in range(k)]
+    pairs = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in pairs]
+    rng.shuffle(pairs)
+    return rays, pairs
+
+
 class TestOneBasis:
     @pytest.mark.parametrize("make", [swapped_tower, perturbed_tower,
-                                      random_rays], ids=lambda f: f.__name__)
+                                      random_rays, tall_tower],
+                             ids=lambda f: f.__name__)
     def test_agrees_with_the_quotient_peel(self, make):
         rng = random.Random(6030)
+        cases = 40 if make is tall_tower else 400
         found = 0
-        for _ in range(400):
+        for _ in range(cases):
             rays, pairs = make(rng)
             result = CLASSIFY._tower_witness(rays, pairs)
             assert repr(result) == repr(reference_tower_witness(rays, pairs))
             found += result is not None
         # each kind has witnesses to compare, and only towers always do
-        assert found == 400 if make is swapped_tower else 0 < found < 400
+        towers = make in (swapped_tower, tall_tower)
+        assert found == cases if towers else 0 < found < cases
 
     def test_no_completion_is_built(self, monkeypatch):
         def refuse(x):

@@ -31,8 +31,8 @@ Core claims:
 7. check is witness first: on scrambled towers, acceptance test 08's fans
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
-   cone determinant.  BOTT_SEED must be ASCII digits after an optional
-   "-", or the run exits 3.
+   cone determinant.  BOTT_SEED is ignored, check has no --probes option,
+   and each subcommand accepts exactly its pinned option strings.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -41,6 +41,7 @@ Core claims:
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -194,6 +195,24 @@ class TestExitCodes:
         assert "cannot read input" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_non_utf8_file_is_unreadable_input(self, tmp_path, capsys):
+        from bott_towers import cli
+
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"n": 2}')
+        assert cli.main(["numbers", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read input: ")
+
+    def test_integer_literal_over_the_digit_limit(self, capsys):
+        from bott_towers import cli
+
+        assert cli.main(["numbers", '{"n": ' + "1" * 5000 + "}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_duplicate_entry(self):
         result = run_cli("numbers",
@@ -877,34 +896,46 @@ class TestDeterminism:
                          env_extra={"BOTT_SEED": "7"})
         assert base.stdout == seeded.stdout
 
-    @pytest.mark.parametrize("fan", [HIRZEBRUCH_FAN, DOUBLE_WRAP_FAN])
-    def test_probes_and_seed_do_not_change_check(self, fan):
-        base = run_cli("check", fan)
-        assert base.returncode == 0
-        for variant in (run_cli("check", fan, "--probes", "0"),
-                        run_cli("check", fan, "--probes", "-5"),
-                        run_cli("check", fan, env_extra={"BOTT_SEED": "7"})):
-            assert variant.returncode == 0
-            assert variant.stdout == base.stdout
+    def test_probes_option_is_gone(self):
+        result = run_cli("check", HIRZEBRUCH_FAN, "--probes", "5")
+        assert result.returncode == 2
+        assert result.stdout == ""
 
-    def test_invalid_seed_rejected(self):
-        result = run_cli("check", HIRZEBRUCH_SEQ,
-                         env_extra={"BOTT_SEED": "not-a-number"})
-        assert result.returncode == 3
-
-    @pytest.mark.parametrize("raw, code", [
-        ("+3", 3), (" 3 ", 3), ("1_0", 3), ("\u0663", 3), ("", 3),
-        ("-", 3), ("3", 0), ("-3", 0), ("007", 0)])
-    def test_seed_is_ascii_digits(self, raw, code, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_malformed_seed_env_is_ignored(self, command, monkeypatch,
+                                           capsys):
         from bott_towers import cli
 
-        monkeypatch.setenv("BOTT_SEED", raw)
-        assert cli.main(["classify", '{"n": 2}']) == code
-        out, err = capsys.readouterr()
-        if code:
-            assert out == ""
-            assert err == ("error: BOTT_SEED must be a decimal integer, "
-                           f"got {raw!r}\n")
+        monkeypatch.delenv("BOTT_SEED", raising=False)
+        assert cli.main([command, HIRZEBRUCH_FAN]) == 0
+        base = capsys.readouterr()
+        monkeypatch.setenv("BOTT_SEED", "not-a-number")
+        assert cli.main([command, HIRZEBRUCH_FAN]) == 0
+        assert capsys.readouterr() == base
+
+    def test_option_strings_are_pinned(self):
+        from bott_towers import cli
+
+        output, stage = {"-o", "--output"}, {"-k", "--stage"}
+        expected = {"numbers": output | {"--sets", "--oracle"},
+                    "fan": output | stage,
+                    "check": output,
+                    "charts": output | stage,
+                    "bundle": output | stage,
+                    "cohomology": output | stage | {"--oracle"},
+                    "classify": output,
+                    "render": output}
+
+        def options(parser):
+            return {s for action in parser._actions
+                    for s in action.option_strings} - {"-h", "--help"}
+
+        parser = cli._build_parser()
+        sub, = (action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert options(parser) == set()
+        assert {name: options(p) for name, p in sub.choices.items()} \
+            == expected
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "numbers.json"

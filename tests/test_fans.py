@@ -285,14 +285,6 @@ class TestExactCompleteness:
         assert fan.dim == 3 and len(fan.cones) == 14
         assert not is_complete(fan)
 
-    def test_probes_and_seed_have_no_effect(self):
-        overlap = GeneralFan(2, [(1, 0), (0, 1), (1, 1), (2, 1)],
-                             [(0, 1), (0, 3), (2, 1), (2, 3)])
-        for fan in (DOUBLE_WRAP, hirzebruch_fan(3), overlap):
-            verdict = is_complete(fan)
-            for probes, seed in ((0, 0), (-5, 0), (1, 7), (100, 12345)):
-                assert is_complete(fan, probes, seed) is verdict
-
     def test_degenerate_cone_rejected_in_cone_order(self):
         # walls pair up and the wall graph is connected, but the cones
         # (0, 2) and (1, 3) are flat
