@@ -12,7 +12,8 @@ Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
 ``serialize``.  The handler reads each name from its defining module at
 every call, so a name replaced there (by a tracer or a test) is the one
-called.
+called.  Each call builds the subparser of the command its first argument
+names, and of all eight only when that argument names none.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -209,7 +210,37 @@ def _cmd_render(args):
     return (render_svg(_load_fan(args.input)),), 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, takes -k/--stage, {store_true flag: its help})
+_COMMANDS = {
+    "numbers": (_cmd_numbers,
+                "Bott matrix and Bott number tables of a sequence", False,
+                {"--sets": "tabulate b(I) over every nonempty index set",
+                 "--oracle": "re-derive every b(I) by the chain-sum formula "
+                             "and compare"}),
+    "fan": (_cmd_fan, "rays and cones of the tower fan", True, {}),
+    "check": (_cmd_check, "smooth / complete / fano / crosspolytope "
+              "verdicts for a fan", False, {}),
+    "charts": (_cmd_charts,
+               "affine chart monomials, one chart per binary code", True, {}),
+    "bundle": (_cmd_bundle,
+               "quotient presentation and named character bundles", True, {}),
+    "cohomology": (_cmd_cohomology,
+                   "ring presentation, Betti numbers, Euler characteristic, "
+                   "total Chern class", True,
+                   {"--oracle": "re-derive Betti and Euler data "
+                                "independently and compare"}),
+    "classify": (_cmd_classify, "recover tower data from a fan, or "
+                 "explain the rejection", False, {}),
+    "render": (_cmd_render,
+               "deterministic SVG picture of a two-dimensional fan", False, {}),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """A new ``bott`` parser with the subparser of `command` alone, or of
+    every command when it is None.  On an argv that starts with `command`
+    both give the same bytes, as the usage names COMMAND, not the choices.
+    """
     parser = argparse.ArgumentParser(
         prog="bott",
         description="Exact computations for towers of projective-line "
@@ -218,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "2-D fan rendering.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-
-    def add(name, handler, help_text, stage=False):
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, stage, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input",
                        help="path to a JSON document, or inline JSON "
@@ -230,33 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output",
                        help="write the document to this file instead "
                             "of stdout")
+        for flag, flag_help in flags.items():
+            p.add_argument(flag, action="store_true", help=flag_help)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("numbers", _cmd_numbers,
-            "Bott matrix and Bott number tables of a sequence")
-    p.add_argument("--sets", action="store_true",
-                   help="tabulate b(I) over every nonempty index set")
-    p.add_argument("--oracle", action="store_true",
-                   help="re-derive every b(I) by the chain-sum formula "
-                        "and compare")
-    add("fan", _cmd_fan, "rays and cones of the tower fan", stage=True)
-    add("check", _cmd_check,
-        "smooth / complete / fano / crosspolytope verdicts for a fan")
-    add("charts", _cmd_charts,
-        "affine chart monomials, one chart per binary code", stage=True)
-    add("bundle", _cmd_bundle,
-        "quotient presentation and named character bundles", stage=True)
-    p = add("cohomology", _cmd_cohomology,
-            "ring presentation, Betti numbers, Euler characteristic, "
-            "total Chern class", stage=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="re-derive Betti and Euler data independently "
-                        "and compare")
-    add("classify", _cmd_classify,
-        "recover tower data from a fan, or explain the rejection")
-    add("render", _cmd_render,
-        "deterministic SVG picture of a two-dimensional fan")
     return parser
 
 
@@ -289,7 +296,9 @@ def _replace_file(path: str, chunks) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         chunks, code = args.handler(args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
@@ -310,4 +319,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except ValidationError as err:  # an integer too long to write
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     return code

@@ -38,8 +38,12 @@ def _small_ints(items) -> bool:
 
 
 def _int_text(value: int) -> str:
-    """The text of an int: quoted from magnitude 2^53 on."""
-    text = int.__repr__(value)
+    """The text of an int: quoted from magnitude 2^53 on.  An int of more
+    digits than Python converts is invalid data."""
+    try:
+        text = int.__repr__(value)
+    except ValueError as err:
+        raise ValidationError(f"output integer: {err}") from None
     return f'"{text}"' if abs(value) >= PRECISION_LIMIT else text
 
 

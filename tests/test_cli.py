@@ -32,7 +32,9 @@ Core claims:
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
    cone determinant.  BOTT_SEED is ignored, check has no --probes option,
-   and each subcommand accepts exactly its pinned option strings.
+   and each subcommand accepts exactly its pinned option strings, in the
+   full parser and in the parser built for it alone.  Both parsers print
+   the same bytes and exit codes on help, usage and error argv.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -213,6 +215,23 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_output_integer_over_the_digit_limit(self, output, tmp_path,
+                                                 capsys):
+        from bott_towers import cli
+
+        # the Bott matrix holds D^3, of 6,003 digits
+        d = '"' + "9" * 2001 + '"'
+        doc = f'{{"n": 4, "entries": [[1, 2, {d}], [2, 3, {d}], [3, 4, {d}]]}}'
+        target = tmp_path / "numbers.json"
+        argv = ["numbers", doc, *(["-o", str(target)] if output else [])]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: output integer: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_entry(self):
         result = run_cli("numbers",
@@ -876,6 +895,46 @@ class TestRender:
 # 7. determinism and environment
 # ===================================================================
 
+COMMAND_NAMES = ["numbers", "fan", "check", "charts", "bundle", "cohomology",
+                 "classify", "render"]
+# help, usage and error argv, for parsers of one and of every subcommand
+PARSER_ARGV = [
+    [], ["-h"], ["--help"],
+    ["nosuch"], ["nosuch", HIRZEBRUCH_SEQ],
+    ["-k", "2", "fan", HIRZEBRUCH_SEQ], ["--", "fan", HIRZEBRUCH_SEQ],
+    *([name, "-h"] for name in COMMAND_NAMES),
+    ["numbers"],
+    ["numbers", "--bogus", HIRZEBRUCH_SEQ],
+    ["numbers", HIRZEBRUCH_SEQ, "--bogus"],
+    ["fan", HIRZEBRUCH_SEQ, "-k", "x"],
+    ["fan", HIRZEBRUCH_SEQ, "--stage=2"],
+    ["fan", HIRZEBRUCH_SEQ, "--st", "2"],
+    ["numbers", HIRZEBRUCH_SEQ, HIRZEBRUCH_SEQ],
+]
+
+
+def argv_id(argv):
+    return " ".join("SEQ" if arg == HIRZEBRUCH_SEQ else arg
+                    for arg in argv) or "no-argument"
+
+
+def subparsers(parser):
+    """The subparsers of `parser`, by command name."""
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
+def main_outcome(cli, argv, capsys):
+    """(exit code, stdout, stderr) of an in-process run, usage exits too."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("numbers", HIRZEBRUCH_SEQ, "--sets"),
@@ -931,11 +990,31 @@ class TestDeterminism:
                     for s in action.option_strings} - {"-h", "--help"}
 
         parser = cli._build_parser()
-        sub, = (action for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
         assert options(parser) == set()
-        assert {name: options(p) for name, p in sub.choices.items()} \
+        assert {name: options(p) for name, p in subparsers(parser).items()} \
             == expected
+        for name, strings in expected.items():
+            one = subparsers(cli._build_parser(name))
+            assert list(one) == [name]
+            assert options(one[name]) == strings
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=argv_id)
+    def test_one_subparser_parses_as_the_full_parser(self, argv, monkeypatch,
+                                                     capsys):
+        from bott_towers import cli
+
+        full, names = cli._build_parser, []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(action, name, **kwargs):
+            names.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        shipped = main_outcome(cli, argv, capsys)
+        assert len(names) == (1 if argv and argv[0] in COMMAND_NAMES else 8)
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert main_outcome(cli, argv, capsys) == shipped
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "numbers.json"

@@ -11,6 +11,9 @@ Core claims:
    exactly the package modules of that command's layers, never
    ``fractions``, and writes the bytes and exit code of an in-process
    ``cli.main`` run.
+3. A fresh process reads its argv from ``sys.argv``: help, usage and
+   invalid-choice runs write the bytes and exit code of ``cli.main`` given
+   the same argv in-process.
 """
 
 from __future__ import annotations
@@ -152,3 +155,22 @@ def test_fresh_process_loads_only_its_layers(argv, layers, capsys):
     assert loaded == {"bott_towers", *(f"bott_towers.{name}"
                                         for name in BASE | layers)}
     assert "fractions" not in modules
+
+
+# ===================================================================
+# 3. argv from the command line
+# ===================================================================
+
+@pytest.mark.parametrize("argv", [["--help"], ["fan", "-h"], [],
+                                  ["nosuch", "{}"]],
+                         ids=lambda argv: " ".join(argv) or "no-argument")
+def test_fresh_process_reads_sys_argv(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at one width in both
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    expected = capsys.readouterr()
+    done = fresh_python("-m", "bott_towers", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected.out,
+                                                          expected.err)
