@@ -12,8 +12,8 @@ Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
 ``serialize``.  The handler reads each name from its defining module at
 every call, so a name replaced there (by a tracer or a test) is the one
-called.  Each call builds the subparser of the command its first argument
-names, and of all eight only when that argument names none.
+called.  A process builds each command's parser once and reuses it; the
+full parser, with all eight, serves help, usage errors and unknown names.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import RejectionError, ValidationError
@@ -236,11 +237,11 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser(command=None) -> argparse.ArgumentParser:
-    """A new ``bott`` parser with the subparser of `command` alone, or of
-    every command when it is None.  On an argv that starts with `command`
-    both give the same bytes, as the usage names COMMAND, not the choices.
-    """
+    """The ``bott`` parser with the subparser of `command` alone, or of
+    every command when it is None, built once per process.  On an argv that
+    starts with `command` both give the same bytes: usage names COMMAND."""
     parser = argparse.ArgumentParser(
         prog="bott",
         description="Exact computations for towers of projective-line "

@@ -34,7 +34,8 @@ Core claims:
    cone determinant.  BOTT_SEED is ignored, check has no --probes option,
    and each subcommand accepts exactly its pinned option strings, in the
    full parser and in the parser built for it alone.  Both parsers print
-   the same bytes and exit codes on help, usage and error argv.
+   the same bytes and exit codes on help, usage and error argv.  Each is
+   built once per process, and a kept parser answers as a fresh one.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -72,6 +73,7 @@ BIG = 2 ** 54  # one bit past the precision guard threshold
 HIRZEBRUCH_SEQ = '{"n": 2, "entries": [[1, 2, 2]]}'
 HIRZEBRUCH_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],'
                   ' "cones": [[0, 1], [1, 2], [2, 3], [0, 3]]}')
+THREE_SEQ = '{"n": 3, "entries": [[1, 2, 1], [1, 3, -2], [2, 3, 1]]}'
 PLANE_FAN = ('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],'
              ' "cones": [[0, 1], [1, 2], [0, 2]]}')
 PUNCTURED_FAN = ('{"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
@@ -1003,7 +1005,7 @@ class TestDeterminism:
                                                      capsys):
         from bott_towers import cli
 
-        full, names = cli._build_parser, []
+        names = []
         add_parser = argparse._SubParsersAction.add_parser
 
         def counted(action, name, **kwargs):
@@ -1011,10 +1013,94 @@ class TestDeterminism:
             return add_parser(action, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cli._build_parser.cache_clear()
         shipped = main_outcome(cli, argv, capsys)
         assert len(names) == (1 if argv and argv[0] in COMMAND_NAMES else 8)
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        names.clear()
         assert main_outcome(cli, argv, capsys) == shipped
+        assert names == []  # the second call reuses the parser
+        fresh = cli._build_parser.__wrapped__
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: fresh())
+        assert main_outcome(cli, argv, capsys) == shipped
+
+    @staticmethod
+    def kept_and_fresh(cli, argvs, capsys, monkeypatch, workdir):
+        """Outcomes of `argvs` run in turn in one process, through the kept
+        parsers and then through parsers built afresh for each call: per
+        argv, (exit code, stdout, stderr, files it wrote in `workdir`)."""
+
+        def outcomes():
+            runs = []
+            for argv in argvs:
+                run = main_outcome(cli, argv, capsys)
+                files = sorted(workdir.iterdir())
+                runs.append((*run, {f.name: f.read_text() for f in files}))
+                for f in files:
+                    f.unlink()
+            return runs
+
+        kept = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            return kept, outcomes()
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch,
+                                          capsys):
+        from bott_towers import cli
+
+        monkeypatch.chdir(tmp_path)
+        argvs = [
+            ["numbers", THREE_SEQ, "--sets", "--oracle"],
+            ["numbers", THREE_SEQ],  # --sets and --oracle must not leak
+            ["fan", THREE_SEQ, "-k", "2"],
+            ["fan", THREE_SEQ],  # nor -k
+            ["fan", THREE_SEQ, "--bogus"], ["-h"], ["numbers", "-h"],
+            ["nosuch", THREE_SEQ],
+            ["numbers", '{"n": 0}'],  # exit 3
+            ["classify", PUNCTURED_FAN],  # exit 4
+            ["numbers", THREE_SEQ, "-o", "doc.json"],
+            ["numbers", THREE_SEQ],  # nor -o
+        ]
+        cli._build_parser.cache_clear()
+        kept, fresh = self.kept_and_fresh(cli, argvs * 2, capsys,
+                                          monkeypatch, tmp_path)
+        assert kept == fresh
+        assert cli._build_parser.cache_info().hits >= len(argvs)
+        assert [run[0] for run in kept] == [0, 0, 0, 0, 2, 0, 0, 2, 3, 4,
+                                            0, 0] * 2
+        assert kept[10][1] == "" and kept[10][3] == {"doc.json": kept[11][1]}
+        assert kept[0][1] != kept[1][1] and kept[2][1] != kept[3][1]
+
+    def test_kept_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch,
+                                                capsys):
+        """Short runs of argv drawn from the command names, the pinned
+        option strings, strays and small documents."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from bott_towers import cli
+
+        monkeypatch.chdir(tmp_path)
+        documents = [[doc] for doc in (HIRZEBRUCH_SEQ, THREE_SEQ, '{"n": 0}',
+                                       HIRZEBRUCH_FAN, PUNCTURED_FAN)] + [[]]
+        heads = [[name] for name in COMMAND_NAMES] + [["-h"], ["--"],
+                                                      ["nosuch"], []]
+        options = [["--sets"], ["--oracle"], ["-k", "1"], ["-k", "2"],
+                   ["--stage", "2"], ["--stage", "x"], ["-k"],
+                   ["-o", "doc.json"], ["--output", "doc.json"], ["-h"],
+                   ["--help"], ["--bogus"], ["--"], *documents]
+        argv = st.builds(lambda head, doc, tail: head + doc + sum(tail, []),
+                         st.sampled_from(heads), st.sampled_from(documents),
+                         st.lists(st.sampled_from(options), max_size=3))
+
+        @hypothesis.settings(max_examples=150, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.lists(argv, min_size=1, max_size=3))
+        def kept_as_fresh(argvs):
+            kept, fresh = self.kept_and_fresh(cli, argvs, capsys,
+                                              monkeypatch, tmp_path)
+            assert kept == fresh
+
+        kept_as_fresh()
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "numbers.json"

@@ -7,17 +7,24 @@ two must agree byte for byte on every document with string keys.  A
 top-level value may instead be a stream of item texts from the item
 encoders: the document must read the same as with the list, and the stream
 is consumed only as chunks are taken.
+
+`sequence_from_doc` gives the sequence the public constructor gives on the
+parsed entries, and a malformed document exits with its pinned code and one
+stderr line, the parse error of a triple winning over a range error of an
+earlier key.
 """
 
 from __future__ import annotations
 
+import json
+import random
 from itertools import product
 
 import pytest
 
-from bott_towers import encode_canonical
+from bott_towers import IntegralSequence, cli, encode_canonical
 from bott_towers.serialize import (cone_texts, encode_chunks, number_texts,
-                                   term_texts)
+                                   sequence_from_doc, term_texts)
 from helpers import reference_canonical
 
 LIMIT = 2 ** 53
@@ -93,6 +100,62 @@ class TestStreamSlot:
         rest = "".join(chunks)
         assert taken == [1, 2]
         assert rest.endswith('\n  ],\n  "b": 1\n}\n')
+
+
+OVER_LIMIT = "9" * 5000  # more digits than int() converts
+MALFORMED_SEQUENCES = [  # (document, exit code, stderr line)
+    ('{"n": 3, "entries": [[1, 2, true]]}', 3,
+     "entry c(1,2): expected an integer, got a boolean"),
+    ('{"n": 3, "entries": [[1, 2, 1.0]]}', 3,
+     "entry c(1,2): expected an integer, got float"),
+    ('{"n": 3, "entries": [[1, 2, "x1"]]}', 3,
+     "entry c(1,2): not a decimal integer: 'x1'"),
+    ('{"n": 3, "entries": [[1, 2, "%s"]]}' % OVER_LIMIT, 3,
+     f"entry c(1,2): not a decimal integer: {OVER_LIMIT!r}"),
+    ('{"n": 3, "entries": [[1, 2, 1], [1, 2, 0]]}', 3,
+     "duplicate sequence entry (1, 2)"),
+    ('{"n": 3, "n": 3}', 3, "duplicate key 'n' in a JSON object"),
+    ('{"n": 0}', 3, "n must be >= 1, got 0"),
+    ('{"n": 0, "entries": [[1, 2, true]]}', 3,
+     "entry c(1,2): expected an integer, got a boolean"),
+    ('{"n": 3, "entries": [[2, 1, 0]]}', 3,
+     "entry key (2,1) outside 1 <= i < j <= 3"),
+    ('{"n": 3, "entries": [[1, 4, 1], [1, 2, true]]}', 3,
+     "entry c(1,2): expected an integer, got a boolean"),
+    ('{"n": 3, "entries": [[1, 4, 1], [0, 2, 1]]}', 3,
+     "entry key (1,4) outside 1 <= i < j <= 3"),
+    ('{"n": "3", "entries": [[1, 3, "-2"]]}', 0, None),
+]
+
+
+class TestSequenceIngest:
+    def test_matches_the_public_constructor(self):
+        rng = random.Random(20030601)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+            chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+            entries = {pair: rng.randint(-3, 3) for pair in chosen}
+            entries.update({pair: 0 for pair in pairs if rng.random() < 0.1})
+            triples = [[i, j, str(v) if rng.random() < 0.2 else v]
+                       for (i, j), v in entries.items()]
+            doc = {"n": n, "entries": triples}
+            c = sequence_from_doc(json.loads(json.dumps(doc)))
+            expected = IntegralSequence(n, entries)
+            assert (c.n, c.entries()) == (expected.n, expected.entries())
+            assert c == expected and hash(c) == hash(expected)
+            assert all(value for _, _, value in c.entries())
+
+    @pytest.mark.parametrize("doc, code, line", MALFORMED_SEQUENCES,
+                             ids=range(len(MALFORMED_SEQUENCES)))
+    def test_malformed_documents_keep_their_exit(self, doc, code, line,
+                                                 capsys):
+        assert cli.main(["numbers", doc]) == code
+        out, err = capsys.readouterr()
+        if line is None:
+            assert out and err == ""
+        else:
+            assert (out, err) == ("", f"error: {line}\n")
 
 
 hypothesis = pytest.importorskip("hypothesis")
