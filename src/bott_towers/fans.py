@@ -91,9 +91,10 @@ def build_fan(c: IntegralSequence, k: int) -> BottFan:
 
 
 class GeneralFan:
-    """A simplicial fan: primitive rays and full-dimensional maximal cones."""
+    """A simplicial fan: primitive rays and full-dimensional maximal cones.
+    ``_masks[i]`` is cones[i] as a bitmask of its rays, built here once."""
 
-    __slots__ = ("dim", "rays", "cones", "_dets")
+    __slots__ = ("dim", "rays", "cones", "_masks", "_dets")
 
     def __init__(self, dim: int, rays, cones):
         _check_range(dim, "dim")
@@ -124,11 +125,12 @@ class GeneralFan:
             if idx[0] < 0 or idx[-1] >= len(ray_list):
                 raise ValidationError(f"maximal cone {idx} indexes a missing ray")
             cone_list.append(idx)
-        if len(set(cone_list)) != len(cone_list):
+        self.cones = tuple(sorted(cone_list))
+        self._masks = tuple(sum(1 << r for r in cone) for cone in self.cones)
+        if len(set(self._masks)) != len(self._masks):
             raise ValidationError("duplicate maximal cones")
         self.dim = dim
         self.rays = tuple(ray_list)
-        self.cones = tuple(sorted(cone_list))
         self._dets = None
 
     def __eq__(self, other):
@@ -209,11 +211,10 @@ def is_complete(fan) -> bool:
     gf = _as_general(fan)
     if not gf.cones:
         return False
-    masks = [sum(1 << r for r in cone) for cone in gf.cones]
     walls = {}
-    for idx, cone in enumerate(gf.cones):
+    for idx, (cone, mask) in enumerate(zip(gf.cones, gf._masks)):
         for slot, r in enumerate(cone):
-            walls.setdefault(masks[idx] ^ (1 << r), []).append((idx, slot))
+            walls.setdefault(mask ^ (1 << r), []).append((idx, slot))
     if any(len(pair) != 2 for pair in walls.values()):
         return False
     adjacent = [[] for _ in gf.cones]
@@ -244,7 +245,7 @@ def is_complete(fan) -> bool:
     positive = [sum(1 << idx for idx, y in enumerate(coords) if y[i] * d > 0)
                 for i in range(gf.dim)]
     x = [sum(row) for row in basis]
-    for cone, mask in zip(gf.cones[1:], masks[1:]):
+    for cone, mask in zip(gf.cones[1:], gf._masks[1:]):
         if all(mask & p for p in positive):
             d, (y,) = linalg.solve_fraction_free(
                 list(zip(*(gf.rays[r] for r in cone))), [x])
@@ -256,6 +257,8 @@ def is_complete(fan) -> bool:
 # Backtracks allowed to the ray-pairing search.  A crosspolytope fan needs
 # none, while two odd cliques of rays need exponentially many in their size.
 MATCH_BACKTRACK_LIMIT = 10_000
+# Largest dimension fans_isomorphic searches: 2^k * k! anchor orderings.
+ISOMORPHISM_MAX_DIM = 6
 
 
 def _match_rays(free, count):
@@ -303,20 +306,19 @@ def _tower_pairs(k: int):
 def _crosspolytope_pairing(gf: GeneralFan):
     """Pair the rays so that the fan is combinatorially a crosspolytope.
 
-    Returns the pairs sorted by smallest ray index, each ascending.  The
-    pairing matches rays that never span a common cone, and picking one ray
-    per pair must always span a maximal cone.  A ray may pair with the rays
-    outside its co-face mask: its own bit OR the masks of its cones.  Raises
-    RejectionError with the code and witness of the first failed condition.
+    Returns the pairs sorted by smallest ray index, each ascending.  A ray
+    may pair with the rays outside its co-face mask (its own bit OR the
+    masks of its cones), so each cone holds one ray of each of the dim pairs
+    and the distinct cones are distinct transversals: all 2^dim of them are
+    maximal cones exactly when there are 2^dim cones.  Only a fan with fewer
+    walks them, to name the first missing one.  Raises RejectionError with
+    the code and witness of the first failed condition.
     """
     m = len(gf.rays)
     if m % 2 == 1:
         raise RejectionError("ray count odd", {"ray_count": m})
-    cone_masks = set()
     coface = [1 << r for r in range(m)]
-    for cone in gf.cones:
-        mask = sum(1 << r for r in cone)
-        cone_masks.add(mask)
+    for cone, mask in zip(gf.cones, gf._masks):
         for r in cone:
             coface[r] |= mask
     full = (1 << m) - 1
@@ -332,14 +334,12 @@ def _crosspolytope_pairing(gf: GeneralFan):
     if len(pairs) != gf.dim:
         raise RejectionError("cone set not full binary cube",
                              {"pairs": len(pairs), "dim": gf.dim})
-    for choice in product(*((1 << a, 1 << b) for a, b in pairs)):
-        transversal = sum(choice)
-        if transversal not in cone_masks:
-            raise RejectionError("cone set not full binary cube", {
-                "missing_cone": [r for r in range(m) if transversal >> r & 1]})
-    if len(gf.cones) != 2 ** gf.dim:
-        raise RejectionError("cone set not full binary cube",
-                             {"cone_count": len(gf.cones)})
+    if len(gf.cones) != 1 << gf.dim:
+        cone_masks = set(gf._masks)
+        choices = product(*((1 << a, 1 << b) for a, b in pairs))
+        missing = next(t for t in map(sum, choices) if t not in cone_masks)
+        raise RejectionError("cone set not full binary cube", {
+            "missing_cone": [r for r in range(m) if missing >> r & 1]})
     return pairs
 
 
@@ -373,15 +373,15 @@ def _fano_condition(gf: GeneralFan) -> bool:
     return True
 
 
-def _tower_fano(c: IntegralSequence, k: int) -> bool:
+def _tower_fano(rows) -> bool:
     """Batyrev's test: the stage-k tower is Fano iff each primitive relation
     a_{i,0} + a_{i,1} = sum_j lam_j a_{j,g_j} has degree 2 - sum lam_j > 0.
 
-    Forward substitution over the Bott-matrix rows locates the sum: it is 0
-    up to coordinate i, a coordinate j >= 0 is lam a_{j,0} = lam e_j, and a
-    coordinate j < 0 is lam a_{j,1}, whose coordinate j is -1.
+    Forward substitution over ``rows``, the Bott matrix a BottFan holds,
+    locates the sum: it is 0 up to coordinate i, a coordinate j >= 0 is lam
+    a_{j,0} = lam e_j, and a coordinate j < 0 is lam a_{j,1}, whose j is -1.
     """
-    rows = bott_matrix(c, range(1, k + 1))
+    k = len(rows)
     for i in range(k):
         rest = [0] * (i + 1) + rows[i][i + 1:]  # ends as +-lam_j at j
         for j in range(i + 1, k):
@@ -402,7 +402,7 @@ def is_fano(fan) -> bool:
     BottFan is decided by its primitive relations, without its cones.
     """
     if isinstance(fan, BottFan):
-        return _tower_fano(fan.sequence, fan.k)
+        return _tower_fano(fan._rows)
     gf = _as_general(fan)
     if not is_complete(gf):
         raise RejectionError("not complete")
@@ -443,21 +443,21 @@ def apply_unimodular(fan, matrix) -> GeneralFan:
                       gf.cones)
 
 
-def fans_isomorphic(first, second, max_dim: int = 6):
+def fans_isomorphic(first, second):
     """Search for (ray permutation, unimodular matrix) identifying two fans.
 
     Anchors the first maximal cone of the first fan against every ordered
     maximal cone of the second, solves for the matrix exactly, and verifies
     it maps rays onto rays and cones onto cones.  Returns None when no
-    isomorphism exists (the search is exhaustive); capped at `max_dim`.
+    isomorphism exists (exhaustive search); capped at ISOMORPHISM_MAX_DIM.
     """
     g1 = _as_general(first)
     g2 = _as_general(second)
     if g1.dim != g2.dim:
         return None
-    if g1.dim > max_dim:
-        raise ValidationError(
-            f"isomorphism search capped at dimension {max_dim}, got {g1.dim}")
+    if g1.dim > ISOMORPHISM_MAX_DIM:
+        raise ValidationError("isomorphism search capped at dimension "
+                              f"{ISOMORPHISM_MAX_DIM}, got {g1.dim}")
     if len(g1.rays) != len(g2.rays) or len(g1.cones) != len(g2.cones):
         return None
     if not g1.cones or not g2.cones:

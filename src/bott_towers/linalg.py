@@ -5,8 +5,7 @@ Every elimination is fraction-free; fractions.Fraction appears only in the
 results of solve_fraction and invert_fraction, which import it themselves so
 that loading this module does not load fractions (and decimal).  No package
 code calls either any more: both remain only because bench/tracing.py names
-them.  Sizes here are tiny (at most a couple dozen), so clarity beats
-asymptotics.
+them.  Matrices are k x k for a tower of height k, unbounded on sequence input.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from itertools import combinations
+from itertools import combinations, product
 
 from bott_towers import (
     ClassificationResult,
@@ -36,7 +36,7 @@ from bott_towers import (
     linalg,
     support_function,
 )
-from bott_towers.fans import _fano_condition, _smoothness_report
+from bott_towers.fans import _fano_condition, _match_rays, _smoothness_report
 
 
 def fraction_inverse(matrix):
@@ -250,6 +250,53 @@ def reference_match_rays(partners, count):
         return None
 
     return extend()
+
+
+def reference_crosspolytope_pairing(gf: GeneralFan):
+    """The former pairing, kept as a test oracle: it rebuilds each cone's
+    bitmask, walks all 2^k transversals of the pairs on every fan, and then
+    compares the cone count with 2^k (a rejection no input reaches).
+
+    Pair the rays so that the fan is combinatorially a crosspolytope.
+
+    Returns the pairs sorted by smallest ray index, each ascending.  The
+    pairing matches rays that never span a common cone, and picking one ray
+    per pair must always span a maximal cone.  A ray may pair with the rays
+    outside its co-face mask: its own bit OR the masks of its cones.  Raises
+    RejectionError with the code and witness of the first failed condition.
+    """
+    m = len(gf.rays)
+    if m % 2 == 1:
+        raise RejectionError("ray count odd", {"ray_count": m})
+    cone_masks = set()
+    coface = [1 << r for r in range(m)]
+    for cone in gf.cones:
+        mask = sum(1 << r for r in cone)
+        cone_masks.add(mask)
+        for r in cone:
+            coface[r] |= mask
+    full = (1 << m) - 1
+    free = [full ^ mask for mask in coface]
+    if 0 in free:
+        raise RejectionError("no valid pairing",
+                             {"ray": free.index(0), "non_cofaced_with": []})
+    pairs = _match_rays(free, m)
+    if pairs is None:
+        edges = [[a, b] for a in range(m) for b in range(a + 1, m)
+                 if free[a] >> b & 1]
+        raise RejectionError("no valid pairing", {"non_cofaced_pairs": edges})
+    if len(pairs) != gf.dim:
+        raise RejectionError("cone set not full binary cube",
+                             {"pairs": len(pairs), "dim": gf.dim})
+    for choice in product(*((1 << a, 1 << b) for a, b in pairs)):
+        transversal = sum(choice)
+        if transversal not in cone_masks:
+            raise RejectionError("cone set not full binary cube", {
+                "missing_cone": [r for r in range(m) if transversal >> r & 1]})
+    if len(gf.cones) != 2 ** gf.dim:
+        raise RejectionError("cone set not full binary cube",
+                             {"cone_count": len(gf.cones)})
+    return pairs
 
 
 def _reference_project(gf: GeneralFan, p: int, q: int):

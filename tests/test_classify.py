@@ -32,13 +32,22 @@ Core claims:
    random ray sets, and on scrambled towers of height 8 to 24 given by
    their rays alone; a tower fan is classified, checked and paired from
    its 2k rays alone, up to k = 24.
+9. The pairing decides the transversals by count: it gives the same pairs,
+   or the same rejection and witness, as the former 2^k walk (kept in
+   helpers) on the recognition fan sets and on mutated scrambled towers, the
+   former's cone-count rejection is never reached, and an accepted tower
+   fan runs no walk.
+10. Every rejection shape in src/ (code and constant witness keys) has an
+   input that produces it through a public call.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -56,20 +65,28 @@ from bott_towers import (
     fans_isomorphic,
     find_opposite_pair,
     is_fano,
+    is_smooth,
     project,
 )
 from helpers import (
+    DEGENERATE_3D,
+    INCOMPLETE_2D,
     RECOGNITION_FAN_SETS,
+    acceptance_08_fans,
     minor_det,
     permute_rays,
     random_sequence,
     random_unimodular,
     reference_classify,
+    reference_crosspolytope_pairing,
     reference_tower_witness,
     scrambled_tower,
     tower_ladder,
 )
 from bott_towers.linalg import matvec
+
+
+FULL_CUBE = "cone set not full binary cube"
 
 
 def product_fan(k: int) -> GeneralFan:
@@ -89,6 +106,47 @@ def punctured_square() -> GeneralFan:
 def projective_plane() -> GeneralFan:
     return GeneralFan(2, [(1, 0), (0, 1), (-1, -1)],
                       [(0, 1), (1, 2), (0, 2)])
+
+
+def colliding_projection() -> GeneralFan:
+    # both kept rays project onto (1,): the quotient is not a fan
+    return GeneralFan(2, [(0, 1), (0, -1), (1, 0), (1, 5)],
+                      [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def imprimitive_projection() -> GeneralFan:
+    # the kept ray (2, 1) projects onto (2,), which is not primitive
+    return GeneralFan(2, [(0, 1), (0, -1), (1, 0), (2, 1)],
+                      [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def star_pairing() -> GeneralFan:
+    # ray 0 is in no cone and rays 1-3 are the projective plane: only ray 0
+    # may pair, with each of the others, so no perfect pairing exists
+    return GeneralFan(2, [(1, 1), (1, 0), (0, 1), (-1, -1)],
+                      [(1, 2), (2, 3), (1, 3)])
+
+
+def fully_cofaced() -> GeneralFan:
+    # product of two triangle fans: every ray shares a cone with every
+    # other, so the never-cofaced graph has no edges at all
+    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)]
+    return GeneralFan(4, rays, [(a, b, c, d)
+                                for (a, b) in ((0, 1), (1, 2), (0, 2))
+                                for (c, d) in ((3, 4), (4, 5), (3, 5))])
+
+
+def no_zero_sum_pair() -> GeneralFan:
+    # smooth but not complete; both pairs sum to nonzero vectors
+    return GeneralFan(2, [(1, 0), (1, 2), (0, 1), (1, 1)],
+                      [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def too_many_pairs() -> GeneralFan:
+    return GeneralFan(2, [(1, 0), (-1, 0), (0, 1), (0, -1),
+                          (1, 1), (-1, -1), (1, -1), (-1, 1)],
+                      [(0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 # ===================================================================
@@ -117,26 +175,14 @@ class TestCrosspolytopeCheck:
         assert err.value.witness == {"missing_cone": [1, 3]}
 
     def test_fully_cofaced_rays_have_no_pairing(self):
-        # product of two triangle fans: every ray shares a cone with every
-        # other, so the never-cofaced graph has no edges at all
-        rays = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
-                (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)]
-        cones = [(a, b, c, d)
-                 for (a, b) in ((0, 1), (1, 2), (0, 2))
-                 for (c, d) in ((3, 4), (4, 5), (3, 5))]
-        fan = GeneralFan(4, rays, cones)
         with pytest.raises(RejectionError) as err:
-            crosspolytope_check(fan)
+            crosspolytope_check(fully_cofaced())
         assert err.value.code == "no valid pairing"
         assert err.value.witness == {"ray": 0, "non_cofaced_with": []}
 
     def test_too_many_pairs(self):
-        fan = GeneralFan(2,
-                         [(1, 0), (-1, 0), (0, 1), (0, -1),
-                          (1, 1), (-1, -1), (1, -1), (-1, 1)],
-                         [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(RejectionError) as err:
-            crosspolytope_check(fan)
+            crosspolytope_check(too_many_pairs())
         assert err.value.code == "cone set not full binary cube"
         assert err.value.witness == {"pairs": 4, "dim": 2}
 
@@ -168,11 +214,8 @@ class TestFindOppositePair:
             assert all(a + b == 0 for a, b in zip(gf.rays[p], gf.rays[q]))
 
     def test_no_zero_sum_pair_rejected(self):
-        # smooth but not complete; both pairs sum to nonzero vectors
-        fan = GeneralFan(2, [(1, 0), (1, 2), (0, 1), (1, 1)],
-                         [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(RejectionError) as err:
-            find_opposite_pair(fan)
+            find_opposite_pair(no_zero_sum_pair())
         assert err.value.code == "no zero-sum pair"
 
 
@@ -215,11 +258,8 @@ class TestProject:
             project(gf, 3)
 
     def test_colliding_images_rejected(self):
-        # both kept rays project onto (1,): the quotient is not a fan
-        fan = GeneralFan(2, [(0, 1), (0, -1), (1, 0), (1, 5)],
-                         [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(RejectionError) as err:
-            project(fan, 1)
+            project(colliding_projection(), 1)
         assert err.value.code == "projection degenerate"
 
     def test_one_dimensional_fan_has_no_quotient(self):
@@ -630,3 +670,172 @@ class TestOneBasis:
                                      "fano": is_fano(fan)}
         assert pair == 1 + next(i for i in range(24) if not any(
             a + b for a, b in zip(rays[2 * i], rays[2 * i + 1])))
+
+
+# ===================================================================
+# 9. Transversals by count
+# ===================================================================
+
+def pairing_outcome(pairing, gf):
+    """The pairs, or the (code, witness) of the rejection."""
+    try:
+        return pairing(gf)
+    except RejectionError as err:
+        return err.code, err.witness
+
+
+def fresh_rays(rng: random.Random, rays, count: int):
+    """count primitive rays (first coordinate 1) that are not in rays."""
+    taken, out = set(rays), []
+    while len(out) < count:
+        ray = (1,) + tuple(rng.randint(-9, 9) for _ in rays[0][1:])
+        if ray not in taken:
+            taken.add(ray)
+            out.append(ray)
+    return out
+
+
+def mutated_towers(rng: random.Random, per_height: int):
+    """Scrambled towers at k = 2..7 with one to three cones deleted, one cone
+    swapped for a non-transversal, or one to three cone-less rays added."""
+    for k in range(2, 8):
+        for _ in range(per_height):
+            gf = scrambled_tower(rng, k, -3, 3)
+            cones = list(gf.cones)
+            for count in (1, 2, 3):
+                gone = set(rng.sample(range(len(cones)), count))
+                yield GeneralFan(k, gf.rays, [cone for idx, cone in
+                                              enumerate(cones)
+                                              if idx not in gone])
+            partner = {}
+            for p, q in crosspolytope_check(gf):
+                partner[p], partner[q] = q, p
+            idx = rng.randrange(len(cones))
+            cone = list(cones[idx])
+            a, b = rng.sample(range(k), 2)
+            cone[b] = partner[cone[a]]  # holds both rays of one pair
+            yield GeneralFan(k, gf.rays, cones[:idx] + [tuple(cone)]
+                             + cones[idx + 1:])
+            for count in (1, 2, 3):
+                yield GeneralFan(k, list(gf.rays)
+                                 + fresh_rays(rng, gf.rays, count), cones)
+
+
+class TestTransversalsByCount:
+    def assert_agrees(self, fans):
+        shapes = set()
+        for gf in fans:
+            expected = pairing_outcome(reference_crosspolytope_pairing, gf)
+            assert pairing_outcome(CLASSIFY.crosspolytope_check, gf) \
+                == expected
+            if isinstance(expected, tuple):
+                code, witness = expected
+                assert "cone_count" not in witness
+                shapes.add((code, tuple(sorted(witness))))
+        return shapes
+
+    @pytest.mark.parametrize("name", sorted(RECOGNITION_FAN_SETS))
+    def test_agrees_with_the_walk_on_recognition_sets(self, name):
+        shapes = self.assert_agrees(RECOGNITION_FAN_SETS[name]())
+        assert bool(shapes) is (name == "rejects")
+
+    def test_agrees_with_the_walk_on_mutated_towers(self):
+        shapes = self.assert_agrees(mutated_towers(random.Random(6040), 4))
+        assert {("ray count odd", ("ray_count",)),
+                (FULL_CUBE, ("missing_cone",)),
+                (FULL_CUBE, ("dim", "pairs"))} <= shapes
+
+    def test_accepted_towers_run_no_walk(self, monkeypatch):
+        fans = tower_ladder(6041, 10, 3) + acceptance_08_fans()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transversals were walked")
+
+        monkeypatch.setattr(FANS, "product", refuse)
+        for gf in fans:
+            assert classify(gf).ok
+        with pytest.raises(AssertionError):
+            crosspolytope_check(punctured_square())
+
+
+# ===================================================================
+# 10. Every rejection shape is reachable
+# ===================================================================
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bott_towers"
+
+# Rejections whose witness is built elsewhere (a report, a spread witness).
+DYNAMIC_REJECTIONS = {"not smooth", "not crosspolytope combinatorics"}
+
+
+def rejection_shapes():
+    """(code, sorted constant witness keys) of every RejectionError call in
+    src/; () for the no-witness form.  Dynamic witnesses are left out."""
+    shapes, dynamic = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "RejectionError"):
+                continue
+            code = node.args[0]
+            assert isinstance(code, ast.Constant), ast.dump(node)
+            assert not node.keywords and len(node.args) <= 2, ast.dump(node)
+            if len(node.args) == 1:
+                shapes.add((code.value, ()))
+                continue
+            witness = node.args[1]
+            if isinstance(witness, ast.Dict) and all(
+                    isinstance(key, ast.Constant) for key in witness.keys):
+                shapes.add((code.value, tuple(sorted(
+                    key.value for key in witness.keys))))
+            else:
+                dynamic.add(code.value)
+    return shapes, dynamic
+
+
+# An input, through a public call, for each rejection shape in src/.
+REJECTION_INPUTS = {
+    ("ray count odd", ("ray_count",)):
+        lambda: crosspolytope_check(projective_plane()),
+    ("no valid pairing", ("non_cofaced_with", "ray")):
+        lambda: crosspolytope_check(fully_cofaced()),
+    ("no valid pairing", ("non_cofaced_pairs",)):
+        lambda: crosspolytope_check(star_pairing()),
+    (FULL_CUBE, ("dim", "pairs")):
+        lambda: crosspolytope_check(too_many_pairs()),
+    (FULL_CUBE, ("missing_cone",)):
+        lambda: classify(punctured_square()),
+    ("degenerate cone", ("cone",)): lambda: is_smooth(DEGENERATE_3D),
+    ("not complete", ()): lambda: classify(GeneralFan(2, *INCOMPLETE_2D)),
+    ("no zero-sum pair", ("pair_sums",)):
+        lambda: find_opposite_pair(no_zero_sum_pair()),
+    ("projection degenerate", ("image", "ray")):
+        lambda: project(imprimitive_projection(), 1),
+    ("projection degenerate", ("image", "rays")):
+        lambda: project(colliding_projection(), 1),
+}
+
+
+def rejection_shape(call):
+    """(code, sorted witness keys) of the rejection a call raises or
+    returns as a ClassificationResult."""
+    try:
+        result = call()
+    except RejectionError as err:
+        code, witness = err.code, err.witness
+    else:
+        assert isinstance(result, ClassificationResult) and not result.ok
+        code, witness = result.reject, result.witness
+    return code, tuple(sorted(witness or ()))
+
+
+class TestRejectionShapes:
+    def test_every_shape_in_src_has_an_input(self):
+        shapes, dynamic = rejection_shapes()
+        assert shapes == set(REJECTION_INPUTS)
+        assert dynamic == DYNAMIC_REJECTIONS
+
+    @pytest.mark.parametrize("shape", sorted(REJECTION_INPUTS))
+    def test_input_produces_its_shape(self, shape):
+        assert rejection_shape(REJECTION_INPUTS[shape]) == shape

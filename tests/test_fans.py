@@ -60,9 +60,11 @@ from helpers import (
     product_fan,
     random_sequence,
     random_unimodular,
+    reference_bott_matrix,
     reference_match_rays,
 )
 from bott_towers.classify import crosspolytope_check
+from bott_towers import fans as FANS
 from bott_towers.fans import _fano_condition, _match_rays, _tower_fano
 
 
@@ -349,7 +351,8 @@ class TestFano:
     def test_tower_fano_against_expanded_fan(self, towers):
         for c in towers():
             expected = _fano_condition(build_fan(c, c.n).as_general_fan())
-            assert _tower_fano(c, c.n) is expected
+            assert _tower_fano(reference_bott_matrix(c, range(1, c.n + 1))) \
+                is expected
             assert is_fano(build_fan(c, c.n)) is expected
             if c.n == 2:
                 assert expected is (abs(c.value(1, 2)) <= 1)
@@ -368,6 +371,20 @@ class TestFano:
         for fan in towers:
             is_fano(fan)
         assert built == []
+
+    def test_tower_fano_reads_the_fans_bott_matrix(self, monkeypatch):
+        # the BottFan holds its Bott matrix: is_fano rebuilds none
+        rng = random.Random(4012)
+        towers = [build_fan(random_sequence(rng, k, -1, 1), k)
+                  for k in range(1, 11)]
+        expected = [_fano_condition(fan.as_general_fan()) for fan in towers]
+
+        def refused(*args):
+            raise AssertionError("bott_matrix called")
+
+        monkeypatch.setattr(FANS, "bott_matrix", refused)
+        monkeypatch.setattr("bott_towers.sequences.bott_matrix", refused)
+        assert [is_fano(fan) for fan in towers] == expected
 
 
 # ===================================================================
@@ -422,9 +439,15 @@ class TestIsomorphism:
         assert fans_isomorphic(hirzebruch_fan(1), hirzebruch_fan(3)) is None
 
     def test_dimension_cap(self):
+        assert FANS.ISOMORPHISM_MAX_DIM == 6
         fan = build_fan(IntegralSequence.zero(7), 7).as_general_fan()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             fans_isomorphic(fan, fan)
+        assert str(err.value) == \
+            "isomorphism search capped at dimension 6, got 7"
+        # the cap is a module constant, no longer a keyword
+        with pytest.raises(TypeError):
+            fans_isomorphic(fan, fan, max_dim=7)
 
 
 # ===================================================================
