@@ -15,7 +15,8 @@ GL(Z).  So in the basis of the pairs' first rays the second rays are the
 rows of B up to one permutation, the stage order.  The top live stage is
 the first live pair whose second ray is -e_t on every live coordinate: its
 rays sum to zero modulo the stages above.  The columns of M are the first
-rays in stage order, B is the second rays' coordinates in it, C = -B^-1.
+rays in stage order, B is the second rays' coordinates in it (one solve),
+C = -B^-1 (forward substitution: B is triangular with -1 on the diagonal).
 """
 
 from __future__ import annotations
@@ -152,31 +153,37 @@ def project(fan, pair_index: int) -> GeneralFan:
 
 def _tower_witness(rays, pairs):
     """The ClassificationResult whose matrix M sends a_{i,gamma} to
-    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  x[t] is the
-    second ray of pair t in the basis M0 of the first rays, and B is x in
-    stage order.  No cone is read: those of a checked pairing, or of a tower
-    fan paired as (2i, 2i+1), are the 2^k transversals of the pairs, and
-    ray_map sends tower pair i onto pair order[i-1], hence its transversals
-    onto theirs.  M a_{i,0} is column i of M, the first ray of stage i.
-    M a_{i,1} = sum_j bott(c)[i][j] M e_j, while the input's second ray of
-    stage i is M0 x[order[i]] = sum_j B[i][j] M e_j.  M is unimodular, so
-    the 2k ray equalities hold if and only if bott_matrix(c) == B."""
+    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  One solve
+    gives y = d x, d = det M0, x[t] the second ray of pair t in the basis M0
+    of the first rays; d y is x if d = +-1 and has no -1 entry otherwise.
+    B, x in stage order, is triangular with -1 on the diagonal, so C = -B^-1
+    is c(i,j) = B[i][j] + sum_{i<l<j} c(i,l) B[l][j].  No cone is read:
+    those of a checked pairing, or of a tower fan paired as (2i, 2i+1), are
+    the 2^k transversals of the pairs, and ray_map sends tower pair i onto
+    pair order[i-1], hence its transversals onto theirs.  M a_{i,0} is
+    column i of M, the first ray of stage i.  M a_{i,1} = sum_j
+    bott(c)[i][j] M e_j, while the input's second ray of stage i is
+    M0 x[order[i]] = sum_j B[i][j] M e_j.  M is unimodular, so the 2k ray
+    equalities hold if and only if bott_matrix(c) == B."""
     try:
-        inverse = linalg.invert_unimodular(
-            list(zip(*(rays[p] for p, _ in pairs))))
-        x = [linalg.matvec(inverse, rays[q]) for _, q in pairs]
+        d, y = linalg.solve_fraction_free(
+            list(zip(*(rays[p] for p, _ in pairs))),
+            [rays[q] for _, q in pairs])
         live, order = list(range(len(pairs))), []
         while live:  # the top live stage goes in front
-            order.insert(0, next(t for t in live
-                                 if all(x[t][s] == -(s == t) for s in live)))
+            order.insert(0, next(t for t in live if all(
+                d * y[t][s] == -(s == t) for s in live)))
             live.remove(order[0])
     except (StopIteration, ValidationError):
         return None
     k = len(order)
-    b = [[x[t][s] for s in order] for t in order]
-    neg_c = linalg.invert_unimodular(b)
-    sequence = IntegralSequence(k, {(i + 1, j + 1): -neg_c[i][j]
-                                    for i in range(k) for j in range(i + 1, k)})
+    b = [[d * y[t][s] for s in order] for t in order]
+    cols, twists = list(zip(*b)), {}
+    for i in range(k):
+        c = [int(l == i) for l in range(k)]  # row i of C, left to right
+        for j in range(i + 1, k):
+            c[j] = twists[i + 1, j + 1] = sum(map(int.__mul__, c, cols[j]))
+    sequence = IntegralSequence(k, twists)
     if bott_matrix(sequence, range(1, k + 1)) != b:
         return None
     stages = [pairs[t] for t in order]

@@ -15,7 +15,7 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from . import linalg
 from .errors import RejectionError, ValidationError
@@ -92,7 +92,8 @@ def build_fan(c: IntegralSequence, k: int) -> BottFan:
 
 class GeneralFan:
     """A simplicial fan: primitive rays and full-dimensional maximal cones.
-    ``_masks[i]`` is cones[i] as a bitmask of its rays, built here once."""
+    ``_masks[i]`` is cones[i] as a bitmask of its rays, built here once.  Each
+    ray and the cone list get a type sweep; ``_check_int`` names its faults."""
 
     __slots__ = ("dim", "rays", "cones", "_masks", "_dets")
 
@@ -100,7 +101,9 @@ class GeneralFan:
         _check_range(dim, "dim")
         ray_list = []
         for ray in rays:
-            vec = tuple(_check_int(x, "ray coordinate") for x in ray)
+            vec = tuple(ray)
+            if not {*map(type, vec)} <= {int}:
+                vec = tuple(_check_int(x, "ray coordinate") for x in vec)
             if len(vec) != dim:
                 raise ValidationError(
                     f"ray {vec} has length {len(vec)}, expected {dim}")
@@ -114,9 +117,11 @@ class GeneralFan:
             raise ValidationError("fan needs at least one ray")
         if len(set(ray_list)) != len(ray_list):
             raise ValidationError("duplicate rays")
-        cone_list = []
-        for cone in cones:
-            idx = tuple(sorted(_check_int(x, "ray index") for x in cone))
+        cone_list = [tuple(cone) for cone in cones]
+        typed = {*map(type, chain.from_iterable(cone_list))} <= {int}
+        for i, cone in enumerate(cone_list):
+            idx = cone_list[i] = tuple(sorted(cone if typed else (
+                _check_int(x, "ray index") for x in cone)))
             if len(idx) != dim:
                 raise ValidationError(
                     f"maximal cone {idx} has {len(idx)} rays, expected {dim}")
@@ -124,7 +129,6 @@ class GeneralFan:
                 raise ValidationError(f"maximal cone {idx} repeats a ray")
             if idx[0] < 0 or idx[-1] >= len(ray_list):
                 raise ValidationError(f"maximal cone {idx} indexes a missing ray")
-            cone_list.append(idx)
         self.cones = tuple(sorted(cone_list))
         self._masks = tuple(sum(1 << r for r in cone) for cone in self.cones)
         if len(set(self._masks)) != len(self._masks):

@@ -113,10 +113,7 @@ def invert_unimodular(matrix):
 
 
 def gcd_vector(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def _xgcd(a: int, b: int):

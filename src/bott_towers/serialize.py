@@ -273,18 +273,25 @@ def fan_to_doc(fan) -> dict:
             "cones": [list(cone) for cone in gf.cones]}
 
 
+def _int_lists(value, what: str, row: str, item: str) -> list:
+    rows = _require_list(value, what)
+    if ({*map(type, rows)} <= {list}
+            and {*map(type, chain.from_iterable(rows))} <= {int}):
+        return rows
+    return [[parse_int(x, item) for x in _require_list(r, row)] for r in rows]
+
+
 def fan_from_doc(doc):
-    """The GeneralFan of a fan document."""
+    """The GeneralFan of a fan document.  Rays and cones get a type sweep
+    each; parse_int runs per element only after a failed one, to read quoted
+    ints or name the first fault."""
     from .fans import GeneralFan
 
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
                   "fan document")
     dim = parse_int(doc["dim"], "fan dimension")
-    rays = [[parse_int(x, "ray coordinate") for x in _require_list(ray, "ray")]
-            for ray in _require_list(doc["rays"], "fan rays")]
-    cones = [[parse_int(r, "cone ray index")
-              for r in _require_list(cone, "cone")]
-             for cone in _require_list(doc["cones"], "fan cones")]
+    rays = _int_lists(doc["rays"], "fan rays", "ray", "ray coordinate")
+    cones = _int_lists(doc["cones"], "fan cones", "cone", "cone ray index")
     return GeneralFan(dim, rays, cones)
 
 

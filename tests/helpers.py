@@ -37,6 +37,8 @@ from bott_towers import (
     support_function,
 )
 from bott_towers.fans import _fano_condition, _match_rays, _smoothness_report
+from bott_towers.sequences import _check_int, _check_range
+from bott_towers.serialize import _require_keys, _require_list, parse_int
 
 
 def fraction_inverse(matrix):
@@ -436,6 +438,61 @@ def reference_tower_witness(rays, pairs):
             return None
     return ClassificationResult(sequence, tuple(t + 1 for t in order), matrix,
                                 ray_map)
+
+
+def reference_general_fan(dim, rays, cones):
+    """The former GeneralFan.__init__, verbatim but for its gcd (the former
+    gcd_vector loop, inlined): _check_int on every coordinate and index.
+    Returns (dim, rays, cones, masks) as the constructor stores them."""
+    _check_range(dim, "dim")
+    ray_list = []
+    for ray in rays:
+        vec = tuple(_check_int(x, "ray coordinate") for x in ray)
+        if len(vec) != dim:
+            raise ValidationError(
+                f"ray {vec} has length {len(vec)}, expected {dim}")
+        g = 0
+        for x in vec:
+            g = math.gcd(g, abs(x))
+        if g == 0:
+            raise ValidationError("zero vector is not a valid ray")
+        if g != 1:
+            raise ValidationError(f"ray {vec} is not primitive (gcd {g})")
+        ray_list.append(vec)
+    if not ray_list:
+        raise ValidationError("fan needs at least one ray")
+    if len(set(ray_list)) != len(ray_list):
+        raise ValidationError("duplicate rays")
+    cone_list = []
+    for cone in cones:
+        idx = tuple(sorted(_check_int(x, "ray index") for x in cone))
+        if len(idx) != dim:
+            raise ValidationError(
+                f"maximal cone {idx} has {len(idx)} rays, expected {dim}")
+        if len(set(idx)) != dim:
+            raise ValidationError(f"maximal cone {idx} repeats a ray")
+        if idx[0] < 0 or idx[-1] >= len(ray_list):
+            raise ValidationError(f"maximal cone {idx} indexes a missing ray")
+        cone_list.append(idx)
+    cones = tuple(sorted(cone_list))
+    masks = tuple(sum(1 << r for r in cone) for cone in cones)
+    if len(set(masks)) != len(masks):
+        raise ValidationError("duplicate maximal cones")
+    return dim, tuple(ray_list), cones, masks
+
+
+def reference_fan_ingest(doc):
+    """The former fan_from_doc, verbatim, then the former constructor:
+    parse_int on every element, then _check_int on every element again."""
+    _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
+                  "fan document")
+    dim = parse_int(doc["dim"], "fan dimension")
+    rays = [[parse_int(x, "ray coordinate") for x in _require_list(ray, "ray")]
+            for ray in _require_list(doc["rays"], "fan rays")]
+    cones = [[parse_int(r, "cone ray index")
+              for r in _require_list(cone, "cone")]
+             for cone in _require_list(doc["cones"], "fan cones")]
+    return reference_general_fan(dim, rays, cones)
 
 
 def reference_check_doc(gf: GeneralFan) -> dict:

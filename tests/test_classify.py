@@ -639,6 +639,22 @@ class TestOneBasis:
         for gf in tower_ladder(6031, 8, 2):
             assert classify(gf).ok
 
+    def test_no_general_inverse_is_built(self, monkeypatch, capsys):
+        from bott_towers import cli, sequence_to_doc
+
+        def refuse(matrix):
+            raise AssertionError("a general inverse was built")
+
+        rng = random.Random(6033)
+        docs = [json.dumps(sequence_to_doc(random_sequence(rng, k, -3, 3)))
+                for k in range(1, 25)]
+        monkeypatch.setattr(CLASSIFY.linalg, "invert_unimodular", refuse)
+        for gf in tower_ladder(6031, 8, 2):
+            assert classify(gf).ok
+        for doc in docs:
+            assert cli.main(["classify", doc]) == 0
+            assert '"sequence"' in capsys.readouterr().out
+
     def test_tower_fan_is_read_from_its_rays(self, monkeypatch, capsys):
         from bott_towers import cli, fan_to_doc, sequence_to_doc
 

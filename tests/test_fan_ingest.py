@@ -1,0 +1,276 @@
+"""Fan-document ingest in one validating pass.
+
+`fan_from_doc` gives the rays and the cones one type sweep each, and
+`GeneralFan.__init__` one per ray and one over all cones; the per-element
+`parse_int` and `_check_int` loops run only when a sweep finds something
+other than a plain int, to read quoted ints or name the first fault.  The
+former ingest, which ran both loops on every element, is kept as
+`helpers.reference_fan_ingest`: on well-formed, mutated and library input
+both raise the same exception type and message, or build the same fan.
+
+The CLI bytes (exit code, stdout and stderr) of the `recognize` bench
+documents, the known rejects and the mutated documents are pinned by one
+digest, computed before the single pass and the one-solve witness landed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import hashlib
+import importlib
+import io
+import json
+import random
+import sys
+from enum import IntEnum
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+from bott_towers import GeneralFan, cli, fan_to_doc
+from bott_towers import fans as FANS
+from bott_towers import serialize as SERIALIZE
+from bott_towers.serialize import fan_from_doc
+from helpers import (reference_fan_ingest, reference_general_fan,
+                     reject_fans, scrambled_tower)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_jobs():
+    """The bench's `jobs` module, read-only: its decks name the documents."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("jobs")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def recognize_argvs(seeds=(1, 20030601)):
+    """Every distinct `recognize` argv at these seeds, in deck-build order."""
+    jobs = bench_jobs()
+    argvs = {}
+    for seed in seeds:
+        argvs.update(dict.fromkeys(job.argv for job in
+                                   jobs.build("recognize", seed)[0]))
+    return list(argvs)
+
+
+def _lists(doc, key):
+    """The positions of the non-empty lists in doc[key]."""
+    return [at for at, row in enumerate(doc[key])
+            if isinstance(row, list) and row]
+
+
+def _retype(key, make):
+    def mutate(rng, doc):
+        row = doc[key][rng.choice(_lists(doc, key))]
+        at = rng.randrange(len(row))
+        if type(row[at]) is int:  # a second fault may have been put there
+            row[at] = make(row[at])
+    return mutate
+
+
+def _row(key, change):
+    def mutate(rng, doc):
+        at = rng.choice(_lists(doc, key))
+        doc[key][at] = change(doc[key][at])
+    return mutate
+
+
+def _copy_row(key, change):
+    def mutate(rng, doc):
+        a, b = rng.sample(_lists(doc, key), 2)
+        doc[key][b] = change(doc[key][a])
+    return mutate
+
+
+def _set_index(value):
+    def mutate(rng, doc):
+        cone = doc["cones"][rng.choice(_lists(doc, "cones"))]
+        cone[rng.randrange(len(cone))] = value(doc)
+    return mutate
+
+
+def _set(key, value):
+    def mutate(rng, doc):
+        doc[key] = value
+    return mutate
+
+
+# Faults at one ray, cone or entry, which two at a time can combine.
+PLACED = {
+    "quoted coordinate": _retype("rays", str),
+    "quoted index": _retype("cones", str),
+    "quoted big coordinate": _retype("rays", lambda v: str(v + 2 ** 60)),
+    "non-decimal coordinate": _retype("rays", lambda v: f" {v}"),
+    "non-decimal index": _retype("cones", lambda v: f"{v}.0"),
+    "bool coordinate": _retype("rays", lambda v: v == 1),
+    "bool index": _retype("cones", lambda v: v == 0),
+    "float coordinate": _retype("rays", float),
+    "float index": _retype("cones", float),
+    "null index": _retype("cones", lambda v: None),
+    "short ray": _row("rays", lambda ray: ray[:-1]),
+    "long ray": _row("rays", lambda ray: ray + [0]),
+    "zero ray": _row("rays", lambda ray: [0] * len(ray)),
+    "imprimitive ray": _row("rays", lambda ray: [2 * x for x in ray]),
+    "ray not a list": _row("rays", lambda ray: {"ray": ray}),
+    "duplicate rays": _copy_row("rays", list),
+    "short cone": _row("cones", lambda cone: cone[:-1]),
+    "long cone": _row("cones", lambda cone: cone + [cone[0]]),
+    "cone not a list": _row("cones", len),
+    "repeated index": _row("cones", lambda cone: [cone[1]] + cone[1:]),
+    "negative index": _set_index(lambda doc: -1),
+    "out-of-range index": _set_index(lambda doc: len(doc["rays"])),
+    "duplicate cone": _copy_row("cones", lambda cone: cone[::-1]),
+}
+MUTATIONS = {
+    **PLACED,
+    "no rays": _set("rays", []),
+    "no cones": _set("cones", []),
+    "rays not a list": _set("rays", {}),
+    "cones not a list": _set("cones", None),
+    "quoted dimension": _set("dim", "2"),
+}
+# A phrase of each fault's message, all of which the mutants must reach.
+FAULT_WORDS = (
+    "ray coordinate: not a decimal integer", "cone ray index: not a decimal",
+    "got a boolean", "got float", "got NoneType", "has length",
+    "zero vector", "is not primitive", "ray: expected a JSON array",
+    "duplicate rays", "rays, expected", "repeats a ray",
+    "indexes a missing ray", "cone: expected a JSON array",
+    "duplicate maximal cones", "fan needs at least one ray",
+    "fan rays: expected", "fan cones: expected")
+
+
+def base_documents():
+    """Every eighth distinct fan document of the seed-1 `recognize` deck."""
+    return [json.loads(argv[1]) for argv in recognize_argvs((1,))[::8]]
+
+
+def mutated_documents():
+    """Each base document under each mutation, then four times under two
+    placed faults at random: which error wins is decided by their order."""
+    rng = random.Random(6034)
+    out = []
+    for doc in base_documents():
+        for names in ([[name] for name in MUTATIONS]
+                      + [rng.sample(sorted(PLACED), 2) for _ in range(4)]):
+            mutant = copy.deepcopy(doc)
+            for name in names:
+                MUTATIONS[name](rng, mutant)
+            out.append(mutant)
+    return out
+
+
+def outcome(build, *args):
+    """The repr of what an ingest gives: (dim, rays, cones, masks), or the
+    exception's type and message."""
+    try:
+        fan = build(*args)
+    except Exception as err:  # the type and the words are what is compared
+        return repr((type(err), str(err)))
+    if isinstance(fan, GeneralFan):
+        fan = (fan.dim, fan.rays, fan.cones, fan._masks)
+    return repr(fan)
+
+
+def cli_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{code}\0{out.getvalue()}\0{err.getvalue()}\0"
+
+
+class TestIngestEquivalence:
+    def test_bench_documents(self):
+        docs = [json.loads(argv[1]) for argv in recognize_argvs()]
+        assert len(docs) > 2000
+        for doc in docs:
+            assert outcome(fan_from_doc, doc) == outcome(reference_fan_ingest,
+                                                         doc)
+
+    def test_mutated_documents(self):
+        docs = mutated_documents()
+        assert len(docs) == len(base_documents()) * (len(MUTATIONS) + 4)
+        outcomes = []
+        for doc in docs:
+            outcomes.append(outcome(fan_from_doc, doc))
+            assert outcomes[-1] == outcome(reference_fan_ingest, doc), doc
+        text = "\n".join(outcomes)
+        assert [words for words in FAULT_WORDS if words not in text] == []
+        assert sum("ValidationError" not in got for got in outcomes) > 100
+
+    def test_library_input(self):
+        for doc in base_documents():
+            dim, rays, cones = doc["dim"], doc["rays"], doc["cones"]
+            values = {dim, *range(len(rays)), *chain.from_iterable(rays)}
+            enum = IntEnum("Coordinate", {f"v{i}": v
+                                          for i, v in enumerate(values)})
+            shapes = [
+                lambda: (dim, tuple(map(tuple, rays)),
+                         tuple(map(tuple, cones))),
+                lambda: (dim, (iter(ray) for ray in rays),
+                         (iter(cone) for cone in cones)),
+                lambda: (enum(dim), [list(map(enum, ray)) for ray in rays],
+                         [tuple(map(enum, cone)) for cone in cones]),
+                lambda: (dim, [tuple(ray) + (True,) for ray in rays], cones),
+                lambda: (dim, rays, [cone + [0.5] for cone in cones[::-1]]),
+                lambda: (dim, rays, [map(str, cone) for cone in cones]),
+                lambda: (dim, rays, cones + [cones[-1][::-1]]),
+            ]
+            for shape in shapes:
+                assert (outcome(GeneralFan, *shape())
+                        == outcome(reference_general_fan, *shape()))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_well_typed_document_runs_no_element_check(self, k, monkeypatch,
+                                                       capsys):
+        fan = scrambled_tower(random.Random(k), k, -3, 3)
+        doc = json.dumps(fan_to_doc(fan))
+        reads = []
+
+        def dimension_only(value, what):
+            assert what == "fan dimension", what
+            reads.append(value)
+            return value
+
+        def refuse(x, what):
+            raise AssertionError(f"{what} was checked one by one")
+
+        monkeypatch.setattr(SERIALIZE, "parse_int", dimension_only)
+        monkeypatch.setattr(FANS, "_check_int", refuse)
+        for command in ("classify", "check"):
+            assert cli.main([command, doc]) == 0
+        assert reads == [k, k]
+        assert '"sequence"' in capsys.readouterr().out
+
+
+# sha256 of cli_bytes over pinned_argvs(), computed before the single pass and
+# the one-solve witness; the decks are read from bench/jobs.py.
+PINNED_DIGEST = ("94d99c67d7c24ee0d00f13b2aba10588"
+                 "dac22168275604edc5849b6a7f3c788a")
+
+
+def pinned_argvs():
+    fans = [json.dumps(fan_to_doc(fan)) for fan in
+            reject_fans(random.Random(6013))]
+    mutants = [json.dumps(doc) for doc in mutated_documents()]
+    return (recognize_argvs()
+            + [(command, doc) for doc in fans + mutants
+               for command in ("classify", "check")])
+
+
+def pinned_digest():
+    digest = hashlib.sha256()
+    for argv in pinned_argvs():
+        digest.update(cli_bytes(argv).encode())
+    return digest.hexdigest()
+
+
+def test_cli_bytes_are_pinned():
+    assert pinned_digest() == PINNED_DIGEST
