@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _check_code, _check_int,
-                        _check_range, _check_sequence, _prepend)
+                        _check_range, _check_sequence, _prepend, bott_matrix)
 
 
 def index_sets(w, i: int, j: int):
@@ -159,10 +159,11 @@ def transition(c: IntegralSequence, k: int, w, w2):
     """The integer matrix rewriting one chart's monomials in another's.
 
     Row i gives the exponents of the target chart's i-th monomial as a
-    product of the source chart's monomials; as matrices it is the target
-    exponent basis times the inverse of the source one, and is always an
-    exact integer matrix because both are unimodular.
+    product of the source chart's monomials: U(w2) A(w), where U(w) has the
+    exponent basis as rows and A(w) the generators a_{m,w_m} as columns, so
+    that U(w) A(w) = I and A(w) is the inverse of the source basis.
     """
-    u1 = [list(v) for v in dual_generators(c, k, w)]
-    u2 = [list(v) for v in dual_generators(c, k, w2)]
-    return linalg.matmul(u2, linalg.invert_unimodular(u1))
+    w = _check_code(w, _check_sequence(c).check_stage(k))
+    gens = [row if bit else unit for row, unit, bit in
+            zip(bott_matrix(c, range(1, k + 1)), linalg.identity(k), w)]
+    return linalg.matmul(dual_generators(c, k, w2), linalg.transpose(gens))

@@ -16,7 +16,8 @@ rows of B up to one permutation, the stage order.  The top live stage is
 the first live pair whose second ray is -e_t on every live coordinate: its
 rays sum to zero modulo the stages above.  The columns of M are the first
 rays in stage order, B is the second rays' coordinates in it (one solve),
-C = -B^-1 (forward substitution: B is triangular with -1 on the diagonal).
+and C = -B^-1 by exact forward substitution (B is triangular with -1 on
+the diagonal), so bott_matrix(C) = B: M maps the tower onto the input.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import linalg
 from .errors import RejectionError, ValidationError
 from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
                    _rays, _smoothness_report, _tower_pairs, is_complete)
-from .sequences import IntegralSequence, _check_range, bott_matrix
+from .sequences import IntegralSequence, _check_range
 
 __all__ = [
     "ClassificationResult",
@@ -151,43 +152,47 @@ def project(fan, pair_index: int) -> GeneralFan:
     return GeneralFan(gf.dim - 1, heads, cones)
 
 
-def _tower_witness(rays, pairs):
-    """The ClassificationResult whose matrix M sends a_{i,gamma} to
-    rays[ray_map[2(i-1)+gamma]], or None when any step fails.  One solve
-    gives y = d x, d = det M0, x[t] the second ray of pair t in the basis M0
-    of the first rays; d y is x if d = +-1 and has no -1 entry otherwise.
-    B, x in stage order, is triangular with -1 on the diagonal, so C = -B^-1
-    is c(i,j) = B[i][j] + sum_{i<l<j} c(i,l) B[l][j].  No cone is read:
-    those of a checked pairing, or of a tower fan paired as (2i, 2i+1), are
-    the 2^k transversals of the pairs, and ray_map sends tower pair i onto
-    pair order[i-1], hence its transversals onto theirs.  M a_{i,0} is
-    column i of M, the first ray of stage i.  M a_{i,1} = sum_j
-    bott(c)[i][j] M e_j, while the input's second ray of stage i is
-    M0 x[order[i]] = sum_j B[i][j] M e_j.  M is unimodular, so the 2k ray
-    equalities hold if and only if bott_matrix(c) == B."""
+def _stage_matrix(rays, pairs):
+    """(order, B), the 0-based stage order and the Bott matrix, or None.
+    One solve gives y = d x, d = det M0, x[t] the second ray of pair t in
+    the basis M0 of the first rays; d y is x if d = +-1 and has no -1 entry
+    otherwise.  The top live stage, the first live t with x[t] = -e_t on
+    every live coordinate, goes in front, so B (x in stage order) is upper
+    triangular with -1 on the diagonal."""
     try:
         d, y = linalg.solve_fraction_free(
             list(zip(*(rays[p] for p, _ in pairs))),
             [rays[q] for _, q in pairs])
         live, order = list(range(len(pairs))), []
-        while live:  # the top live stage goes in front
+        while live:
             order.insert(0, next(t for t in live if all(
                 d * y[t][s] == -(s == t) for s in live)))
             live.remove(order[0])
     except (StopIteration, ValidationError):
         return None
+    return order, [[d * y[t][s] for s in order] for t in order]
+
+
+def _tower_witness(rays, pairs):
+    """The ClassificationResult whose matrix M sends a_{i,gamma} to
+    rays[ray_map[2(i-1)+gamma]], or None when there is no stage matrix.
+    C := -B^-1 is exact, c(i,j) = B[i][j] + sum_{i<l<j} c(i,l) B[l][j], so
+    bott_matrix(c) = -C^-1 = B and M a_{i,1} = sum_j B[i][j] M e_j is the
+    second ray of stage i; M a_{i,0} = M e_i is its first.  No cone is read:
+    the cones of a checked pairing, or of a tower fan paired as (2i, 2i+1),
+    are the 2^k transversals of the pairs, and ray_map sends pairs to pairs."""
+    if (staged := _stage_matrix(rays, pairs)) is None:
+        return None
+    order, b = staged
     k = len(order)
-    b = [[d * y[t][s] for s in order] for t in order]
     cols, twists = list(zip(*b)), {}
     for i in range(k):
         c = [int(l == i) for l in range(k)]  # row i of C, left to right
         for j in range(i + 1, k):
             c[j] = twists[i + 1, j + 1] = sum(map(int.__mul__, c, cols[j]))
-    sequence = IntegralSequence(k, twists)
-    if bott_matrix(sequence, range(1, k + 1)) != b:
-        return None
     stages = [pairs[t] for t in order]
-    return ClassificationResult(sequence, tuple(t + 1 for t in order),
+    return ClassificationResult(IntegralSequence(k, twists),
+                                tuple(t + 1 for t in order),
                                 tuple(zip(*(rays[p] for p, _ in stages))),
                                 tuple(r for pair in stages for r in pair))
 
@@ -200,13 +205,12 @@ def classify(fan) -> ClassificationResult:
     the second rays in the basis of the first rays: their order gives the
     stages, the first rays in stage order are the columns of the matrix M,
     the coordinates in stage order are the Bott matrix B, and c(i,j) =
-    -(B^-1)[i][j].  Its exact check bott_matrix(c) == B holds if and only if
-    M maps the standard fan of c onto the input through ray_map.  Such a fan
-    is smooth and complete, so no cone determinant is computed, and a BottFan
-    always has a witness.  Only a fan with no witness goes through the
-    ordered checks (smoothness, completeness), which choose the rejection;
-    one that passes them would contradict the converse theorem and raises
-    RuntimeError.
+    -(B^-1)[i][j]; then bott_matrix(c) = B, so M maps the standard fan of c
+    onto the input through ray_map.  Such a fan is smooth and complete, so
+    no cone determinant is computed, and a BottFan always has a witness.
+    Only a fan with no witness goes through the ordered checks (smoothness,
+    completeness), which choose the rejection; one that passes them would
+    contradict the converse theorem and raises RuntimeError.
     """
     try:
         witness = _tower_witness(_rays(fan), crosspolytope_check(fan))

@@ -122,17 +122,17 @@ def _verdict(predicate, gf):
 
 
 def _cmd_check(args):
-    from .classify import _tower_witness, crosspolytope_check
-    from .fans import (_fano_condition, _rays, build_fan, is_complete,
-                       is_fano, is_smooth)
+    from .classify import _stage_matrix, crosspolytope_check
+    from .fans import (_fano_condition, _rays, _tower_fano, is_complete,
+                       is_smooth)
 
     fan = _load_fan(args.input)
     pairs = _verdict(crosspolytope_check, fan)
-    witness = pairs and _tower_witness(_rays(fan), pairs)
-    if witness:  # a tower fan up to GL(Z), so smooth and complete
-        fano = is_fano(build_fan(witness.sequence, fan.dim))
+    staged = pairs and _stage_matrix(_rays(fan), pairs)
+    if staged:  # a tower fan up to GL(Z), so smooth and complete
         return encode_chunks({"smooth": True, "complete": True,
-                              "fano": fano, "crosspolytope": True}), 0
+                              "fano": _tower_fano(staged[1]),
+                              "crosspolytope": True}), 0
     complete = _verdict(is_complete, fan)
     doc = {"smooth": _verdict(is_smooth, fan), "complete": complete,
            "fano": complete and _fano_condition(fan),

@@ -1,11 +1,11 @@
 """Small exact linear algebra over the integers and rationals.
 
-All matrices are lists of row lists of Python ints (arbitrary precision).
-Every elimination is fraction-free; fractions.Fraction appears only in the
-results of solve_fraction and invert_fraction, which import it themselves so
-that loading this module does not load fractions (and decimal).  No package
-code calls either any more: both remain only because bench/tracing.py names
-them.  Matrices are k x k for a tower of height k, unbounded on sequence input.
+All matrices are lists of row lists of Python ints (arbitrary precision),
+k x k for a tower of height k, unbounded on sequence input.  Every
+elimination is fraction-free; fractions.Fraction appears only in the results
+of solve_fraction and invert_fraction, which import it themselves so that
+loading this module does not load fractions (and decimal).  No package code
+calls them or invert_unimodular: all three are kept for bench/tracing.py.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ matrix, so B(n) is the negated Moebius matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from operator import sub
 
@@ -359,17 +360,11 @@ class Poset:
                     f"pair ({i},{j}) has i > j: identity labeling would not "
                     "be a linear extension")
             strict.add((i, j))
-        # transitive closure; all pairs point upward so one forward sweep
-        # per midpoint suffices.
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(strict):
-                for (x, y) in list(strict):
-                    if b == x and (a, y) not in strict:
-                        strict.add((a, y))
-                        changed = True
-        self._strict = frozenset(strict)
+        # one downward pass: pairs point up, so above[j] is final at (i, j)
+        above = defaultdict(set)
+        for i, j in sorted(strict, reverse=True):
+            above[i] |= {j} | above[j]
+        self._strict = frozenset((i, j) for i in above for j in above[i])
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or (i, j) in self._strict

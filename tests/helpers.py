@@ -225,6 +225,29 @@ def random_poset(rng: random.Random, n: int, p: float = 0.4) -> Poset:
     return Poset(n, relation)
 
 
+def reference_poset_closure(relation):
+    """The former Poset closure, verbatim: a fixed-point loop over the
+    upward pairs of `relation` until no pair (a, y) is added."""
+    strict = set(relation)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(strict):
+            for (x, y) in list(strict):
+                if b == x and (a, y) not in strict:
+                    strict.add((a, y))
+                    changed = True
+    return frozenset(strict)
+
+
+def reference_transition(c: IntegralSequence, k: int, w, w2):
+    """The former charts.transition, verbatim: the target dual generators
+    times the Bareiss inverse of the source ones."""
+    u1 = [list(v) for v in dual_generators(c, k, w)]
+    u2 = [list(v) for v in dual_generators(c, k, w2)]
+    return linalg.matmul(u2, linalg.invert_unimodular(u1))
+
+
 def reference_match_rays(partners, count):
     """The former recursive ray matching, kept as a test oracle.
 

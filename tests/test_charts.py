@@ -12,7 +12,8 @@ Core claims:
    without checking them again; the public constructors still check.
 4. Transition matrices glue charts: identity on equal codes, inverse in the
    reversed direction, cocycle under composition, and they transport the
-   dual-generator rows.
+   dual-generator rows.  Read as U(w2) A(w), with no general inverse, they
+   equal the former inverse-based product (kept in helpers).
 5. The prefix walk behind `bott charts` yields one row per prefix, and the
    rows of every code, in binary order, are its dual generators.
 """
@@ -34,12 +35,14 @@ from bott_towers import (
     dual_chart,
     dual_generators,
     index_sets,
+    linalg,
     prefix_set,
     transition,
 )
 from bott_towers.charts import _prefix_rows
 from bott_towers.sequences import _bott_table
-from helpers import mat_id, mat_mul, minor_det, random_sequence
+from helpers import (mat_id, mat_mul, minor_det, random_sequence,
+                     reference_transition)
 
 
 # ===================================================================
@@ -252,6 +255,28 @@ class TestTransition:
             u1 = [list(v) for v in dual_generators(c, k, w1)]
             u2 = [list(v) for v in dual_generators(c, k, w2)]
             assert mat_mul(t, u1) == u2
+
+    def test_matches_the_former_inverse(self, monkeypatch):
+        # every code pair up to k = 4, then seeded pairs up to k = 8, on
+        # sequences up to two stages taller than the chart
+        rng = random.Random(4007)
+        cases = []
+        for k in range(1, 5):
+            c = random_sequence(rng, k + rng.randint(0, 2))
+            cases += [(c, k, w1, w2) for w1 in binary_codes(k)
+                      for w2 in binary_codes(k)]
+        for _ in range(300):
+            k = rng.randint(5, 8)
+            c = random_sequence(rng, k + rng.randint(0, 2))
+            cases.append((c, k, *(tuple(rng.randint(0, 1) for _ in range(k))
+                                  for _ in range(2))))
+        expected = [reference_transition(*case) for case in cases]
+
+        def refuse(matrix):
+            raise AssertionError("a general inverse was built")
+
+        monkeypatch.setattr(linalg, "invert_unimodular", refuse)
+        assert [transition(*case) for case in cases] == expected
 
     def test_code_validation(self):
         c = IntegralSequence(2, {(1, 2): 1})

@@ -31,7 +31,10 @@ Core claims:
    with scrambled pair order and sides, one-coordinate perturbations and
    random ray sets, and on scrambled towers of height 8 to 24 given by
    their rays alone; a tower fan is classified, checked and paired from
-   its 2k rays alone, up to k = 24.
+   its 2k rays alone, up to k = 24.  Every witness's sequence has the
+   stage matrix B as its Bott matrix, the identity that needs no run-time
+   check, and `check` and `classify` build no Bott matrix on an accepted
+   fan document and one, its BottFan's, on a sequence document.
 9. The pairing decides the transversals by count: it gives the same pairs,
    or the same rejection and witness, as the former 2^k walk (kept in
    helpers) on the recognition fan sets and on mutated scrambled towers, the
@@ -58,15 +61,18 @@ from bott_towers import (
     IntegralSequence,
     RejectionError,
     ValidationError,
+    bott_matrix,
     build_fan,
     classify,
     classification_to_doc,
     crosspolytope_check,
+    fan_to_doc,
     fans_isomorphic,
     find_opposite_pair,
     is_fano,
     is_smooth,
     project,
+    sequence_to_doc,
 )
 from helpers import (
     DEGENERATE_3D,
@@ -77,6 +83,7 @@ from helpers import (
     permute_rays,
     random_sequence,
     random_unimodular,
+    reference_check_doc,
     reference_classify,
     reference_crosspolytope_pairing,
     reference_tower_witness,
@@ -626,6 +633,12 @@ class TestOneBasis:
             rays, pairs = make(rng)
             result = CLASSIFY._tower_witness(rays, pairs)
             assert repr(result) == repr(reference_tower_witness(rays, pairs))
+            if result is not None:
+                # the identity the witness holds with no run-time check
+                order, b = CLASSIFY._stage_matrix(rays, pairs)
+                assert result.order == tuple(t + 1 for t in order)
+                assert bott_matrix(result.sequence,
+                                   range(1, len(order) + 1)) == b
             found += result is not None
         # each kind has witnesses to compare, and only towers always do
         towers = make in (swapped_tower, tall_tower)
@@ -686,6 +699,57 @@ class TestOneBasis:
                                      "fano": is_fano(fan)}
         assert pair == 1 + next(i for i in range(24) if not any(
             a + b for a, b in zip(rays[2 * i], rays[2 * i + 1])))
+
+
+class TestOneBottMatrix:
+    """bott_matrix calls made through sequences, fans or classify, counted:
+    an accepted fan document builds none, a sequence document one, its
+    BottFan."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = importlib.import_module("bott_towers.sequences").bott_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in ("sequences", "fans", "classify"):
+            monkeypatch.setattr(f"bott_towers.{module}.bott_matrix", counting,
+                                raising=False)
+        return calls
+
+    def test_an_accepted_fan_builds_none(self, monkeypatch, capsys):
+        from bott_towers import cli
+
+        rng = random.Random(6034)
+        fans = [scrambled_tower(rng, k, -3, 3) for k in range(1, 11)]
+        fans += tower_ladder(6031, 8, 2)
+        expected = [(reference_check_doc(gf),
+                     classification_to_doc(classify(gf))) for gf in fans]
+        calls = self.counted(monkeypatch)
+        for gf, answers in zip(fans, expected):
+            doc = json.dumps(fan_to_doc(gf))
+            for command, answer in zip(("check", "classify"), answers):
+                assert cli.main([command, doc]) == 0
+                assert json.loads(capsys.readouterr().out) == answer
+            assert classify(gf).ok
+        assert calls == []
+
+    def test_a_sequence_document_builds_one(self, monkeypatch, capsys):
+        from bott_towers import cli
+
+        rng = random.Random(6033)
+        docs = [json.dumps(sequence_to_doc(random_sequence(rng, k, -3, 3)))
+                for k in range(1, 25)]
+        calls = self.counted(monkeypatch)
+        for doc in docs:
+            for command in ("check", "classify"):
+                calls.clear()
+                assert cli.main([command, doc]) == 0
+                capsys.readouterr()
+                assert len(calls) == 1
 
 
 # ===================================================================

@@ -1,11 +1,12 @@
-"""Every module-level import of the package's modules is used, and few are
-made.
+"""Every import of the package's modules is used, and few are made.
 
-A name counts as used when the module reads it anywhere, annotations
-included.  Start-up stays small: no module loads `fractions` (and with it
-`decimal`) on import, `cli` loads only `errors` and `serialize` before a
-handler runs, and the document layers `serialize`, `sequences` and
-`cohomology` load neither `fans` nor `linalg`.
+A name imported at the top of a module counts as used when the module reads
+it anywhere, annotations included; one imported at the top of a function
+body, such as a CLI handler's, when that function reads it.  Start-up stays
+small: no module loads `fractions` (and with it `decimal`) on import, `cli`
+loads only `errors` and `serialize` before a handler runs, and the document
+layers `serialize`, `sequences` and `cohomology` load neither `fans` nor
+`linalg`.
 
 The benchmark's tracer (bench/tracing.py) wraps public functions by name, so
 each name it lists must exist: installing it resolves every layer, and
@@ -26,25 +27,34 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str):
-    """Names bound by the module's top-level imports that it never reads."""
+    """Names bound by the imports at the top of the module, or of a function
+    body, that the module, or that function, never reads."""
     tree = ast.parse(source)
-    bound = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound += [(alias.asname or alias.name).split(".")[0]
-                      for alias in node.names]
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in bound if name not in read]
+    unused = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+        bound = []
+        for node in scope.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [(alias.asname or alias.name).split(".")[0]
+                          for alias in node.names]
+        read = {node.id for node in ast.walk(scope) if isinstance(
+            node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [name for name in bound if name not in read]
+    return unused
 
 
 def test_the_checker_sees_an_unused_name():
+    # a function's own import counts as read only inside that function
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom json import dumps, loads as read\n"
-              "def f(x: int) -> str:\n    return read(x)\n")
-    assert unused_imports(source) == ["os", "dumps"]
+              "def f(x: int) -> str:\n    return read(x)\n"
+              "def check(x):\n    from .fans import build_fan, is_fano\n"
+              "    return is_fano(x)\n"
+              "def other(x):\n    return build_fan(x)\n")
+    assert unused_imports(source) == ["os", "dumps", "build_fan"]
 
 
 @pytest.mark.parametrize("name", MODULES)
