@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .fans import (BottFan, GeneralFan, _as_general, _crosspolytope_pairing,
-                   _rays, _smoothness_report, _tower_pairs, is_complete)
+from .fans import (GeneralFan, _as_general, _pairs, _rays, _smoothness_report,
+                   is_complete)
 from .sequences import IntegralSequence, _check_range
 
 __all__ = [
@@ -85,31 +85,22 @@ def crosspolytope_check(fan):
     binary cube" when the combinatorics do not match.  A BottFan is paired
     as (2i, 2i + 1) by construction, without its cones.
     """
-    if isinstance(fan, BottFan):
-        return _tower_pairs(fan.k)
-    return _crosspolytope_pairing(_as_general(fan))
-
-
-def _zero_sum_index(rays, pairs):
-    """0-based index of the first pair whose rays (in ``rays``) sum to zero.
-
-    Raises the "no zero-sum pair" rejection, with every pair's sum as the
-    witness, when there is none.
-    """
-    sums = [[a + b for a, b in zip(rays[p], rays[q])] for p, q in pairs]
-    for idx, total in enumerate(sums):
-        if not any(total):
-            return idx
-    raise RejectionError("no zero-sum pair", {"pair_sums": sums})
+    return _pairs(fan)
 
 
 def find_opposite_pair(fan) -> int:
     """Smallest 1-based pair index whose two rays sum to zero.
 
-    Raises the "no zero-sum pair" rejection when every pair has a nonzero
-    sum (possible only for non-complete fans).
+    Raises the "no zero-sum pair" rejection, with every pair's sum as the
+    witness, when there is none (possible only for non-complete fans).
     """
-    return _zero_sum_index(_rays(fan), crosspolytope_check(fan)) + 1
+    rays = _rays(fan)
+    sums = [[a + b for a, b in zip(rays[p], rays[q])]
+            for p, q in crosspolytope_check(fan)]
+    for idx, total in enumerate(sums, 1):
+        if not any(total):
+            return idx
+    raise RejectionError("no zero-sum pair", {"pair_sums": sums})
 
 
 def project(fan, pair_index: int) -> GeneralFan:
@@ -126,7 +117,7 @@ def project(fan, pair_index: int) -> GeneralFan:
     gf = _as_general(fan)
     if gf.dim == 1:
         raise ValidationError("no quotient below dimension 1")
-    pairs = crosspolytope_check(gf)
+    pairs = crosspolytope_check(fan)
     _check_range(pair_index, "pair_index", 1, len(pairs))
     p, q = pairs[pair_index - 1]
     if any(a + b != 0 for a, b in zip(gf.rays[p], gf.rays[q])):

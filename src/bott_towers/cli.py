@@ -3,7 +3,7 @@
 Subcommands take one input argument — a file path, or inline JSON when the
 argument starts with ``{`` — and print one canonical document, or write it
 with ``-o``.  Exit codes: 0 success, 2 unreadable input or bad usage, 3
-well-formed but invalid data, 4 mathematical rejection (the rejection
+well-formed but invalid data, 4 a ``classify`` rejection (the rejection
 document is still printed).  ``check``, ``classify`` and ``render`` read a
 sequence document as its tower's 2k rays and stage pairs, never as its 2^k
 cones.
@@ -18,8 +18,9 @@ full parser, with all eight, serves help, usage errors and unknown names.
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
 ``numbers --sets`` and ``cohomology`` are streams that are computed and
-encoded while they are written.  ``-o`` writes a temporary file beside the
-target and renames it onto the target at the end.
+encoded while they are written; the last three first check that their
+table's longest integer can be written.  ``-o`` writes a temporary file
+beside the target and renames it onto the target at the end.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _sequence_and_stage(args):
 def _cmd_numbers(args):
     from .sequences import (_bott_table, bott_matrix, bott_number_moebius,
                             c_matrix)
-    from .serialize import _index_sets, number_texts
+    from .serialize import _index_sets, _int_text, number_texts
 
     c = sequence_from_doc(_load_document(args.input))
     table = _bott_table(c, c.n) if args.sets or args.oracle else None
@@ -99,7 +100,8 @@ def _cmd_numbers(args):
                 raise RuntimeError(f"oracle mismatch on index set {ids}")
             checked += 1
         doc["oracle"] = {"checked": checked, "match": True}
-    if args.sets:
+    if args.sets:  # the longest Bott number is refused before any is written
+        _int_text(max(table, key=abs))
         doc["numbers"] = number_texts(table)
     return encode_chunks(doc), 0
 
@@ -143,11 +145,13 @@ def _cmd_check(args):
 def _cmd_charts(args):
     from .charts import _prefix_rows
     from .sequences import _bott_table
-    from .serialize import chart_texts
+    from .serialize import _int_text, chart_texts
 
     c, k = _sequence_and_stage(args)
-    rows = _prefix_rows(_bott_table(c, k), k)  # refused here above the cap
-    return encode_chunks({"k": k, "charts": chart_texts(rows)}), 0
+    table = _bott_table(c, k)  # refused here above the cap
+    _int_text(max(table, key=abs))  # every |I| >= 2 entry is in some chart
+    return encode_chunks({"k": k,
+                          "charts": chart_texts(_prefix_rows(table, k))}), 0
 
 
 def _cmd_bundle(args):
@@ -172,10 +176,11 @@ def _cmd_bundle(args):
 
 def _cmd_cohomology(args):
     from .cohomology import _total_chern_table, betti, presentation
-    from .serialize import term_texts
+    from .serialize import _int_text, term_texts
 
     c, k = _sequence_and_stage(args)
     table = _total_chern_table(c, k)
+    _int_text(max(table, key=abs))  # every nonzero term is written
     ranks = betti(c, k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
     doc = {"k": k,
@@ -308,9 +313,6 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RejectionError as err:
-        chunks = encode_chunks({"reject": err.code, "witness": err.witness})
-        code = EXIT_REJECTION
     try:
         if args.output:
             _replace_file(args.output, chunks)

@@ -302,11 +302,6 @@ def _match_rays(free, count):
     return stack
 
 
-def _tower_pairs(k: int):
-    """The opposite pairs (2i, 2i + 1) of the stage-k tower fan's rays."""
-    return [(2 * i, 2 * i + 1) for i in range(k)]
-
-
 def _crosspolytope_pairing(gf: GeneralFan):
     """Pair the rays so that the fan is combinatorially a crosspolytope.
 
@@ -347,6 +342,14 @@ def _crosspolytope_pairing(gf: GeneralFan):
     return pairs
 
 
+def _pairs(fan):
+    """The crosspolytope pairing of a fan: a BottFan's stage pairs
+    (2i, 2i + 1) by construction, without its cones, or the search's."""
+    if isinstance(fan, BottFan):
+        return [(2 * i, 2 * i + 1) for i in range(fan.k)]
+    return _crosspolytope_pairing(_as_general(fan))
+
+
 def primitive_collections(fan):
     """The minimal non-faces, as a list of ray index pairs.
 
@@ -355,10 +358,8 @@ def primitive_collections(fan):
     must form a perfect pairing of the rays whose one-per-pair selections are
     exactly the maximal cones; anything else is rejected.
     """
-    if isinstance(fan, BottFan):
-        return _tower_pairs(fan.k)
     try:
-        return _crosspolytope_pairing(_as_general(fan))
+        return _pairs(fan)
     except RejectionError as err:
         raise RejectionError("not crosspolytope combinatorics",
                              {"condition": err.code, **err.witness}) from None

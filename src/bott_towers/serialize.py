@@ -98,28 +98,31 @@ def encode_chunks(doc):
     """The canonical text of a document, as an iterator of chunks.
 
     A value of the top-level object may be an iterator of item texts (the
-    stream slot of the module docstring).  It is consumed as the chunks are
-    taken, `_BATCH` items to a chunk; a document without one is one chunk.
+    stream slot of the module docstring).  Every other value is encoded
+    before the first chunk, so an invalid one writes nothing.  A stream is
+    consumed as the chunks are taken, `_BATCH` items to a chunk; a document
+    without one is one chunk.
     """
-    if not (isinstance(doc, dict)
-            and any(isinstance(value, Iterator) for value in doc.values())):
+    if not (isinstance(doc, dict) and doc):
         yield _encode(doc, "") + "\n"
         return
     keys = sorted(doc)
     *heads, end = _object_frame(keys, "")
+    parts = [value if isinstance(value := doc[key], Iterator)
+             else head + _encode(value, "  ")
+             for key, head in zip(keys, heads)]
     text = ""
-    for key, head in zip(keys, heads):
-        value = doc[key]
-        if isinstance(value, Iterator):
-            yield text + head
-            opener, sep, close = _frame("  ")
-            text = opener
-            while batch := list(islice(value, _BATCH)):
-                yield text + sep.join(batch)
-                text = sep
-            text = "[]" if text is opener else close
-        else:
-            text += head + _encode(value, "  ")
+    for head, part in zip(heads, parts):
+        if isinstance(part, str):
+            text += part
+            continue
+        yield text + head
+        opener, sep, close = _frame("  ")
+        text = opener
+        while batch := list(islice(part, _BATCH)):
+            yield text + sep.join(batch)
+            text = sep
+        text = "[]" if text is opener else close
     yield text + end + "\n"
 
 

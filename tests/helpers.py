@@ -9,12 +9,14 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
-
 from itertools import combinations, product
+from pathlib import Path
 
 from bott_towers import (
     ClassificationResult,
@@ -797,3 +799,25 @@ def reference_numbers_doc(c: IntegralSequence, oracle: bool = False) -> dict:
     if oracle:
         doc["oracle"] = {"checked": 2 ** c.n - 1 - c.n, "match": True}
     return doc
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_jobs():
+    """The bench's `jobs` module, read-only: its decks name the documents."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("jobs")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def recognize_argvs(seeds=(1, 20030601)):
+    """Every distinct `recognize` argv at these seeds, in deck-build order."""
+    jobs = bench_jobs()
+    argvs = {}
+    for seed in seeds:
+        argvs.update(dict.fromkeys(job.argv for job in
+                                   jobs.build("recognize", seed)[0]))
+    return list(argvs)

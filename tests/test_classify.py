@@ -16,9 +16,11 @@ Core claims:
    rays and cones), or the reason code of the first failing stage.  The
    witness is self-verified, deterministic, and survives random unimodular
    maps and ray relabelings of tower fans.
-5. classify searches for the crosspolytope pairing once per call; chained
-   projections along the recovered stage order keep the remaining pairs as
-   each quotient's own pairing.
+5. classify searches for the crosspolytope pairing once per call, and
+   crosspolytope_check, primitive_collections and project pair a tower fan
+   by construction, with no search; chained projections along the
+   recovered stage order keep the remaining pairs as each quotient's own
+   pairing.
 6. classify reads the witness off the stage order without building a fan,
    and agrees field by field with the former recursive peel, kept as an
    oracle in helpers.
@@ -71,6 +73,7 @@ from bott_towers import (
     find_opposite_pair,
     is_fano,
     is_smooth,
+    primitive_collections,
     project,
     sequence_to_doc,
 )
@@ -426,6 +429,7 @@ class TestClassify:
 # ===================================================================
 
 CLASSIFY = importlib.import_module("bott_towers.classify")
+FANS = importlib.import_module("bott_towers.fans")
 
 
 def scrambled_towers(rng: random.Random, count: int):
@@ -441,18 +445,38 @@ def scrambled_towers(rng: random.Random, count: int):
 
 class TestPairingPassedDown:
     def test_one_pairing_search_per_classify(self, monkeypatch):
-        search = CLASSIFY._crosspolytope_pairing
+        search = FANS._crosspolytope_pairing
         calls = []
 
         def counted(gf):
             calls.append(gf)
             return search(gf)
 
-        monkeypatch.setattr(CLASSIFY, "_crosspolytope_pairing", counted)
+        monkeypatch.setattr(FANS, "_crosspolytope_pairing", counted)
         for _, gf in scrambled_towers(random.Random(6008), 15):
             calls.clear()
             assert classify(gf).ok
             assert calls == [gf]
+
+    def test_a_tower_fan_is_paired_by_construction(self, monkeypatch):
+        # One dispatch serves the three pairing readers: a BottFan gets the
+        # searched pairing of its expansion, (2i, 2i + 1), without a search.
+        rng = random.Random(6010)
+        fans = [build_fan(random_sequence(rng, k, -3, 3), k)
+                for k in range(1, 9)]
+        pairings = [crosspolytope_check(fan.as_general_fan()) for fan in fans]
+        quotients = [project(fan.as_general_fan(), fan.k) for fan in fans[1:]]
+
+        def refuse(gf):
+            raise AssertionError("a tower fan's pairing was searched")
+
+        for module in (FANS, CLASSIFY):  # also a name classify might import
+            monkeypatch.setattr(module, "_crosspolytope_pairing", refuse,
+                                raising=False)
+        for fan, pairs in zip(fans, pairings):
+            assert crosspolytope_check(fan) == pairs
+            assert primitive_collections(fan) == pairs
+        assert [project(fan, fan.k) for fan in fans[1:]] == quotients
 
     def test_quotients_along_the_order_keep_the_live_pairs(self):
         # Chained public projections along the recovered stage order, top
@@ -530,8 +554,6 @@ def assert_same_result(result, reference):
 # ===================================================================
 # 7. Witness first
 # ===================================================================
-
-FANS = importlib.import_module("bott_towers.fans")
 
 
 class TestWitnessFirst:

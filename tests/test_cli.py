@@ -23,9 +23,10 @@ Core claims:
    before any table is built.
 6. The streamed documents (fan, charts, numbers --sets, with and without
    --oracle and -k) are byte-identical to the reference oracles on stdout
-   and through -o, big integers included.  Oracle comparisons run before
-   the first byte, -o leaves no partial file, and a streamed run holds far
-   less memory than the document it writes.  numbers and charts read one
+   and through -o, big integers included.  Oracle comparisons, and the
+   refusal of an integer too long to write, run before the first byte, -o
+   leaves no partial file, and a streamed run holds far less memory than
+   the document it writes.  numbers and charts read one
    flat Bott table per job, which a stage above 20 refuses with exit 3
    before it is built; the ring and recognition commands build none.
 7. check is witness first: on scrambled towers, acceptance test 08's fans
@@ -234,6 +235,34 @@ class TestExitCodes:
         assert err.startswith("error: output integer: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output", [False, True])
+    @pytest.mark.parametrize("argv, docs", [
+        (["fan"], "chain"), (["charts"], "chain cancel"),
+        (["cohomology"], "chain"), (["numbers", "--sets"], "chain cancel")])
+    def test_streamed_document_writes_nothing_before_a_long_integer(
+            self, argv, docs, output, tmp_path, capsys):
+        from bott_towers import cli
+
+        # A chain of 2,001-digit twists puts 6,003-digit integers in the
+        # fan's rays, the charts, the Chern terms and the Bott matrix.  With
+        # c(1,2) = c(1,3) = c(2,4) = -c(3,4) = D of 2,200 digits the
+        # interval Bott numbers (the Bott matrix) stay short, but b({1,2,4})
+        # = -D^2 has 4,400 digits; it comes late in the streamed lists.
+        d, e = "9" * 2001, "9" * 2200
+        sequences = {
+            "chain": [[1, 2, d], [2, 3, d], [3, 4, d]],
+            "cancel": [[1, 2, e], [1, 3, e], [2, 4, e], [3, 4, "-" + e]]}
+        target = tmp_path / "doc.json"
+        for name in docs.split():
+            doc = json.dumps({"n": 4, "entries": sequences[name]})
+            assert cli.main([*argv, doc, *(["-o", str(target)] if output
+                                           else [])]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: output integer: ")
+            assert err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_entry(self):
         result = run_cli("numbers",

@@ -18,14 +18,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
-import importlib
 import io
 import json
 import random
-import sys
 from enum import IntEnum
 from itertools import chain
-from pathlib import Path
 
 import pytest
 
@@ -33,29 +30,8 @@ from bott_towers import GeneralFan, cli, fan_to_doc
 from bott_towers import fans as FANS
 from bott_towers import serialize as SERIALIZE
 from bott_towers.serialize import fan_from_doc
-from helpers import (reference_fan_ingest, reference_general_fan,
-                     reject_fans, scrambled_tower)
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def bench_jobs():
-    """The bench's `jobs` module, read-only: its decks name the documents."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module("jobs")
-    finally:
-        sys.path.remove(str(BENCH))
-
-
-def recognize_argvs(seeds=(1, 20030601)):
-    """Every distinct `recognize` argv at these seeds, in deck-build order."""
-    jobs = bench_jobs()
-    argvs = {}
-    for seed in seeds:
-        argvs.update(dict.fromkeys(job.argv for job in
-                                   jobs.build("recognize", seed)[0]))
-    return list(argvs)
+from helpers import (recognize_argvs, reference_fan_ingest,
+                     reference_general_fan, reject_fans, scrambled_tower)
 
 
 def _lists(doc, key):

@@ -124,6 +124,11 @@ MALFORMED_SEQUENCES = [  # (document, exit code, stderr line)
      "entry c(1,2): expected an integer, got a boolean"),
     ('{"n": 3, "entries": [[1, 4, 1], [0, 2, 1]]}', 3,
      "entry key (1,4) outside 1 <= i < j <= 3"),
+    ('{"n": 3, "m": 3}', 3, "sequence document: unknown key(s) ['m']"),
+    ('{"n": 3, "entries": [[1, 2]]}', 3,
+     "sequence entry must be an [i, j, value] triple, got [1, 2]"),
+    ('{"n": 3, "entries": [{"i": 1}]}', 3,
+     "sequence entry must be an [i, j, value] triple, got {'i': 1}"),
     ('{"n": "3", "entries": [[1, 3, "-2"]]}', 0, None),
 ]
 
