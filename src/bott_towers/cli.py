@@ -12,8 +12,10 @@ Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
 ``serialize``.  The handler reads each name from its defining module at
 every call, so a name replaced there (by a tracer or a test) is the one
-called.  A process builds each command's parser once and reuses it; the
-full parser, with all eight, serves help, usage errors and unknown names.
+called.  A process builds each command's parser once and reuses it: a
+standalone parser that parses the arguments after the command's name as
+the full parser's subparser would.  The full parser, with all eight,
+serves help, unknown names and arguments a command leaves over.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -242,11 +244,36 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(parser, name: str) -> argparse.ArgumentParser:
+    """`parser` with the arguments and the handler of command `name`."""
+    handler, _, stage, flags = _COMMANDS[name]
+    parser.add_argument("input",
+                        help="path to a JSON document, or inline JSON "
+                             "starting with '{'")
+    if stage:
+        parser.add_argument("-k", "--stage", type=int, default=None,
+                            help="tower stage (default: the full height)")
+    parser.add_argument("-o", "--output",
+                        help="write the document to this file instead of "
+                             "stdout")
+    for flag, flag_help in flags.items():
+        parser.add_argument(flag, action="store_true", help=flag_help)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 @lru_cache(maxsize=None)
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``bott`` parser with the subparser of `command` alone, or of
-    every command when it is None, built once per process.  On an argv that
-    starts with `command` both give the same bytes: usage names COMMAND."""
+def _build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser of command `name` alone, or the full ``bott`` parser with
+    all eight as subparsers when it is None, built once per process.
+
+    The one-command parser is the one ``add_parser`` builds for `name` (prog
+    ``bott NAME``), so on the arguments after the name both print the same
+    help and errors; only an argument it leaves over is reported by the
+    full parser, as "unrecognized arguments" with the full usage."""
+    if name is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"bott {name}"),
+                              name)
     parser = argparse.ArgumentParser(
         prog="bott",
         description="Exact computations for towers of projective-line "
@@ -255,21 +282,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
                     "2-D fan rendering.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-    for name in _COMMANDS if command is None else (command,):
-        handler, help_text, stage, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input",
-                       help="path to a JSON document, or inline JSON "
-                            "starting with '{'")
-        if stage:
-            p.add_argument("-k", "--stage", type=int, default=None,
-                           help="tower stage (default: the full height)")
-        p.add_argument("-o", "--output",
-                       help="write the document to this file instead "
-                            "of stdout")
-        for flag, flag_help in flags.items():
-            p.add_argument(flag, action="store_true", help=flag_help)
-        p.set_defaults(handler=handler)
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -303,8 +317,13 @@ def _replace_file(path: str, chunks) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if extra:
+            _build_parser().error("unrecognized arguments: "
+                                  + " ".join(extra))
+    else:
+        args = _build_parser().parse_args(argv)
     try:
         chunks, code = args.handler(args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:

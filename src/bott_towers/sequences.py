@@ -38,8 +38,8 @@ matrix, so B(n) is the negated Moebius matrix.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
-from operator import sub
+from itertools import chain, combinations
+from operator import lt, sub
 
 from .errors import ValidationError
 
@@ -85,21 +85,32 @@ class IntegralSequence:
 
     def __init__(self, n: int, entries=None):
         self.n = _check_range(n, "n")
+        entries = dict(entries) if entries else {}
+        keys = entries.keys()
+        if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
+                and {*map(type, chain.from_iterable(keys))} <= {int}
+                and {*map(type, entries.values())} <= {int}):
+            lows, highs = zip(*keys) if keys else ((), ())
+            if (all(map(lt, lows, highs)) and 1 <= min(lows, default=1)
+                    and max(highs, default=1) <= n):
+                self._entries = {key: val for key, val in entries.items()
+                                 if val}
+                return
+        # the same rules one entry at a time, to name the first fault
         stored = {}
-        if entries:
-            for key, val in dict(entries).items():
-                try:
-                    i, j = key
-                except (TypeError, ValueError):
-                    raise ValidationError(f"bad entry key {key!r}") from None
-                _check_int(i, "index i")
-                _check_int(j, "index j")
-                _check_int(val, f"entry c({i},{j})")
-                if not (1 <= i < j <= n):
-                    raise ValidationError(
-                        f"entry key ({i},{j}) outside 1 <= i < j <= {n}")
-                if val != 0:
-                    stored[(i, j)] = val
+        for key, val in entries.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ValidationError(f"bad entry key {key!r}") from None
+            _check_int(i, "index i")
+            _check_int(j, "index j")
+            _check_int(val, f"entry c({i},{j})")
+            if not (1 <= i < j <= n):
+                raise ValidationError(
+                    f"entry key ({i},{j}) outside 1 <= i < j <= {n}")
+            if val != 0:
+                stored[(i, j)] = val
         self._entries = stored
 
     @classmethod

@@ -4,7 +4,10 @@ Emitted documents are diff-stable: keys sorted, two-space indent, one
 trailing newline, lists in documented orders, ray indices 0-based.
 Integers of magnitude at least 2^53 are written as decimal strings so that
 double-precision JSON consumers cannot silently round them, and such
-strings are accepted wherever an integer is expected.
+strings are accepted wherever an integer is expected.  Integer texts are
+read from a constant table of -1024..1024; any other is made on each
+lookup and never stored, and one of more digits than Python converts is
+invalid data.
 
 Documents are written in chunks (:func:`encode_chunks`).  A value of the
 top-level object may be an iterator instead of a list: the stream slot.  It
@@ -31,20 +34,23 @@ _ITEM = "    "  # indent of the items of a top-level list
 _BATCH = 64  # streamed items joined into one chunk
 
 
-def _small_ints(items) -> bool:
-    """Whether there are items and all are plain ints below the limit."""
-    return ({*map(type, items)} == {int}
-            and -PRECISION_LIMIT < min(items) and max(items) < PRECISION_LIMIT)
+class _IntTexts(dict):
+    """Texts of output integers, those of -1024..1024 stored.  Any other is
+    made on each lookup and never stored: quoted from magnitude 2^53 on,
+    and invalid data with more digits than Python converts."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> str:
+        try:
+            text = int.__repr__(value)
+        except ValueError as err:
+            raise ValidationError(f"output integer: {err}") from None
+        return f'"{text}"' if abs(value) >= PRECISION_LIMIT else text
 
 
-def _int_text(value: int) -> str:
-    """The text of an int: quoted from magnitude 2^53 on.  An int of more
-    digits than Python converts is invalid data."""
-    try:
-        text = int.__repr__(value)
-    except ValueError as err:
-        raise ValidationError(f"output integer: {err}") from None
-    return f'"{text}"' if abs(value) >= PRECISION_LIMIT else text
+_int_text = _IntTexts({value: str(value)
+                       for value in range(-1024, 1025)}).__getitem__
 
 
 def _frame(indent: str):
@@ -69,16 +75,17 @@ def _encode(doc, indent: str) -> str:
         if not doc:
             return "[]"
         inner = indent + "  "
-        if _small_ints(doc):
-            body = map(str, doc)
-        elif ({*map(type, doc)} <= {list, tuple}
-              and _small_ints(list(chain.from_iterable(doc)))):
-            # rows of small ints (matrices, rays): one join per row
+        types = {*map(type, doc)}
+        if types == {int}:  # no bools
+            body = map(_int_text, doc)
+        elif (types <= {list, tuple}
+              and {*map(type, chain.from_iterable(doc))} == {int}):
+            # rows of ints (matrices, rays): one join per row
             deeper = inner + "  "
             start, sep = "[\n" + deeper, ",\n" + deeper
             end = "\n" + inner + "]"
-            body = [start + sep.join(map(str, row)) + end if row else "[]"
-                    for row in doc]
+            body = [start + sep.join(map(_int_text, row)) + end if row
+                    else "[]" for row in doc]
         else:
             body = [_encode(item, inner) for item in doc]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
@@ -89,8 +96,14 @@ def _encode(doc, indent: str) -> str:
         body = [encode_basestring_ascii(key) + ": " + _encode(doc[key], inner)
                 for key in sorted(doc)]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
-    if isinstance(doc, int) and not isinstance(doc, bool):
+    if type(doc) is bool:  # before int: True == 1
+        return "true" if doc else "false"
+    if isinstance(doc, int):
         return _int_text(doc)
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
     return json.dumps(doc)
 
 
@@ -131,7 +144,7 @@ def encode_canonical(doc) -> str:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)``
     with every integer of magnitude at least 2^53 first turned into its
-    decimal string; object keys must be strings.  Lists of small integers,
+    decimal string; object keys must be strings.  Lists of integers,
     and lists of such rows, are written with one join per list instead of
     going through the pure-Python encoder that ``json`` uses whenever an
     indent is set.  It is the join of :func:`encode_chunks`.
@@ -251,10 +264,20 @@ def sequence_to_doc(c: IntegralSequence) -> dict:
 
 
 def sequence_from_doc(doc) -> IntegralSequence:
+    """The IntegralSequence of a sequence document.  The entries get one
+    type and shape sweep; parse_int runs per entry only after a failed one,
+    or when a key repeats, to read quoted ints or name the first fault.
+    The constructor checks the ranges."""
     _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
     n = parse_int(doc["n"], "sequence height n")
+    triples = _require_list(doc.get("entries", []), "sequence entries")
+    if ({*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}
+            and {*map(type, chain.from_iterable(triples))} <= {int}):
+        entries = {(i, j): value for i, j, value in triples}
+        if len(entries) == len(triples):
+            return IntegralSequence(n, entries)
     entries = {}
-    for triple in _require_list(doc.get("entries", []), "sequence entries"):
+    for triple in triples:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise ValidationError(
                 f"sequence entry must be an [i, j, value] triple, got {triple!r}")

@@ -9,7 +9,10 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import importlib
+import io
 import json
 import math
 import random
@@ -29,6 +32,7 @@ from bott_towers import (
     binary_codes,
     build_fan,
     c_matrix,
+    cli,
     crosspolytope_check,
     dual_generators,
     extend_sequence,
@@ -813,11 +817,28 @@ def bench_jobs():
         sys.path.remove(str(BENCH))
 
 
-def recognize_argvs(seeds=(1, 20030601)):
-    """Every distinct `recognize` argv at these seeds, in deck-build order."""
+def deck_argvs(workload, seeds=(1, 20030601)):
+    """Every distinct argv of a bench workload's deck at these seeds, in
+    deck-build order."""
     jobs = bench_jobs()
     argvs = {}
     for seed in seeds:
         argvs.update(dict.fromkeys(job.argv for job in
-                                   jobs.build("recognize", seed)[0]))
+                                   jobs.build(workload, seed)[0]))
     return list(argvs)
+
+
+def cli_bytes(argv):
+    """The exit code, stdout and stderr of an in-process run, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{code}\0{out.getvalue()}\0{err.getvalue()}\0"
+
+
+def cli_digest(argvs):
+    """The sha256 of :func:`cli_bytes` over the argv in turn."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(cli_bytes(argv).encode())
+    return digest.hexdigest()

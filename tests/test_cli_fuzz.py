@@ -22,7 +22,7 @@ from itertools import product
 import pytest
 
 from bott_towers import cli
-from helpers import recognize_argvs
+from helpers import deck_argvs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,7 +34,8 @@ WIDE = "9" * 2200  # converts, but a product of two does not
 ODD = [2 ** 53, -(2 ** 60), WIDE, "-" + WIDE, LONG, LONG_TEXT, "3", "x", 1.5,
        True, None, [], {}]
 RECOGNIZE = [doc for doc in (json.loads(argv[1]) for argv in
-                             recognize_argvs((1,))) if doc["dim"] <= 4]
+                             deck_argvs("recognize", (1,)))
+             if doc["dim"] <= 4]
 
 small = st.integers(-3, 3)
 odd = st.sampled_from(ODD)

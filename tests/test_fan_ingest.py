@@ -15,10 +15,7 @@ digest, computed before the single pass and the one-solve witness landed.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import hashlib
-import io
 import json
 import random
 from enum import IntEnum
@@ -30,7 +27,7 @@ from bott_towers import GeneralFan, cli, fan_to_doc
 from bott_towers import fans as FANS
 from bott_towers import serialize as SERIALIZE
 from bott_towers.serialize import fan_from_doc
-from helpers import (recognize_argvs, reference_fan_ingest,
+from helpers import (cli_digest, deck_argvs, reference_fan_ingest,
                      reference_general_fan, reject_fans, scrambled_tower)
 
 
@@ -123,7 +120,8 @@ FAULT_WORDS = (
 
 def base_documents():
     """Every eighth distinct fan document of the seed-1 `recognize` deck."""
-    return [json.loads(argv[1]) for argv in recognize_argvs((1,))[::8]]
+    return [json.loads(argv[1])
+            for argv in deck_argvs("recognize", (1,))[::8]]
 
 
 def mutated_documents():
@@ -153,16 +151,9 @@ def outcome(build, *args):
     return repr(fan)
 
 
-def cli_bytes(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return f"{code}\0{out.getvalue()}\0{err.getvalue()}\0"
-
-
 class TestIngestEquivalence:
     def test_bench_documents(self):
-        docs = [json.loads(argv[1]) for argv in recognize_argvs()]
+        docs = [json.loads(argv[1]) for argv in deck_argvs("recognize")]
         assert len(docs) > 2000
         for doc in docs:
             assert outcome(fan_from_doc, doc) == outcome(reference_fan_ingest,
@@ -236,17 +227,10 @@ def pinned_argvs():
     fans = [json.dumps(fan_to_doc(fan)) for fan in
             reject_fans(random.Random(6013))]
     mutants = [json.dumps(doc) for doc in mutated_documents()]
-    return (recognize_argvs()
+    return (deck_argvs("recognize")
             + [(command, doc) for doc in fans + mutants
                for command in ("classify", "check")])
 
 
-def pinned_digest():
-    digest = hashlib.sha256()
-    for argv in pinned_argvs():
-        digest.update(cli_bytes(argv).encode())
-    return digest.hexdigest()
-
-
 def test_cli_bytes_are_pinned():
-    assert pinned_digest() == PINNED_DIGEST
+    assert cli_digest(pinned_argvs()) == PINNED_DIGEST

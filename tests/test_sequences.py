@@ -136,6 +136,34 @@ class TestIntegralSequence:
             IntegralSequence(3, {(3, 1): 1})
         with pytest.raises(ValidationError):
             IntegralSequence(3, {(1, 4): 1})
+        with pytest.raises(ValidationError):
+            IntegralSequence(3, {(0, 2): 1})
+
+    FAULTS = [  # (entries, the message of the first fault in key order)
+        ({(1, 2): 1, (0, 3): 0}, "entry key (0,3) outside 1 <= i < j <= 3"),
+        ({(1, 3): 1, (2, 2): 1}, "entry key (2,2) outside 1 <= i < j <= 3"),
+        ({(1, 2): True, (1, 4): 1}, "entry c(1,2) must be an integer, got "
+                                    "True"),
+        ({(1, 4): 1, (1, 2): True}, "entry key (1,4) outside 1 <= i < j <= 3"),
+        ({(1, 2, 3): 1}, "bad entry key (1, 2, 3)"),
+        ({(1, 2.0): 1}, "index j must be an integer, got 2.0"),
+        ({(1, 2): 1, 3: 1}, "bad entry key 3"),
+    ]
+
+    @pytest.mark.parametrize("entries, message", FAULTS,
+                             ids=range(len(FAULTS)))
+    def test_first_fault_is_named(self, entries, message):
+        with pytest.raises(ValidationError) as err:
+            IntegralSequence(3, entries)
+        assert str(err.value) == message
+
+    def test_int_subclasses_are_read_as_ints(self):
+        from enum import IntEnum
+
+        value = IntEnum("Value", {"one": 1, "two": 2, "three": 3})
+        c = IntegralSequence(3, {(value.one, value.two): value.three,
+                                 (1, 3): 0})
+        assert c == IntegralSequence(3, {(1, 2): 3})
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,17 +1,21 @@
 """The canonical encoder against the stdlib encoder it replaced.
 
-`encode_canonical` writes lists of small integers, and lists of such rows,
-with one join per list; the oracle `helpers.reference_canonical` guards big
+`encode_canonical` writes lists of integers, and lists of such rows, with
+one join per list; the oracle `helpers.reference_canonical` guards big
 integers and then runs ``json.dumps(..., sort_keys=True, indent=2)``.  The
 two must agree byte for byte on every document with string keys.  A
 top-level value may instead be a stream of item texts from the item
 encoders: the document must read the same as with the list, and the stream
-is consumed only as chunks are taken.
+is consumed only as chunks are taken.  Integer texts come from a table of
+-1024..1024 that never stores a miss.  The CLI bytes of every distinct
+`tables` and `ring` bench argv are pinned by one digest, computed before
+the table.
 
 `sequence_from_doc` gives the sequence the public constructor gives on the
 parsed entries, and a malformed document exits with its pinned code and one
 stderr line, the parse error of a triple winning over a range error of an
-earlier key.
+earlier key.  A well-typed document is checked by sweeps, with no check of
+one entry at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +26,14 @@ from itertools import product
 
 import pytest
 
-from bott_towers import IntegralSequence, cli, encode_canonical
-from bott_towers.serialize import (cone_texts, encode_chunks, number_texts,
-                                   sequence_from_doc, term_texts)
-from helpers import reference_canonical
+from bott_towers import (IntegralSequence, ValidationError, cli,
+                         encode_canonical)
+from bott_towers import sequences as SEQUENCES
+from bott_towers import serialize as SERIALIZE
+from bott_towers.serialize import (_int_text, cone_texts, encode_chunks,
+                                   number_texts, sequence_from_doc,
+                                   term_texts)
+from helpers import cli_digest, deck_argvs, reference_canonical
 
 LIMIT = 2 ** 53
 EDGE_INTS = [LIMIT - 1, -(LIMIT - 1), LIMIT, -LIMIT, 2 ** 80, 0, -1]
@@ -163,25 +171,100 @@ class TestSequenceIngest:
             assert (out, err) == ("", f"error: {line}\n")
 
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+class TestIntegerTexts:
+    EDGES = [-1025, -1024, 1024, 1025,
+             LIMIT - 1, -(LIMIT - 1), LIMIT, -LIMIT]
 
-ints = st.one_of(st.integers(-2 ** 60, 2 ** 60), st.sampled_from(EDGE_INTS))
-int_lists = st.lists(st.one_of(ints, st.booleans()), max_size=6)
-rows = st.lists(st.one_of(int_lists, int_lists.map(tuple)), max_size=4)
-scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
-                    ints)
-documents = st.recursive(
-    st.one_of(scalars, int_lists, rows),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=24)
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edges_match_the_reference(self, value):
+        assert _int_text(value) == reference_canonical(value)[:-1]
+        doc = {"list": [0, value, -1], "rows": [[value], [1, value]],
+               "value": value}
+        assert encode_canonical(doc) == reference_canonical(doc)
+
+    def test_bool_in_a_row(self):
+        doc = {"rows": [[1, True, 2], [False], [3, 4]]}
+        assert encode_canonical(doc) == reference_canonical(doc)
+        assert "      true,\n" in encode_canonical(doc)
+
+    def test_misses_are_not_stored(self):
+        table = _int_text.__self__
+        assert len(table) == 2049
+        for value in self.EDGES + [2 ** 80, -(10 ** 4299)]:
+            _int_text(value)
+        with pytest.raises(ValidationError):
+            _int_text(10 ** 4300)
+        assert len(table) == 2049
+
+    @pytest.mark.parametrize("sets", [False, True])
+    def test_digit_limit(self, sets, capsys):
+        """b(1,2,3) = -D E: 4,300 digits are written quoted, 4,301 exit 3
+        before the first byte."""
+        d = "9" * 2150
+        for e, code in ((d, 0), (d + "9", 3)):
+            doc = json.dumps({"n": 3, "entries": [[1, 2, d], [2, 3, e]]})
+            assert cli.main(["numbers", doc, *["--sets"] * sets]) == code
+            out, err = capsys.readouterr()
+            top = -int(d) * int(e)
+            if code == 0:
+                assert f'"{top}"' in out and err == ""
+            else:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith("error: output integer: ")
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
-                     database=None)
-@hypothesis.given(documents)
-def test_encoder_matches_reference(doc):
-    assert encode_canonical(doc) == reference_canonical(doc)
+def test_well_typed_sequence_runs_no_element_check(monkeypatch):
+    triples = [[1, 2, 3], [1, 4, -2], [3, 4, 0], [2, 3, -1]]
+    reads = []
+
+    def height_only(value, what):
+        assert what == "sequence height n", what
+        reads.append(value)
+        return value
+
+    def height_check(x, what):
+        assert what == "n", f"{what} was checked one by one"
+        return x
+
+    monkeypatch.setattr(SERIALIZE, "parse_int", height_only)
+    monkeypatch.setattr(SEQUENCES, "_check_int", height_check)
+    c = sequence_from_doc({"n": 4, "entries": triples})
+    assert reads == [4]
+    assert c.entries() == ((1, 2, 3), (1, 4, -2), (2, 3, -1))
+
+
+# sha256 of cli_bytes over the distinct `tables` and `ring` argv at seeds 1
+# and 20030601, computed before the integer table and the one-sweep ingest.
+DECK_DIGEST = ("bab49d1945df52d1852f12f0526de7e5"
+               "88a85f64ba000c41f5742660cf1f8111")
+
+
+def test_deck_cli_bytes_are_pinned():
+    assert (cli_digest(deck_argvs("tables") + deck_argvs("ring"))
+            == DECK_DIGEST)
+
+
+def test_encoder_matches_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.one_of(st.integers(-2 ** 60, 2 ** 60),
+                     st.sampled_from(EDGE_INTS))
+    int_lists = st.lists(st.one_of(ints, st.booleans()), max_size=6)
+    rows = st.lists(st.one_of(int_lists, int_lists.map(tuple)), max_size=4)
+    scalars = st.one_of(st.none(), st.booleans(), st.floats(),
+                        st.text(max_size=6), ints)
+    documents = st.recursive(
+        st.one_of(scalars, int_lists, rows),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=24)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(documents)
+    def matches(doc):
+        assert encode_canonical(doc) == reference_canonical(doc)
+
+    matches()
