@@ -365,13 +365,18 @@ def _total_chern_table(c: IntegralSequence, k: int) -> list:
     pend[h-1] holds one for x_h per block of 2^i masks that share them:
     x_i adds a times each block's lower half into its upper half, then the
     blocks split in two and the half with x_i adds -a c(h,i) to x_h.
+    Each column of c is read once, at its stage; its nonzero twists serve
+    the stages above.
     """
     _check_table_stage(c, k, "the total Chern class", "coefficients")
-    twists = CohomologyRing(c, k)._twists
+    twists = [()]  # twists[i]: the nonzero (h, c(h,i)), read with column i
     table = [1]
     for j in range(1, k + 1):
         out = table.copy()
-        pend = [[value] for value in c.column(j)]
+        column = c.column(j)
+        twists.append([(h, value) for h, value in enumerate(column, 1)
+                       if value])
+        pend = [[value] for value in column]
         for i in range(j - 1, 0, -1):
             a = pend.pop()
             half = 1 << (i - 1)

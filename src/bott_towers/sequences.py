@@ -20,7 +20,12 @@ one pass of this recursion with no memo, and each column of
 :func:`_bott_table` instead: 2^n ints indexed by mask, one multiply-add per
 set, refused above stage `_MAX_TABLE_STAGE`.  The Bott number also admits
 an independent expansion as an alternating sum over chains through the
-interior of I, implemented in :func:`bott_number_moebius`.
+interior of I.  :func:`_chain_products` multiplies out every chain of one
+interval by prefix, one multiply per chain; :func:`bott_number_moebius`
+sums them for one set, and :func:`_chain_table`, the check behind
+``numbers --oracle``, turns them into b(I) for every set with one subset-sum
+transform per pair of endpoints: O(n 2^n) operations in all, against the
+3^n / 4 chains of the sets taken one at a time.
 
 >>> c = IntegralSequence(3, {(1, 2): 2, (1, 3): 5, (2, 3): 3})
 >>> bott_matrix(c, (1, 2, 3))
@@ -38,8 +43,8 @@ matrix, so B(n) is the negated Moebius matrix.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, combinations
-from operator import lt, sub
+from itertools import chain
+from operator import add, lt, sub
 
 from .errors import ValidationError
 
@@ -265,6 +270,32 @@ def _bott_table(c: IntegralSequence, n: int) -> list:
     return table
 
 
+def _chain_products(entries: dict, stops) -> list:
+    """The signed chain products through stops s_0 < ... < s_{m+1}, as 2^m
+    ints indexed by mask (bit t-1 is s_t): for a subset L of the interior,
+    g(L) = (-1)^|L| c(s_0,l_1) c(l_1,l_2) ... c(l_|L|,s_{m+1}).
+
+    Built by prefix, one multiply per product: h({}) = 1,
+    h(L + {t}) = -h(L) c(top(L), t) for t above top(L), the highest stop of L
+    (s_0 when L is empty), and g(L) = h(L) c(top(L), s_{m+1}).  Grouped by
+    bit length, the sets of one top are one slice, so each new top s_b
+    extends h by one slice per top below it.
+    """
+    def extend(values, stop, sign):
+        # the sets of top s_a sit in [2^(a-1), 2^a), the empty set at 0
+        out = []
+        for a in range(len(values).bit_length()):
+            group = values[(1 << a) >> 1:1 << a]
+            twist = sign * entries.get((stops[a], stop), 0)
+            out += map(twist.__mul__, group) if twist else [0] * len(group)
+        return out
+
+    h = [1]
+    for b in range(1, len(stops) - 1):
+        h += extend(h, stops[b], -1)
+    return extend(h, stops[-1], 1)
+
+
 def bott_number_moebius(c: IntegralSequence, ids) -> int:
     """b(I) as an alternating sum over chains through the interior of I.
 
@@ -273,25 +304,55 @@ def bott_number_moebius(c: IntegralSequence, ids) -> int:
     (-1)^k c(i,l_1) c(l_1,l_2) ... c(l_k,j); the empty subset contributes
     c(i,j).  This is the chain expansion of the top-right entry of -C(I)^(-1),
     so it must agree with :func:`bott_number` — computed here without any
-    matrix algebra as an independent cross-check.
+    matrix algebra as an independent cross-check.  The 2^(|I|-2) chain
+    products are built by prefix (:func:`_chain_products`), one multiply
+    each.
     """
     ids = _index_set(c, ids)
     if len(ids) < 2:
         raise ValidationError("interior-chain expansion needs |I| >= 2")
-    entries = c._entries  # I is checked, so c(a, b) is read unchecked
-    lo, hi = ids[0], ids[-1]
-    interior = ids[1:-1]
-    total = 0
-    for size in range(len(interior) + 1):
-        for chain in combinations(interior, size):
-            stops = (lo,) + chain + (hi,)
-            prod = 1
-            for a, b in zip(stops, stops[1:]):
-                prod *= entries.get((a, b), 0)
-                if prod == 0:
-                    break
-            total += -prod if size % 2 else prod
-    return total
+    return sum(_chain_products(c._entries, ids))  # I is checked
+
+
+def _subset_sums(values: list) -> list:
+    """The subset-sum (zeta) transform in place: entry J becomes the sum of
+    the entries of the subsets of J, one bit at a time, a slice per block
+    or per offset within the blocks, whichever is fewer."""
+    size = len(values)
+    half = 1
+    while half < size:
+        step = half << 1
+        if size // step < half:  # a slice per block
+            for lo in range(0, size, step):
+                top = slice(lo + half, lo + step)
+                values[top] = map(add, values[top], values[lo:lo + half])
+        else:  # a strided slice per offset
+            for r in range(half):
+                top = slice(half + r, None, step)
+                values[top] = map(add, values[top], values[r::step])
+        half = step
+    return values
+
+
+def _chain_table(c: IntegralSequence, n: int) -> list:
+    """b(I) for every I in 1..n with |I| >= 2 by the chain expansion, as 2^n
+    ints indexed by mask (bit i-1 is i; the entries of |I| < 2 are 0).
+
+    For endpoints lo < hi and interior J of I, b(I) is the sum of the chain
+    products g(L) of the stops lo..hi over the subsets L of J: one subset-sum
+    transform per pair, whose 2^(hi-lo-1) entries sit at the masks
+    2^(lo-1) + 2^(hi-1) + J 2^lo, one strided slice.  Independent of
+    :func:`_bott_table`: explicit chain products, no suffix recursion.
+    """
+    _check_table_stage(c, n, "the chain-sum table", "entries")
+    table = [0] * (1 << n)
+    for lo in range(1, n):
+        for hi in range(lo + 1, n + 1):
+            sums = _subset_sums(_chain_products(c._entries,
+                                                range(lo, hi + 1)))
+            base = (1 << (lo - 1)) + (1 << (hi - 1))
+            table[base:base + (len(sums) << lo):1 << lo] = sums
+    return table
 
 
 def _check_code(w, k: int | None = None) -> tuple:

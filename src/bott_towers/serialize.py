@@ -168,17 +168,18 @@ def cone_texts(k: int):
 def chart_texts(rows):
     """Item texts of the `charts` list from `charts._prefix_rows` events.
 
-    Each event (j, w_j, u_j) encodes one row, once per prefix; a chart is
-    written when its code is complete (j equals the row length).
+    Each event (j, w_j, u_j) encodes one row of ints, once per prefix,
+    through a frame made once; a chart is written when its code is complete
+    (j equals the row length).
     """
     head, middle, tail = _object_frame(("code", "monomials"), _ITEM)
     opener, sep, close = _frame(_ITEM + "  ")
-    row_indent = _ITEM + "    "
+    r_open, r_sep, r_close = _frame(_ITEM + "    ")
     code, texts = [], []
     for j, bit, row in rows:
         del code[j - 1:], texts[j - 1:]
         code.append("1" if bit else "0")
-        texts.append(_encode(row, row_indent))
+        texts.append(r_open + r_sep.join(map(_int_text, row)) + r_close)
         if j == len(row):
             yield (head + opener + sep.join(code) + close + middle
                    + opener + sep.join(texts) + close + tail)

@@ -3,8 +3,9 @@
 The oracles here deliberately use different algorithms from the library
 (Gaussian elimination over Fraction, the triangular recursion and the
 memoised suffix recursion instead of the flat Bott table and its point
-lookups, cofactor expansion instead of Bareiss) so that agreement is
-evidence, not tautology.
+lookups, one loop per chain instead of chain products built by prefix,
+cofactor expansion instead of Bareiss) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -105,6 +106,26 @@ def reference_bott_number(c: IntegralSequence, ids, memo: dict) -> int:
             memo[key] = value
         tail[t] = value
     return tail[0]
+
+
+def reference_chain_sum(c: IntegralSequence, ids) -> int:
+    """b(I) by the former per-chain loop of `bott_number_moebius`, kept as a
+    test oracle: every chain through the interior of the sorted tuple `ids`
+    (|I| >= 2) multiplied out on its own, with an early exit at a zero."""
+    entries = c._entries
+    lo, hi = ids[0], ids[-1]
+    interior = ids[1:-1]
+    total = 0
+    for size in range(len(interior) + 1):
+        for chain in combinations(interior, size):
+            stops = (lo,) + chain + (hi,)
+            prod = 1
+            for a, b in zip(stops, stops[1:]):
+                prod *= entries.get((a, b), 0)
+                if prod == 0:
+                    break
+            total += -prod if size % 2 else prod
+    return total
 
 
 def _guard_big(doc):

@@ -751,8 +751,9 @@ class TestTablesAgainstReference:
     def test_oracle_mismatch_writes_nothing(self, monkeypatch, capsys):
         from bott_towers import cli, sequences
 
-        monkeypatch.setattr(sequences, "bott_number_moebius",
-                            lambda c, ids: 10 ** 6)
+        build = sequences._bott_table
+        monkeypatch.setattr(sequences, "_bott_table",
+                            lambda c, n: build(c, n)[:3] + [10 ** 6])
         with pytest.raises(RuntimeError, match="oracle mismatch"):
             cli.main(["numbers", HIRZEBRUCH_SEQ, "--sets", "--oracle"])
         assert capsys.readouterr().out == ""
