@@ -12,10 +12,13 @@ Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
 ``serialize``.  The handler reads each name from its defining module at
 every call, so a name replaced there (by a tracer or a test) is the one
-called.  A process builds each command's parser once and reuses it: a
-standalone parser that parses the arguments after the command's name as
-the full parser's subparser would.  The full parser, with all eight,
-serves help, unknown names and arguments a command leaves over.
+called.  A command's arguments in one closed grammar (one input, the
+command's exact option strings, each value not starting with '-') are read
+without argparse, into the namespace argparse would give.  Any other
+arguments go to a standalone argparse parser of the command, built for
+that call, which parses them as the full parser's subparser would; the
+full parser, with all eight, serves help, unknown names and arguments a
+command leaves over.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -27,13 +30,12 @@ beside the target and renames it onto the target at the end.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import lru_cache
 from itertools import combinations, compress, count
 from operator import ne
+from types import SimpleNamespace
 
 from .errors import RejectionError, ValidationError
 from .serialize import encode_chunks, sequence_from_doc
@@ -53,14 +55,20 @@ def _unique_keys(pairs):
     return doc
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_document(source: str):
     if source.lstrip().startswith("{"):
         text = source
     else:
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using "
+                                   "utf-8-sig)", text, 0)
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return _DECODER.decode(text)
     except RecursionError:  # the decoder recurses once per nesting level
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
     except (json.JSONDecodeError, ValidationError):
@@ -246,16 +254,20 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser, name: str) -> argparse.ArgumentParser:
+_OUTPUT = ("-o", "--output")
+_STAGE = ("-k", "--stage")  # on the commands whose row says so
+
+
+def _add_arguments(parser, name: str):
     """`parser` with the arguments and the handler of command `name`."""
     handler, _, stage, flags = _COMMANDS[name]
     parser.add_argument("input",
                         help="path to a JSON document, or inline JSON "
                              "starting with '{'")
     if stage:
-        parser.add_argument("-k", "--stage", type=int, default=None,
+        parser.add_argument(*_STAGE, type=int, default=None,
                             help="tower stage (default: the full height)")
-    parser.add_argument("-o", "--output",
+    parser.add_argument(*_OUTPUT,
                         help="write the document to this file instead of "
                              "stdout")
     for flag, flag_help in flags.items():
@@ -264,15 +276,50 @@ def _add_arguments(parser, name: str) -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _build_parser(name=None) -> argparse.ArgumentParser:
-    """The parser of command `name` alone, or the full ``bott`` parser with
-    all eight as subparsers when it is None, built once per process.
+def _plain_args(name: str, argv):
+    """The namespace ``_build_parser(name).parse_known_args(argv)`` gives,
+    with nothing left over, when `argv` is one input that does not start
+    with '-' and the exact option strings of command `name`, in any order,
+    each value not starting with '-' (a stage one that int() converts).
+    None for any other argv, which argparse then reads."""
+    handler, _, stage, flags = _COMMANDS[name]
+    values = {"output": None, **{flag[2:]: False for flag in flags}}
+    if stage:
+        values["stage"] = None
+    words = iter(argv)
+    for word in words:
+        if word in flags:
+            values[word[2:]] = True
+        elif word in _OUTPUT or stage and word in _STAGE:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            if word in _OUTPUT:
+                values["output"] = value
+            else:
+                try:
+                    values["stage"] = int(value)  # as argparse's type=int
+                except ValueError:
+                    return None
+        elif word.startswith("-") or "input" in values:
+            return None
+        else:
+            values["input"] = word
+    if "input" not in values:
+        return None
+    return SimpleNamespace(**values, handler=handler)
+
+
+def _build_parser(name=None):
+    """The argparse parser of command `name` alone, or the full ``bott``
+    parser with all eight as subparsers when it is None.
 
     The one-command parser is the one ``add_parser`` builds for `name` (prog
     ``bott NAME``), so on the arguments after the name both print the same
     help and errors; only an argument it leaves over is reported by the
     full parser, as "unrecognized arguments" with the full usage."""
+    import argparse
+
     if name is not None:
         return _add_arguments(argparse.ArgumentParser(prog=f"bott {name}"),
                               name)
@@ -319,13 +366,13 @@ def _replace_file(path: str, chunks) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
+    if not argv or argv[0] not in _COMMANDS:
+        args = _build_parser().parse_args(argv)
+    elif (args := _plain_args(argv[0], argv[1:])) is None:
         args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
         if extra:
             _build_parser().error("unrecognized arguments: "
                                   + " ".join(extra))
-    else:
-        args = _build_parser().parse_args(argv)
     try:
         chunks, code = args.handler(args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:

@@ -35,8 +35,11 @@ Core claims:
    cone determinant.  BOTT_SEED is ignored, check has no --probes option,
    and each subcommand accepts exactly its pinned option strings, in the
    full parser and in the parser built for it alone.  Both parsers print
-   the same bytes and exit codes on help, usage and error argv.  Each is
-   built once per process, and a kept parser answers as a fresh one.
+   the same bytes and exit codes on help, usage and error argv.  An argv
+   in the closed grammar of `cli._plain_args` (every bench deck argv) is
+   read into the namespace argparse gives and constructs no parser; any
+   other goes to argparse, and repeated calls in one process answer as
+   calls through parsers built for each.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -57,6 +60,7 @@ import pytest
 
 from helpers import (
     RECOGNITION_FAN_SETS,
+    deck_argvs,
     random_sequence,
     reference_bundle_doc,
     reference_canonical,
@@ -210,6 +214,16 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: cannot read input: ")
+
+    def test_byte_order_mark_is_unreadable_input(self, tmp_path, capsys):
+        from bott_towers import cli
+
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"n": 2}')
+        assert cli.main(["numbers", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read input: Unexpected UTF-8 BOM (decode "
+                "using utf-8-sig): line 1 column 1 (char 0)\n")
 
     def test_integer_literal_over_the_digit_limit(self, capsys):
         from bott_towers import cli
@@ -950,11 +964,25 @@ PARSER_ARGV = [
     ["numbers", HIRZEBRUCH_SEQ, "--se", "--or"],
     ["numbers", HIRZEBRUCH_SEQ, "--o"],  # ambiguous: --oracle, --output
     ["cohomology", HIRZEBRUCH_SEQ, "--orac", "--st", "1"],
+    # edges of the plain reader, which declines them or reads them as
+    # argparse does
+    ["fan", HIRZEBRUCH_SEQ, "-k", "-1"],
+    ["numbers", HIRZEBRUCH_SEQ, "-o", "-"],
+    ["numbers", HIRZEBRUCH_SEQ, "-o", ""],
+    ["numbers", ""],
+    ["numbers", "-"],
+    ["fan", HIRZEBRUCH_SEQ, "-k"],
+    ["fan", HIRZEBRUCH_SEQ, "-k", " 2"],
+    ["numbers", HIRZEBRUCH_SEQ, "-o", "a.json", "-o", "b.json"],
+    ["numbers", HIRZEBRUCH_SEQ, "--sets", "--sets"],
+    ["numbers", "--sets", "-o", "a.json", HIRZEBRUCH_SEQ],
+    ["fan", "-k", "1", HIRZEBRUCH_SEQ],
+    ["fan", HIRZEBRUCH_SEQ, "--sets"],
 ]
 
 
 def argv_id(argv):
-    return " ".join("SEQ" if arg == HIRZEBRUCH_SEQ else arg
+    return " ".join("SEQ" if arg == HIRZEBRUCH_SEQ else arg or "''"
                     for arg in argv) or "no-argument"
 
 
@@ -1041,42 +1069,70 @@ class TestDeterminism:
             assert options(one) == strings
 
     @pytest.mark.parametrize("argv", PARSER_ARGV, ids=argv_id)
-    def test_one_subparser_parses_as_the_full_parser(self, argv, monkeypatch,
-                                                     capsys):
+    def test_one_subparser_parses_as_the_full_parser(self, argv, tmp_path,
+                                                     monkeypatch, capsys):
         from bott_towers import cli
 
-        names = []
+        monkeypatch.chdir(tmp_path)  # where the -o rows write
+        names, built = [], []
         add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
 
         def counted(action, name, **kwargs):
             names.append(name)
             return add_parser(action, name, **kwargs)
 
+        def constructed(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        def outcome():  # with the files it wrote, which it then removes
+            run = main_outcome(cli, argv, capsys)
+            files = sorted(tmp_path.iterdir())
+            written = {f.name: f.read_text() for f in files}
+            for f in files:
+                f.unlink()
+            return run, written
+
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-        cli._build_parser.cache_clear()
-        shipped = main_outcome(cli, argv, capsys)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
+        shipped = outcome()
         # a named command parses alone; help, unknown names and arguments
-        # that command leaves over go to the full parser
-        named = (argv and argv[0] in COMMAND_NAMES
-                 and "unrecognized arguments" not in shipped[2])
+        # that command leaves over go to the full parser; an argv the plain
+        # reader accepts constructs no parser at all
+        named = (bool(argv) and argv[0] in COMMAND_NAMES
+                 and "unrecognized arguments" not in shipped[0][2])
         assert len(names) == (0 if named else 8)
+        plain = named and cli._plain_args(argv[0], argv[1:]) is not None
+        assert (built == []) == plain
+        first = len(names), len(built)
         names.clear()
-        assert main_outcome(cli, argv, capsys) == shipped
-        assert names == []  # the second call reuses the parser
-        full = cli._build_parser.__wrapped__()
+        built.clear()
+        assert outcome() == shipped
+        assert (len(names), len(built)) == first  # each call builds anew
+        full = cli._build_parser()
         monkeypatch.setattr(cli, "_build_parser", lambda name=None: full)
         monkeypatch.setattr(cli, "_COMMANDS", {})  # no command parses alone
-        assert main_outcome(cli, argv, capsys) == shipped
+        assert outcome() == shipped
 
     @staticmethod
-    def kept_and_fresh(cli, argvs, capsys, monkeypatch, workdir):
-        """Outcomes of `argvs` run in turn in one process, through the kept
-        parsers and then through parsers built afresh for each call: per
-        argv, (exit code, stdout, stderr, files it wrote in `workdir`)."""
+    def in_turn_and_fresh(cli, argvs, capsys, monkeypatch, workdir):
+        """Outcomes of `argvs` run in turn in one process, and then each
+        through argparse parsers built for that call alone (the plain reader
+        declining every argv): per argv, (exit code, stdout, stderr, files
+        it wrote in `workdir`).  Also, per argv of the first run, whether
+        it constructed an ArgumentParser."""
+        init = argparse.ArgumentParser.__init__
+        built = []
+
+        def constructed(parser, *args, **kwargs):
+            built[-1] = True
+            init(parser, *args, **kwargs)
 
         def outcomes():
             runs = []
             for argv in argvs:
+                built.append(False)
                 run = main_outcome(cli, argv, capsys)
                 files = sorted(workdir.iterdir())
                 runs.append((*run, {f.name: f.read_text() for f in files}))
@@ -1084,12 +1140,14 @@ class TestDeterminism:
                     f.unlink()
             return runs
 
-        kept = outcomes()
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-            return kept, outcomes()
+            patch.setattr(argparse.ArgumentParser, "__init__", constructed)
+            in_turn = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_plain_args", lambda name, argv: None)
+            return in_turn, outcomes(), built[:len(argvs)]
 
-    def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch,
+    def test_repeated_calls_keep_no_state(self, tmp_path, monkeypatch,
                                           capsys):
         from bott_towers import cli
 
@@ -1106,18 +1164,20 @@ class TestDeterminism:
             ["numbers", THREE_SEQ, "-o", "doc.json"],
             ["numbers", THREE_SEQ],  # nor -o
         ]
-        cli._build_parser.cache_clear()
-        kept, fresh = self.kept_and_fresh(cli, argvs * 2, capsys,
-                                          monkeypatch, tmp_path)
-        assert kept == fresh
-        assert cli._build_parser.cache_info().hits >= len(argvs)
-        assert [run[0] for run in kept] == [0, 0, 0, 0, 2, 0, 0, 2, 3, 4,
-                                            0, 0] * 2
-        assert kept[10][1] == "" and kept[10][3] == {"doc.json": kept[11][1]}
-        assert kept[0][1] != kept[1][1] and kept[2][1] != kept[3][1]
+        in_turn, fresh, built = self.in_turn_and_fresh(
+            cli, argvs * 2, capsys, monkeypatch, tmp_path)
+        assert in_turn == fresh
+        # only the help, usage error and unknown name build a parser
+        assert built == ([False] * 4 + [True] * 4 + [False] * 4) * 2
+        assert [run[0] for run in in_turn] == [0, 0, 0, 0, 2, 0, 0, 2, 3, 4,
+                                               0, 0] * 2
+        assert in_turn[10][1] == ""
+        assert in_turn[10][3] == {"doc.json": in_turn[11][1]}
+        assert in_turn[0][1] != in_turn[1][1]
+        assert in_turn[2][1] != in_turn[3][1]
 
-    def test_kept_parser_answers_as_a_fresh_one(self, tmp_path, monkeypatch,
-                                                capsys):
+    def test_repeated_calls_answer_as_fresh_ones(self, tmp_path, monkeypatch,
+                                                 capsys):
         """Short runs of argv drawn from the command names, the pinned
         option strings, strays and small documents."""
         hypothesis = pytest.importorskip("hypothesis")
@@ -1140,12 +1200,76 @@ class TestDeterminism:
         @hypothesis.settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
         @hypothesis.given(st.lists(argv, min_size=1, max_size=3))
-        def kept_as_fresh(argvs):
-            kept, fresh = self.kept_and_fresh(cli, argvs, capsys,
-                                              monkeypatch, tmp_path)
-            assert kept == fresh
+        def in_turn_as_fresh(argvs):
+            in_turn, fresh, built = self.in_turn_and_fresh(
+                cli, argvs, capsys, monkeypatch, tmp_path)
+            assert in_turn == fresh
+            assert built == [not argv or argv[0] not in COMMAND_NAMES
+                             or cli._plain_args(argv[0], argv[1:]) is None
+                             for argv in argvs]
 
-        kept_as_fresh()
+        in_turn_as_fresh()
+
+    def test_plain_reader_reads_as_argparse(self):
+        """Argv drawn from the command names, the pinned option strings with
+        and without values, ints, '-', '--', '=' forms, abbreviations and
+        documents: the plain reader declines each, or reads it into the
+        namespace of the command's argparse parser with nothing left over.
+        The command's own option strings are drawn more often than others,
+        so that many argv are plain, repeated options among them."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from bott_towers import cli
+
+        options = ["--sets", "--oracle", "-k", "--stage", "-o", "--output"]
+        documents = st.sampled_from([HIRZEBRUCH_SEQ, THREE_SEQ,
+                                     HIRZEBRUCH_FAN])
+        values = st.one_of(
+            st.integers(-20, 20).map(str), st.sampled_from(["a", "b"]),
+            st.sampled_from(["", " 3", "3 ", "1_0", "\u0663", "+2", "x",
+                             "-", "--", "-h", "--sets", "doc.json"]))
+        words = st.one_of(
+            st.sampled_from(options + [
+                "-h", "--help", "-", "--", "", "--stage=2", "-k2", "-o=x",
+                "--output=x", "--sets=1", "--se", "--st", "--or", "--out",
+                "--o", "-ko", "--bogus", "doc.json", "x"]),
+            st.integers(-20, 20).map(str), documents)
+        accepted = []
+
+        @hypothesis.settings(max_examples=400, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.data())
+        def read_as_argparse(data):
+            name = data.draw(st.sampled_from(COMMAND_NAMES))
+            parser = cli._build_parser(name)
+            own = {string: action.nargs is None  # takes a value
+                   for action in parser._actions[1:]  # after -h/--help
+                   for string in action.option_strings}
+            chunk = st.sampled_from(sorted(own)).flatmap(
+                lambda string: values.map(lambda value: [string, value])
+                if own[string] else st.just([string]))
+            parts = data.draw(st.lists(chunk, max_size=4))
+            parts += [[word] for word in data.draw(st.lists(words,
+                                                            max_size=1))]
+            parts.insert(data.draw(st.integers(0, len(parts))),
+                         [data.draw(st.one_of(documents, words))])
+            argv = sum(data.draw(st.permutations(parts)), [])
+            plain = cli._plain_args(name, argv)
+            if plain is not None:
+                accepted.append(argv)
+                args, extra = parser.parse_known_args(argv)
+                assert (vars(plain), extra) == (vars(args), [])
+
+        read_as_argparse()
+        assert accepted
+
+    @pytest.mark.parametrize("workload", ["recognize", "tables", "ring"])
+    def test_plain_reader_reads_every_deck_argv(self, workload):
+        from bott_towers import cli
+
+        declined = [argv for argv in deck_argvs(workload, (1, 20030601))
+                    if cli._plain_args(argv[0], argv[1:]) is None]
+        assert declined == []
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "numbers.json"

@@ -9,11 +9,11 @@ Core claims:
    submodule of that name is imported.
 2. A fresh ``python -m bott_towers`` process of each subcommand loads
    exactly the package modules of that command's layers, never
-   ``fractions``, and writes the bytes and exit code of an in-process
-   ``cli.main`` run.
+   ``fractions`` and, on a plain argv, never ``argparse``, and writes the
+   bytes and exit code of an in-process ``cli.main`` run.
 3. A fresh process reads its argv from ``sys.argv``: help, usage and
-   invalid-choice runs write the bytes and exit code of ``cli.main`` given
-   the same argv in-process.
+   invalid-choice runs load ``argparse`` and write the bytes and exit code
+   of ``cli.main`` given the same argv in-process.
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ def test_fresh_process_loads_only_its_layers(argv, layers, capsys):
     assert loaded == {"bott_towers", *(f"bott_towers.{name}"
                                         for name in BASE | layers)}
     assert "fractions" not in modules
+    assert "argparse" not in modules  # read by cli._plain_args
 
 
 # ===================================================================
@@ -171,6 +172,8 @@ def test_fresh_process_reads_sys_argv(argv, monkeypatch, capsys):
     except SystemExit as exc:
         code = exc.code
     expected = capsys.readouterr()
-    done = fresh_python("-m", "bott_towers", *argv)
-    assert (done.returncode, done.stdout, done.stderr) == (code, expected.out,
-                                                          expected.err)
+    done = fresh_python("-X", "importtime", "-m", "bott_towers", *argv)
+    modules, stderr = split_import_times(done.stderr)
+    assert (done.returncode, done.stdout, stderr) == (code, expected.out,
+                                                      expected.err)
+    assert "argparse" in modules
