@@ -14,11 +14,9 @@ only the modules of its one command; this module loads just ``errors`` and
 every call, so a name replaced there (by a tracer or a test) is the one
 called.  A command's arguments in one closed grammar (one input, the
 command's exact option strings, each value not starting with '-') are read
-without argparse, into the namespace argparse would give.  Any other
-arguments go to a standalone argparse parser of the command, built for
-that call, which parses them as the full parser's subparser would; the
-full parser, with all eight, serves help, unknown names and arguments a
-command leaves over.
+without argparse, into the namespace its subparser would give.  Any other
+arguments, help and unknown names among them, go to the one argparse
+parser, with all eight commands as subparsers, built for that call.
 
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
@@ -59,7 +57,7 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _load_document(source: str):
-    if source.lstrip().startswith("{"):
+    if source.removeprefix("\ufeff").lstrip().startswith("{"):
         text = source
     else:
         with open(source, encoding="utf-8") as handle:
@@ -258,8 +256,8 @@ _OUTPUT = ("-o", "--output")
 _STAGE = ("-k", "--stage")  # on the commands whose row says so
 
 
-def _add_arguments(parser, name: str):
-    """`parser` with the arguments and the handler of command `name`."""
+def _add_arguments(parser, name: str) -> None:
+    """Add the arguments and the handler of command `name` to `parser`."""
     handler, _, stage, flags = _COMMANDS[name]
     parser.add_argument("input",
                         help="path to a JSON document, or inline JSON "
@@ -273,15 +271,14 @@ def _add_arguments(parser, name: str):
     for flag, flag_help in flags.items():
         parser.add_argument(flag, action="store_true", help=flag_help)
     parser.set_defaults(handler=handler)
-    return parser
 
 
 def _plain_args(name: str, argv):
-    """The namespace ``_build_parser(name).parse_known_args(argv)`` gives,
-    with nothing left over, when `argv` is one input that does not start
-    with '-' and the exact option strings of command `name`, in any order,
-    each value not starting with '-' (a stage one that int() converts).
-    None for any other argv, which argparse then reads."""
+    """The namespace the subparser of command `name` gives on `argv`, with
+    nothing left over, when `argv` is one input that does not start with
+    '-' and the exact option strings of command `name`, in any order, each
+    value not starting with '-' (a stage one that int() converts).  None
+    for any other argv, which argparse then reads."""
     handler, _, stage, flags = _COMMANDS[name]
     values = {"output": None, **{flag[2:]: False for flag in flags}}
     if stage:
@@ -310,19 +307,10 @@ def _plain_args(name: str, argv):
     return SimpleNamespace(**values, handler=handler)
 
 
-def _build_parser(name=None):
-    """The argparse parser of command `name` alone, or the full ``bott``
-    parser with all eight as subparsers when it is None.
-
-    The one-command parser is the one ``add_parser`` builds for `name` (prog
-    ``bott NAME``), so on the arguments after the name both print the same
-    help and errors; only an argument it leaves over is reported by the
-    full parser, as "unrecognized arguments" with the full usage."""
+def _build_parser():
+    """The ``bott`` argparse parser, with the eight commands as subparsers."""
     import argparse
 
-    if name is not None:
-        return _add_arguments(argparse.ArgumentParser(prog=f"bott {name}"),
-                              name)
     parser = argparse.ArgumentParser(
         prog="bott",
         description="Exact computations for towers of projective-line "
@@ -366,13 +354,9 @@ def _replace_file(path: str, chunks) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] not in _COMMANDS:
+    if not (argv and argv[0] in _COMMANDS
+            and (args := _plain_args(argv[0], argv[1:]))):
         args = _build_parser().parse_args(argv)
-    elif (args := _plain_args(argv[0], argv[1:])) is None:
-        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
-        if extra:
-            _build_parser().error("unrecognized arguments: "
-                                  + " ".join(extra))
     try:
         chunks, code = args.handler(args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:

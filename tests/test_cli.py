@@ -33,13 +33,13 @@ Core claims:
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
    cone determinant.  BOTT_SEED is ignored, check has no --probes option,
-   and each subcommand accepts exactly its pinned option strings, in the
-   full parser and in the parser built for it alone.  Both parsers print
-   the same bytes and exit codes on help, usage and error argv.  An argv
-   in the closed grammar of `cli._plain_args` (every bench deck argv) is
-   read into the namespace argparse gives and constructs no parser; any
-   other goes to argparse, and repeated calls in one process answer as
-   calls through parsers built for each.
+   and each subcommand of the one argparse parser accepts exactly its
+   pinned option strings.  An argv in the closed grammar of
+   `cli._plain_args` (every bench deck argv) is read into the namespace
+   the command's subparser gives and constructs no parser; any other,
+   help, usage and error argv among them, builds the one full parser and
+   prints the bytes and exit code of a prebuilt one, and repeated calls
+   in one process answer as calls through parsers built for each.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -221,6 +221,18 @@ class TestExitCodes:
         path = tmp_path / "bom.json"
         path.write_bytes(b'\xef\xbb\xbf{"n": 2}')
         assert cli.main(["numbers", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read input: Unexpected UTF-8 BOM (decode "
+                "using utf-8-sig): line 1 column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("inline", ['\ufeff{"n": 2}', '\ufeff {"n": 2}'])
+    def test_inline_byte_order_mark_is_unreadable_input(self, inline,
+                                                         capsys):
+        """Inline JSON after a BOM is refused as a file of its bytes is,
+        not read as a file path."""
+        from bott_towers import cli
+
+        assert cli.main(["numbers", inline]) == 2
         assert capsys.readouterr() == (
             "", "error: cannot read input: Unexpected UTF-8 BOM (decode "
                 "using utf-8-sig): line 1 column 1 (char 0)\n")
@@ -943,7 +955,8 @@ class TestRender:
 
 COMMAND_NAMES = ["numbers", "fan", "check", "charts", "bundle", "cohomology",
                  "classify", "render"]
-# help, usage and error argv, for one command's parser and the full one
+# help, usage and error argv, which the plain reader leaves to argparse,
+# and edges of the plain reader
 PARSER_ARGV = [
     [], ["-h"], ["--help"],
     ["nosuch"], ["nosuch", HIRZEBRUCH_SEQ],
@@ -1061,16 +1074,12 @@ class TestDeterminism:
         assert options(parser) == set()
         assert {name: options(p) for name, p in subparsers(parser).items()} \
             == expected
-        for name, strings in expected.items():
-            one = cli._build_parser(name)
-            assert one.prog == f"bott {name}"
-            assert not any(isinstance(action, argparse._SubParsersAction)
-                           for action in one._actions)
-            assert options(one) == strings
 
     @pytest.mark.parametrize("argv", PARSER_ARGV, ids=argv_id)
     def test_one_subparser_parses_as_the_full_parser(self, argv, tmp_path,
                                                      monkeypatch, capsys):
+        """An argv the plain reader declines goes to the full parser, built
+        anew for each call, and answers as a prebuilt full parser does."""
         from bott_towers import cli
 
         monkeypatch.chdir(tmp_path)  # where the -o rows write
@@ -1097,29 +1106,26 @@ class TestDeterminism:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
         shipped = outcome()
-        # a named command parses alone; help, unknown names and arguments
-        # that command leaves over go to the full parser; an argv the plain
-        # reader accepts constructs no parser at all
-        named = (bool(argv) and argv[0] in COMMAND_NAMES
-                 and "unrecognized arguments" not in shipped[0][2])
-        assert len(names) == (0 if named else 8)
-        plain = named and cli._plain_args(argv[0], argv[1:]) is not None
-        assert (built == []) == plain
+        # an argv the plain reader accepts constructs no parser at all; any
+        # other builds the full parser once: itself and its 8 subparsers
+        plain = (bool(argv) and argv[0] in COMMAND_NAMES
+                 and cli._plain_args(argv[0], argv[1:]) is not None)
         first = len(names), len(built)
+        assert first == ((0, 0) if plain else (8, 9))
         names.clear()
         built.clear()
         assert outcome() == shipped
         assert (len(names), len(built)) == first  # each call builds anew
         full = cli._build_parser()
-        monkeypatch.setattr(cli, "_build_parser", lambda name=None: full)
-        monkeypatch.setattr(cli, "_COMMANDS", {})  # no command parses alone
+        monkeypatch.setattr(cli, "_build_parser", lambda: full)
+        monkeypatch.setattr(cli, "_plain_args", lambda name, argv: None)
         assert outcome() == shipped
 
     @staticmethod
     def in_turn_and_fresh(cli, argvs, capsys, monkeypatch, workdir):
         """Outcomes of `argvs` run in turn in one process, and then each
-        through argparse parsers built for that call alone (the plain reader
-        declining every argv): per argv, (exit code, stdout, stderr, files
+        through the argparse parser built for that call alone (the plain
+        reader declining every argv): per argv, (exit code, stdout, stderr, files
         it wrote in `workdir`).  Also, per argv of the first run, whether
         it constructed an ArgumentParser."""
         init = argparse.ArgumentParser.__init__
@@ -1214,9 +1220,9 @@ class TestDeterminism:
         """Argv drawn from the command names, the pinned option strings with
         and without values, ints, '-', '--', '=' forms, abbreviations and
         documents: the plain reader declines each, or reads it into the
-        namespace of the command's argparse parser with nothing left over.
-        The command's own option strings are drawn more often than others,
-        so that many argv are plain, repeated options among them."""
+        namespace of the command's argparse subparser with nothing left
+        over.  The command's own option strings are drawn more often than
+        others, so that many argv are plain, repeated options among them."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         from bott_towers import cli
@@ -1241,7 +1247,7 @@ class TestDeterminism:
         @hypothesis.given(st.data())
         def read_as_argparse(data):
             name = data.draw(st.sampled_from(COMMAND_NAMES))
-            parser = cli._build_parser(name)
+            parser = subparsers(cli._build_parser())[name]
             own = {string: action.nargs is None  # takes a value
                    for action in parser._actions[1:]  # after -h/--help
                    for string in action.option_strings}

@@ -11,9 +11,10 @@ Core claims:
    exactly the package modules of that command's layers, never
    ``fractions`` and, on a plain argv, never ``argparse``, and writes the
    bytes and exit code of an in-process ``cli.main`` run.
-3. A fresh process reads its argv from ``sys.argv``: help, usage and
-   invalid-choice runs load ``argparse`` and write the bytes and exit code
-   of ``cli.main`` given the same argv in-process.
+3. A fresh process reads its argv from ``sys.argv``: help, usage,
+   invalid-choice and other argv the plain reader declines load
+   ``argparse`` and write the bytes and exit code of ``cli.main`` given
+   the same argv in-process.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def test_fresh_process_loads_only_its_layers(argv, layers, capsys):
 # ===================================================================
 
 @pytest.mark.parametrize("argv", [["--help"], ["fan", "-h"], [],
-                                  ["nosuch", "{}"]],
+                                  ["nosuch", "{}"],
+                                  ["fan", SEQ, "--stage=1"]],
                          ids=lambda argv: " ".join(argv) or "no-argument")
 def test_fresh_process_reads_sys_argv(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at one width in both
