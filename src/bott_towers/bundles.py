@@ -92,16 +92,12 @@ class CharacterBundle:
     def rank(self) -> int:
         return len(self.exps)
 
-    def _match(self, other: "CharacterBundle") -> "CharacterBundle":
+    def __mul__(self, other):
         if not isinstance(other, CharacterBundle):
             raise ValidationError("expected a CharacterBundle")
         if other.rank != self.rank:
             raise ValidationError(
                 f"character lengths differ: {self.rank} vs {other.rank}")
-        return other
-
-    def __mul__(self, other):
-        other = self._match(other)
         return CharacterBundle._of(
             tuple(a + b for a, b in zip(self.exps, other.exps)))
 

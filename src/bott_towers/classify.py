@@ -22,6 +22,8 @@ the diagonal), so bott_matrix(C) = B: M maps the tower onto the input.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import linalg
 from .errors import RejectionError, ValidationError
 from .fans import (GeneralFan, _as_general, _pairs, _rays, _smoothness_report,
@@ -129,7 +131,7 @@ def project(fan, pair_index: int) -> GeneralFan:
     seen = {}
     for t in kept:
         head = linalg.matvec(transform, gf.rays[t])[:-1]
-        if linalg.gcd_vector(head) != 1:  # zero or imprimitive
+        if gcd(*head) != 1:  # zero or imprimitive
             raise RejectionError("projection degenerate",
                                  {"ray": t, "image": list(head)})
         if head in seen:

@@ -118,9 +118,11 @@ def _cmd_numbers(args):
 
 def _cmd_fan(args):
     from .fans import build_fan
+    from .sequences import _check_table_stage
     from .serialize import cone_texts
 
     c, k = _sequence_and_stage(args)
+    _check_table_stage(c, k, "the tower fan", "cones")
     return encode_chunks({"dim": k, "rays": build_fan(c, k).rays(),
                           "cones": cone_texts(k)}), 0
 
@@ -142,14 +144,14 @@ def _cmd_check(args):
     pairs = _verdict(crosspolytope_check, fan)
     staged = pairs and _stage_matrix(_rays(fan), pairs)
     if staged:  # a tower fan up to GL(Z), so smooth and complete
-        return encode_chunks({"smooth": True, "complete": True,
-                              "fano": _tower_fano(staged[1]),
-                              "crosspolytope": True}), 0
-    complete = _verdict(is_complete, fan)
-    doc = {"smooth": _verdict(is_smooth, fan), "complete": complete,
-           "fano": complete and _fano_condition(fan),
-           "crosspolytope": bool(pairs)}
-    return encode_chunks(doc), 0
+        complete = smooth = True
+        fano = _tower_fano(staged[1])
+    else:  # is_smooth reuses the determinants is_complete memoised
+        complete = _verdict(is_complete, fan)
+        smooth = _verdict(is_smooth, fan)
+        fano = complete and _fano_condition(fan)
+    return encode_chunks({"smooth": smooth, "complete": complete,
+                          "fano": fano, "crosspolytope": bool(pairs)}), 0
 
 
 def _cmd_charts(args):
@@ -256,23 +258,6 @@ _OUTPUT = ("-o", "--output")
 _STAGE = ("-k", "--stage")  # on the commands whose row says so
 
 
-def _add_arguments(parser, name: str) -> None:
-    """Add the arguments and the handler of command `name` to `parser`."""
-    handler, _, stage, flags = _COMMANDS[name]
-    parser.add_argument("input",
-                        help="path to a JSON document, or inline JSON "
-                             "starting with '{'")
-    if stage:
-        parser.add_argument(*_STAGE, type=int, default=None,
-                            help="tower stage (default: the full height)")
-    parser.add_argument(*_OUTPUT,
-                        help="write the document to this file instead of "
-                             "stdout")
-    for flag, flag_help in flags.items():
-        parser.add_argument(flag, action="store_true", help=flag_help)
-    parser.set_defaults(handler=handler)
-
-
 def _plain_args(name: str, argv):
     """The namespace the subparser of command `name` gives on `argv`, with
     nothing left over, when `argv` is one input that does not start with
@@ -319,8 +304,18 @@ def _build_parser():
                     "2-D fan rendering.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-    for command, (_, help_text, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(command, help=help_text), command)
+    for command, (handler, help_text, stage, flags) in _COMMANDS.items():
+        one = sub.add_parser(command, help=help_text)
+        one.add_argument("input", help="path to a JSON document, or inline "
+                                       "JSON starting with '{'")
+        if stage:
+            one.add_argument(*_STAGE, type=int, default=None,
+                             help="tower stage (default: the full height)")
+        one.add_argument(*_OUTPUT, help="write the document to this file "
+                                        "instead of stdout")
+        for flag, flag_help in flags.items():
+            one.add_argument(flag, action="store_true", help=flag_help)
+        one.set_defaults(handler=handler)
     return parser
 
 

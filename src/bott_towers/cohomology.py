@@ -31,11 +31,11 @@ first.
 from __future__ import annotations
 
 import math
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import ValidationError
-from .sequences import (IntegralSequence, _check_int, _check_range,
-                        _check_sequence, _check_table_stage)
+from .sequences import (IntegralSequence, _add_halves, _check_int,
+                        _check_range, _check_sequence, _check_table_stage)
 
 
 def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
@@ -363,8 +363,9 @@ def _total_chern_table(c: IntegralSequence, k: int) -> list:
     The product with m_j resolves x_i for i = j-1, ..., 1 as `_times_linear`
     does, but pending coefficients depend only on the bits above i-1, so
     pend[h-1] holds one for x_h per block of 2^i masks that share them:
-    x_i adds a times each block's lower half into its upper half, then the
-    blocks split in two and the half with x_i adds -a c(h,i) to x_h.
+    x_i adds a times each block's lower half into its upper half
+    (`sequences._add_halves`), then the blocks split in two and the half
+    with x_i adds -a c(h,i) to x_h.
     Each column of c is read once, at its stage; its nonzero twists serve
     the stages above.
     """
@@ -379,18 +380,7 @@ def _total_chern_table(c: IntegralSequence, k: int) -> list:
         pend = [[value] for value in column]
         for i in range(j - 1, 0, -1):
             a = pend.pop()
-            half = 1 << (i - 1)
-            size = half << 1
-            if len(a) < half:  # fewer blocks than offsets: a slice per block
-                for lo, scale in zip(range(0, len(table), size), a):
-                    if scale:
-                        top = slice(lo + half, lo + size)
-                        out[top] = map(add, out[top], map(
-                            scale.__mul__, table[lo:lo + half]))
-            elif any(a):  # a strided slice per offset within the blocks
-                for r in range(half):
-                    top = slice(half + r, None, size)
-                    out[top] = map(add, out[top], map(mul, a, table[r::size]))
+            _add_halves(out, table, 1 << (i - 1), a)
             for h, col in enumerate(pend):
                 pend[h] = split = col * 2
                 split[::2] = split[1::2] = col

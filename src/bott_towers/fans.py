@@ -16,6 +16,7 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 from __future__ import annotations
 
 from itertools import chain, permutations, product
+from math import gcd
 
 from . import linalg
 from .errors import RejectionError, ValidationError
@@ -107,7 +108,7 @@ class GeneralFan:
             if len(vec) != dim:
                 raise ValidationError(
                     f"ray {vec} has length {len(vec)}, expected {dim}")
-            g = linalg.gcd_vector(vec)
+            g = gcd(*vec)
             if g == 0:
                 raise ValidationError("zero vector is not a valid ray")
             if g != 1:
@@ -164,15 +165,11 @@ def _rays(fan):
     return fan.rays() if isinstance(fan, BottFan) else _as_general(fan).rays
 
 
-def _cone_matrix(gf: GeneralFan, cone):
-    return [list(gf.rays[r]) for r in cone]
-
-
 def _cone_dets(gf: GeneralFan):
     """Each maximal cone's determinant, in cone order, computed once per fan
     for the smoothness and completeness checks."""
     if gf._dets is None:
-        gf._dets = tuple(linalg.det(_cone_matrix(gf, cone))
+        gf._dets = tuple(linalg.det([gf.rays[r] for r in cone])
                          for cone in gf.cones)
     return gf._dets
 
@@ -370,7 +367,7 @@ def _fano_condition(gf: GeneralFan) -> bool:
     k = gf.dim
     for cone in gf.cones:
         # m = y / d, so <m, ray> > -1 exactly when (<y, ray> + d) * d > 0
-        d, (y,) = linalg.solve_fraction_free(_cone_matrix(gf, cone),
+        d, (y,) = linalg.solve_fraction_free([gf.rays[r] for r in cone],
                                              [[-1] * k])
         if any((sum(y[t] * ray[t] for t in range(k)) + d) * d <= 0
                for idx, ray in enumerate(gf.rays) if idx not in cone):

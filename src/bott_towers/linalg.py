@@ -112,10 +112,6 @@ def invert_unimodular(matrix):
     return [[d * v for v in row] for row in transpose(cols)]
 
 
-def gcd_vector(v) -> int:
-    return gcd(*v)
-
-
 def _xgcd(a: int, b: int):
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
     old_r, r = a, b
@@ -139,7 +135,7 @@ def complete_to_basis(x):
     """
     v = list(x)
     n = len(v)
-    if gcd_vector(v) != 1:
+    if gcd(*v) != 1:
         raise ValidationError("vector is not primitive")
     u = identity(n)
     for i in range(n - 1):

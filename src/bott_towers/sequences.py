@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 
 from .errors import ValidationError
 
@@ -314,23 +314,35 @@ def bott_number_moebius(c: IntegralSequence, ids) -> int:
     return sum(_chain_products(c._entries, ids))  # I is checked
 
 
+def _add_halves(out: list, src: list, half: int, scales: list) -> None:
+    """Add scales[b] times the lower half of block b of `src` into the upper
+    half of block b of `out`, for the blocks of 2*half entries in order;
+    `out` may be `src`.  A scale of 1 adds its half unmultiplied, and a zero
+    scale adds nothing.  One slice per block or one strided slice per offset
+    within the blocks, whichever is fewer."""
+    step = half << 1
+    if len(scales) < half:  # a slice per block
+        for lo, scale in zip(range(0, len(src), step), scales):
+            if scale:
+                top, low = slice(lo + half, lo + step), src[lo:lo + half]
+                out[top] = map(add, out[top], low if scale == 1
+                               else map(scale.__mul__, low))
+    elif any(scales):  # a strided slice per offset
+        unit = scales.count(1) == len(scales)
+        for r in range(half):
+            top, low = slice(half + r, None, step), src[r::step]
+            out[top] = map(add, out[top],
+                           low if unit else map(mul, scales, low))
+
+
 def _subset_sums(values: list) -> list:
     """The subset-sum (zeta) transform in place: entry J becomes the sum of
-    the entries of the subsets of J, one bit at a time, a slice per block
-    or per offset within the blocks, whichever is fewer."""
-    size = len(values)
+    the entries of the subsets of J, one bit at a time, each bit one
+    unit-scale :func:`_add_halves`."""
     half = 1
-    while half < size:
-        step = half << 1
-        if size // step < half:  # a slice per block
-            for lo in range(0, size, step):
-                top = slice(lo + half, lo + step)
-                values[top] = map(add, values[top], values[lo:lo + half])
-        else:  # a strided slice per offset
-            for r in range(half):
-                top = slice(half + r, None, step)
-                values[top] = map(add, values[top], values[r::step])
-        half = step
+    while half < len(values):
+        _add_halves(values, values, half, [1] * (len(values) // (half << 1)))
+        half <<= 1
     return values
 
 

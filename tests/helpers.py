@@ -16,6 +16,7 @@ import importlib
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -59,7 +60,9 @@ def fraction_inverse(matrix):
            + [Fraction(1 if i == j else 0) for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -68,6 +71,21 @@ def fraction_inverse(matrix):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def integer_inverse(matrix):
+    """The integer inverse of a square integer matrix, by `fraction_inverse`.
+
+    Raises ValidationError when the matrix is singular or its inverse is not
+    integral, the refusal the references built on it catch.
+    """
+    try:
+        inverse = fraction_inverse(matrix)
+    except ZeroDivisionError:
+        raise ValidationError("singular matrix") from None
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValidationError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inverse]
 
 
 def reference_bott_matrix(c: IntegralSequence, ids):
@@ -268,11 +286,11 @@ def reference_poset_closure(relation):
 
 
 def reference_transition(c: IntegralSequence, k: int, w, w2):
-    """The former charts.transition, verbatim: the target dual generators
-    times the Bareiss inverse of the source ones."""
+    """The former charts.transition: the target dual generators times the
+    inverse of the source ones, here by `integer_inverse`."""
     u1 = [list(v) for v in dual_generators(c, k, w)]
     u2 = [list(v) for v in dual_generators(c, k, w2)]
-    return linalg.matmul(u2, linalg.invert_unimodular(u1))
+    return linalg.matmul(u2, integer_inverse(u1))
 
 
 def reference_match_rays(partners, count):
@@ -358,7 +376,7 @@ def _reference_project(gf: GeneralFan, p: int, q: int):
     transformed = [tuple(linalg.matvec(transform, ray)) for ray in gf.rays]
     kept = [t for t in range(len(gf.rays)) if t not in (p, q)]
     heads = [transformed[t][:-1] for t in kept]
-    if any(linalg.gcd_vector(head) != 1 for head in heads) \
+    if any(math.gcd(*head) != 1 for head in heads) \
             or len(set(heads)) != len(heads):
         raise RejectionError("projection degenerate", {})
     renumber = {t: r for r, t in enumerate(kept)}
@@ -405,7 +423,7 @@ def _reference_peel(gf: GeneralFan, pairs):
     shear = linalg.identity(m)
     shear[m - 1] = [values[(i, 0)] for i in range(1, m)] + [1]
     block = [list(row) + [0] for row in sub_matrix] + [[0] * (m - 1) + [1]]
-    matrix = linalg.matmul(linalg.invert_unimodular(transform),
+    matrix = linalg.matmul(integer_inverse(transform),
                            linalg.matmul(block, shear))
     ray_map = tuple(kept[sub_ray_map[2 * (l - 1) + gamma]]
                     for l in range(1, m) for gamma in (0, 1)) + (p, q)
@@ -474,8 +492,8 @@ def reference_tower_witness(rays, pairs):
         order = reference_stage_order(rays, pairs)
         stages = [pairs[t] for t in order]
         matrix = tuple(zip(*(rays[p] for p, _ in stages)))
-        inverse = linalg.invert_unimodular(matrix)
-        neg_c = linalg.invert_unimodular(
+        inverse = integer_inverse(matrix)
+        neg_c = integer_inverse(
             [linalg.matvec(inverse, rays[q]) for _, q in stages])
     except (RejectionError, ValidationError):
         return None
@@ -827,6 +845,14 @@ def reference_numbers_doc(c: IntegralSequence, oracle: bool = False) -> dict:
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = str(BENCH.parent / "src")
+
+
+def child_env(**extra):
+    """The environment for a child Python that imports this checkout's
+    package: os.environ with src/ first on PYTHONPATH, then `extra`."""
+    return {**os.environ, "PYTHONPATH":
+            SRC + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra}
 
 
 def bench_jobs():

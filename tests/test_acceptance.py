@@ -51,6 +51,7 @@ from bott_towers import (
 from bott_towers.fans import binary_codes
 from helpers import (
     acceptance_08_fans,
+    child_env,
     mat_id,
     mat_mul,
     random_poset,
@@ -278,7 +279,8 @@ def test_11_bundle_exponent_identities():
 def test_12_cli_outputs_are_byte_identical():
     def run(args):
         return subprocess.run([sys.executable, "-m", "bott_towers", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=child_env())
 
     def body():
         seq = '{"n": 2, "entries": [[1, 2, 2]]}'

@@ -10,7 +10,9 @@
    prefix, one subset-sum transform per pair of endpoints) and
    `bott_number_moebius` equal `helpers.reference_chain_sum`, the former
    per-chain loop, on every index set of seeded towers of height n <= 8:
-   dense, sparse and zero twists, and 2,200-digit ones.
+   dense, sparse and zero twists, and 2,200-digit ones.  The block-halves
+   update `sequences._add_halves` behind its subset-sum transform (and
+   the total Chern table) equals a per-entry loop on every block size.
 3. `numbers --oracle` compares `_chain_table` with `_bott_table` and never
    calls `bott_number_moebius`; a wrong table entry stops it on the first
    wrong set in the order of the `numbers` list.  At n = 16 it takes a
@@ -30,7 +32,7 @@ import pytest
 
 from bott_towers import (IntegralSequence, bott_matrix, bott_number_moebius,
                          c_matrix, cli, sequence_to_doc, sequences)
-from bott_towers.sequences import _bott_table, _chain_table
+from bott_towers.sequences import _add_halves, _bott_table, _chain_table
 from helpers import mat_id, mat_mul, random_sequence, reference_chain_sum
 
 
@@ -116,6 +118,37 @@ def test_chain_table_is_refused_above_the_cap():
 
     with pytest.raises(ValidationError, match="stages above 20"):
         _chain_table(IntegralSequence(21), 21)
+
+
+def _scales(kind: str, rng: random.Random, blocks: int) -> list:
+    if kind == "unit":
+        return [1] * blocks
+    if kind == "zero":
+        return [0] * blocks
+    if kind == "mixed":
+        return [rng.choice((0, 1, 1, -1, 7)) for _ in range(blocks)]
+    return [rng.randint(-9, 9) for _ in range(blocks)]
+
+
+@pytest.mark.parametrize("bits", range(1, 11))
+@pytest.mark.parametrize("kind", ["random", "unit", "mixed", "zero"])
+def test_add_halves_equals_a_per_entry_loop(bits, kind):
+    rng = random.Random(f"{kind}-{bits}")
+    size = 1 << bits
+    for half in (1 << t for t in range(bits)):
+        step = 2 * half
+        scales = _scales(kind, rng, size // step)
+        src = [rng.randint(-99, 99) for _ in range(size)]
+        out = [rng.randint(-99, 99) for _ in range(size)]
+        for target in (out, src):  # apart, and in place
+            expected = list(target)
+            for lo, scale in zip(range(0, size, step), scales):
+                for r in range(half):
+                    expected[lo + half + r] += scale * src[lo + r]
+            kept = list(src)
+            _add_halves(target, src, half, scales)
+            assert target == expected
+            assert target is src or src == kept
 
 
 # ===================================================================

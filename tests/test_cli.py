@@ -28,7 +28,8 @@ Core claims:
    leaves no partial file, and a streamed run holds far less memory than
    the document it writes.  numbers and charts read one
    flat Bott table per job, which a stage above 20 refuses with exit 3
-   before it is built; the ring and recognition commands build none.
+   before it is built; the ring and recognition commands build none.  fan
+   refuses a stage above 20 the same way, before any cone.
 7. check is witness first: on scrambled towers, acceptance test 08's fans
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
@@ -60,6 +61,7 @@ import pytest
 
 from helpers import (
     RECOGNITION_FAN_SETS,
+    child_env,
     deck_argvs,
     random_sequence,
     reference_bundle_doc,
@@ -118,11 +120,9 @@ HOSTILE_FANS = {"two_odd_cliques": clique_fan((15, 15)),
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "bott_towers", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=child_env(**(env_extra or {})))
 
 
 def timed_cli(*args):
@@ -130,7 +130,8 @@ def timed_cli(*args):
     builds a refused table after all."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "bott_towers", *args],
-                            capture_output=True, text=True, timeout=10)
+                            capture_output=True, text=True, timeout=10,
+                            env=child_env())
     return result, time.perf_counter() - start
 
 
@@ -387,6 +388,27 @@ class TestNumbers:
             "entries; stages above 20 are refused\n")
         # interpreter start-up aside, the refusal takes no time
         assert elapsed < baseline + 0.2
+
+    @pytest.mark.parametrize("argv, k", [
+        (["fan", '{"n": 40}'], 40),
+        (["fan", '{"n": 30}', "-k", "21"], 21),
+    ])
+    def test_fan_above_cap_exits_3_at_once(self, argv, k):
+        _, baseline = timed_cli("fan", '{"n": 1}')
+        result, elapsed = timed_cli(*argv)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: the tower fan at stage k={k} has 2^{k} cones; "
+            "stages above 20 are refused\n")
+        assert elapsed < baseline + 0.2
+
+    def test_fan_below_cap_of_a_tall_sequence(self, capsys):
+        from bott_towers import IntegralSequence, cli
+
+        assert cli.main(["fan", '{"n": 40}', "-k", "5"]) == 0
+        assert capsys.readouterr().out == reference_canonical(
+            reference_fan_doc(IntegralSequence(40), 5))
 
     def test_other_commands_build_no_table(self, monkeypatch, capsys):
         from bott_towers import cli, sequences

@@ -20,17 +20,14 @@ Core claims:
 from __future__ import annotations
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import bott_towers
 from bott_towers import cli
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from helpers import child_env
 
 PUBLIC_NAMES = [
     "BottFan", "CharacterBundle", "ClassificationResult", "CohomologyClass",
@@ -81,10 +78,8 @@ COMMANDS = [
 
 
 def fresh_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=child_env(), timeout=60)
 
 
 def split_import_times(stderr: str):
