@@ -53,9 +53,7 @@ class QuotientPresentation:
                 vec[2 * s - 1] = cols[s - 1][r - 1]
             generators.append(tuple(vec))
         self.kernel_generators = tuple(generators)
-        self.action_weights = tuple(
-            tuple(generators[r][m] for r in range(k))
-            for m in range(2 * k))
+        self.action_weights = tuple(zip(*generators))
 
     def __repr__(self):
         return f"QuotientPresentation({self.sequence!r}, k={self.k})"
@@ -140,8 +138,9 @@ def canonical_lambda(k: int) -> CharacterBundle:
 def lambda_bundle(j: int, k: int) -> CharacterBundle:
     """The stage-j tautological bundle pulled back to stage k: -e_j."""
     _check_range(j, "j", 1, _check_int(k, "k"))
-    return CharacterBundle._of(
-        tuple(-1 if i == j else 0 for i in range(1, k + 1)))
+    exps = [0] * k
+    exps[j - 1] = -1
+    return CharacterBundle._of(tuple(exps))
 
 
 def lambda_perp(c: IntegralSequence, k: int) -> CharacterBundle:

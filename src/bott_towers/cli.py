@@ -22,8 +22,10 @@ Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
 ``numbers --sets`` and ``cohomology`` are streams that are computed and
 encoded while they are written; the last three first check that their
-table's longest integer can be written.  ``-o`` writes a temporary file
-beside the target and renames it onto the target at the end.
+table's longest integer can be written.  Lists it builds itself, such as
+matrices, it writes with ``serialize.int_list`` or ``int_rows``, with no
+type sweep.  ``-o`` writes a temporary file beside the target and renames
+it onto the target at the end.
 """
 
 from __future__ import annotations
@@ -94,20 +96,20 @@ def _sequence_and_stage(args):
 
 def _cmd_numbers(args):
     from .sequences import _bott_table, _chain_table, bott_matrix, c_matrix
-    from .serialize import _index_sets, _int_text, number_texts
+    from .serialize import _int_text, int_rows, number_texts
 
     c = sequence_from_doc(_load_document(args.input))
     table = _bott_table(c, c.n) if args.sets or args.oracle else None
     full = tuple(range(1, c.n + 1))
-    doc = {"n": c.n, "c_matrix": c_matrix(c, full),
-           "bott_matrix": bott_matrix(c, full)}
+    doc = {"n": c.n, "c_matrix": int_rows(c_matrix(c, full)),
+           "bott_matrix": int_rows(bott_matrix(c, full))}
     if args.oracle:  # compared here, before "numbers" is written
         chains = _chain_table(c, c.n)  # 0 on the singletons
-        wrong = {mask for mask in compress(count(), map(ne, table, chains))
-                 if mask & (mask - 1)}
+        wrong = [tuple(i for i in full if mask >> (i - 1) & 1)
+                 for mask in compress(count(), map(ne, table, chains))
+                 if mask & (mask - 1)]
         if wrong:  # the first in the order of the `numbers` list
-            ids = next(ids for mask, ids in _index_sets(full, 2)
-                       if mask in wrong)
+            ids = min(wrong, key=lambda ids: (len(ids), ids))
             raise RuntimeError(f"oracle mismatch on index set {ids}")
         doc["oracle"] = {"checked": len(table) - 1 - c.n, "match": True}
     if args.sets:  # the longest Bott number is refused before any is written
@@ -119,11 +121,11 @@ def _cmd_numbers(args):
 def _cmd_fan(args):
     from .fans import build_fan
     from .sequences import _check_table_stage
-    from .serialize import cone_texts
+    from .serialize import cone_texts, int_rows
 
     c, k = _sequence_and_stage(args)
     _check_table_stage(c, k, "the tower fan", "cones")
-    return encode_chunks({"dim": k, "rays": build_fan(c, k).rays(),
+    return encode_chunks({"dim": k, "rays": int_rows(build_fan(c, k).rays()),
                           "cones": cone_texts(k)}), 0
 
 
@@ -169,26 +171,28 @@ def _cmd_charts(args):
 def _cmd_bundle(args):
     from .bundles import (canonical_lambda, lambda_bundle, lambda_perp,
                           quotient_presentation, tangent_splitting, xi_bundle)
+    from .serialize import int_list, int_rows
 
     c, k = _sequence_and_stage(args)
-    quotient = quotient_presentation(c, k)
+    q = quotient_presentation(c, k)
+    lambdas = [lambda_bundle(j, k).exps for j in range(1, k + 1)]
     doc = {
         "k": k,
-        "quotient": {"kernel_generators": quotient.kernel_generators,
-                     "action_weights": quotient.action_weights},
-        "canonical_lambda": canonical_lambda(k).exps,
-        "lambda": [lambda_bundle(j, k).exps for j in range(1, k + 1)],
-        "lambda_perp": lambda_perp(c, k).exps,
-        "tangent": [bundle.exps for bundle in tangent_splitting(c, k)],
+        "quotient": {"kernel_generators": int_rows(q.kernel_generators, 2),
+                     "action_weights": int_rows(q.action_weights, 2)},
+        "canonical_lambda": int_list(canonical_lambda(k).exps),
+        "lambda": int_rows(lambdas),
+        "lambda_perp": int_list(lambda_perp(c, k).exps),
+        "tangent": int_rows([b.exps for b in tangent_splitting(c, k)]),
     }
     if k < c.n:
-        doc["xi"] = xi_bundle(c, k).exps
+        doc["xi"] = int_list(xi_bundle(c, k).exps)
     return encode_chunks(doc), 0
 
 
 def _cmd_cohomology(args):
     from .cohomology import _total_chern_table, betti, presentation
-    from .serialize import _int_text, term_texts
+    from .serialize import _int_text, int_list, int_rows, term_texts
 
     c, k = _sequence_and_stage(args)
     table = _total_chern_table(c, k)
@@ -196,8 +200,8 @@ def _cmd_cohomology(args):
     ranks = betti(c, k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
     doc = {"k": k,
-           "relations": presentation(c, k).relations,
-           "betti": ranks,
+           "relations": int_rows(presentation(c, k).relations),
+           "betti": int_list(ranks),
            "euler_characteristic": euler,
            "total_chern": term_texts(table)}
     if args.oracle:  # k + 1 ranks, the total rank and the Euler number

@@ -62,9 +62,12 @@ class BottFan:
 
         a_{i,1} is row i of the Bott matrix, which is 0 below the diagonal.
         """
-        return tuple(ray for i, row in enumerate(self._rows)
-                     for ray in (tuple(int(j == i) for j in range(self.k)),
-                                 tuple(row)))
+        rays = []
+        for i, row in enumerate(self._rows):
+            unit = [0] * self.k
+            unit[i] = 1
+            rays += tuple(unit), tuple(row)
+        return tuple(rays)
 
     def cone(self, w):
         """Ray indices of the maximal cone for the binary code w."""

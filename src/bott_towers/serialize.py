@@ -9,21 +9,27 @@ read from a constant table of -1024..1024; any other is made on each
 lookup and never stored, and one of more digits than Python converts is
 invalid data.
 
+Each list shape has one writer, :func:`int_list` or :func:`int_rows`.  The
+encoder calls it after a type sweep; a caller that built the list itself
+calls it directly, at the list's nesting depth, and puts the :class:`Written`
+text it returns in the document, which the encoder copies verbatim.
+
 Documents are written in chunks (:func:`encode_chunks`).  A value of the
 top-level object may be an iterator instead of a list: the stream slot.  It
 yields the canonical texts of the list's items, which the encoder joins in
 batches as they come, so a document of 2^k rows never exists as a tree or as
 one string.  The item encoders below (:func:`cone_texts`,
 :func:`chart_texts`, :func:`number_texts`, :func:`term_texts`) write those
-texts; this module is the only one that knows indents, separators and
-quoting.
+texts, the last two one index-set size at a time through C-level maps; this
+module is the only one that knows indents, separators and quoting.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from itertools import chain, combinations, islice, product
+from itertools import (chain, combinations, compress, islice, product,
+                       repeat)
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
@@ -69,39 +75,57 @@ def _object_frame(keys, indent: str):
             + ["\n" + indent + "}"])
 
 
-def _encode(doc, indent: str) -> str:
-    """The canonical text of one value nested at `indent`."""
+class Written(str):
+    """Canonical text from a writer, copied verbatim by the encoder."""
+
+    __slots__ = ()
+
+
+def _items(texts: list, depth: int) -> str:
+    """The list of these item texts as a value nested `depth` levels deep."""
+    if not texts:
+        return "[]"
+    inner = ",\n" + "  " * (depth + 1)
+    return "[" + inner[1:] + inner.join(texts) + "\n" + "  " * depth + "]"
+
+
+def int_list(values, depth: int = 1) -> Written:
+    """The text of a list of ints (no bools) nested `depth` levels deep."""
+    return Written(_items(list(map(_int_text, values)), depth))
+
+
+def int_rows(rows, depth: int = 1) -> Written:
+    """The text of a list of int lists (no bools) nested `depth` levels
+    deep, such as a matrix or a ray list: one join per row."""
+    opener, sep, close = _frame("  " * (depth + 1))
+    return Written(_items([opener + sep.join(map(_int_text, row)) + close
+                           if row else "[]" for row in rows], depth))
+
+
+def _encode(doc, depth: int) -> str:
+    """The canonical text of one value nested `depth` levels deep."""
     if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        inner = indent + "  "
         types = {*map(type, doc)}
         if types == {int}:  # no bools
-            body = map(_int_text, doc)
-        elif (types <= {list, tuple}
-              and {*map(type, chain.from_iterable(doc))} == {int}):
-            # rows of ints (matrices, rays): one join per row
-            deeper = inner + "  "
-            start, sep = "[\n" + deeper, ",\n" + deeper
-            end = "\n" + inner + "]"
-            body = [start + sep.join(map(_int_text, row)) + end if row
-                    else "[]" for row in doc]
-        else:
-            body = [_encode(item, inner) for item in doc]
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+            return int_list(doc, depth)
+        if (types <= {list, tuple}
+                and {*map(type, chain.from_iterable(doc))} == {int}):
+            return int_rows(doc, depth)
+        return _items([_encode(item, depth + 1) for item in doc], depth)
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        inner = indent + "  "
-        body = [encode_basestring_ascii(key) + ": " + _encode(doc[key], inner)
+        deeper = depth + 1
+        inner = ",\n" + "  " * deeper
+        body = [encode_basestring_ascii(key) + ": " + _encode(doc[key], deeper)
                 for key in sorted(doc)]
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+        return "{" + inner[1:] + inner.join(body) + "\n" + "  " * depth + "}"
     if type(doc) is bool:  # before int: True == 1
         return "true" if doc else "false"
     if isinstance(doc, int):
         return _int_text(doc)
     if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
+        return doc if type(doc) is Written else encode_basestring_ascii(doc)
     if doc is None:
         return "null"
     return json.dumps(doc)
@@ -117,12 +141,12 @@ def encode_chunks(doc):
     without one is one chunk.
     """
     if not (isinstance(doc, dict) and doc):
-        yield _encode(doc, "") + "\n"
+        yield _encode(doc, 0) + "\n"
         return
     keys = sorted(doc)
     *heads, end = _object_frame(keys, "")
     parts = [value if isinstance(value := doc[key], Iterator)
-             else head + _encode(value, "  ")
+             else head + _encode(value, 1)
              for key, head in zip(keys, heads)]
     text = ""
     for head, part in zip(heads, parts):
@@ -185,38 +209,47 @@ def chart_texts(rows):
                    + opener + sep.join(texts) + close + tail)
 
 
-def _index_sets(labels, start: int):
-    """(mask, labels) of every index set of sizes start to len(labels), by
-    size, then lex, bit i of the mask standing for labels[i]: masks and
-    labels come from side-by-side combinations."""
-    bits = [1 << i for i in range(len(labels))]
-    for size in range(start, len(labels) + 1):
-        yield from zip(map(sum, combinations(bits, size)),
-                       combinations(labels, size))
-
-
 def number_texts(table):
     """Item texts of the `numbers` list from `sequences._bott_table`: the
-    nonempty index sets in :func:`_index_sets` order."""
+    nonempty index sets by size, then lex.  Each size is written by C-level
+    maps over side-by-side combinations of the labels and the mask bits."""
     head, middle, tail = _object_frame(("set", "value"), _ITEM)
     start, comma, end = _frame(_ITEM + "  ")
-    head, middle = head + start, end + middle
+    head, middle, tail = map(repeat, (head + start, end + middle, tail))
     n = len(table).bit_length() - 1
-    for mask, ids in _index_sets([str(i) for i in range(1, n + 1)], 1):
-        yield head + comma.join(ids) + middle + _int_text(table[mask]) + tail
+    labels = [str(i) for i in range(1, n + 1)]
+    bits = [1 << i for i in range(n)]
+
+    def sized(size):
+        ids = map(comma.join, combinations(labels, size))
+        masks = map(sum, combinations(bits, size))
+        values = map(_int_text, map(table.__getitem__, masks))
+        return map("".join, zip(head, ids, middle, values, tail))
+
+    return chain.from_iterable(map(sized, range(1, n + 1)))
 
 
 def term_texts(table):
     """Item texts of the `total_chern` list from a table of 2^k coefficients
-    indexed by mask (bit j-1 is x_j): the index sets in :func:`_index_sets`
-    order, the empty one giving the degree-0 term, with zeros skipped."""
+    indexed by mask (bit j-1 is x_j): the index sets by size, then lex, the
+    empty one giving the degree-0 term, with zeros skipped.  Each size is
+    written as in :func:`number_texts`."""
     opener, sep, close = _frame(_ITEM)
     start, comma, end = _frame(_ITEM + "  ")
+    head, middle, tail = map(repeat, (opener + start, end + sep, close))
     k = len(table).bit_length() - 1
-    for mask, ids in _index_sets([str(j) for j in range(1, k + 1)], 0):
-        if table[mask]:
-            yield (opener + (start + comma.join(ids) + end if ids else "[]")
-                   + sep + _int_text(table[mask]) + close)
+    labels = [str(j) for j in range(1, k + 1)]
+    bits = [1 << j for j in range(k)]
+
+    def sized(size):
+        coeffs = [*map(table.__getitem__, map(sum, combinations(bits, size)))]
+        ids = map(comma.join, compress(combinations(labels, size), coeffs))
+        values = map(_int_text, compress(coeffs, coeffs))
+        return map("".join, zip(head, ids, middle, values, tail))
+
+    empty = ([opener + "[]" + sep + _int_text(table[0]) + close]
+             if table[0] else [])
+    return chain(empty, chain.from_iterable(map(sized, range(1, k + 1))))
 
 
 def parse_int(value, what: str) -> int:

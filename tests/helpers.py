@@ -46,7 +46,8 @@ from bott_towers import (
 )
 from bott_towers.fans import _fano_condition, _match_rays, _smoothness_report
 from bott_towers.sequences import _check_int, _check_range
-from bott_towers.serialize import _require_keys, _require_list, parse_int
+from bott_towers.serialize import (_ITEM, _frame, _int_text, _object_frame,
+                                   _require_keys, _require_list, parse_int)
 
 
 def fraction_inverse(matrix):
@@ -165,6 +166,40 @@ def reference_canonical(doc) -> str:
     stdlib encoder writes the document with sorted keys and indent 2.
     """
     return json.dumps(_guard_big(doc), sort_keys=True, indent=2) + "\n"
+
+
+def _reference_index_sets(labels, start: int):
+    """(mask, labels) of every index set of sizes start to len(labels), by
+    size, then lex, bit i of the mask standing for labels[i]."""
+    bits = [1 << i for i in range(len(labels))]
+    for size in range(start, len(labels) + 1):
+        yield from zip(map(sum, combinations(bits, size)),
+                       combinations(labels, size))
+
+
+def reference_number_texts(table):
+    """The former `serialize.number_texts`, kept as a test oracle: one
+    generator step per index set."""
+    head, middle, tail = _object_frame(("set", "value"), _ITEM)
+    start, comma, end = _frame(_ITEM + "  ")
+    head, middle = head + start, end + middle
+    n = len(table).bit_length() - 1
+    for mask, ids in _reference_index_sets([str(i) for i in range(1, n + 1)],
+                                           1):
+        yield head + comma.join(ids) + middle + _int_text(table[mask]) + tail
+
+
+def reference_term_texts(table):
+    """The former `serialize.term_texts`, kept as a test oracle: one
+    generator step per index set, zeros skipped."""
+    opener, sep, close = _frame(_ITEM)
+    start, comma, end = _frame(_ITEM + "  ")
+    k = len(table).bit_length() - 1
+    for mask, ids in _reference_index_sets([str(j) for j in range(1, k + 1)],
+                                           0):
+        if table[mask]:
+            yield (opener + (start + comma.join(ids) + end if ids else "[]")
+                   + sep + _int_text(table[mask]) + close)
 
 
 def probe_complete(gf: GeneralFan, probes: int = 100, seed: int = 0) -> bool:

@@ -11,6 +11,8 @@ both raise the same exception type and message, or build the same fan.
 The CLI bytes (exit code, stdout and stderr) of the `recognize` bench
 documents, the known rejects and the mutated documents are pinned by one
 digest, computed before the single pass and the one-solve witness landed.
+Those of the `ring` and `tables` decks are pinned by one digest per deck,
+computed before the list writers and the per-size item streams.
 """
 
 from __future__ import annotations
@@ -234,3 +236,19 @@ def pinned_argvs():
 
 def test_cli_bytes_are_pinned():
     assert cli_digest(pinned_argvs()) == PINNED_DIGEST
+
+
+# sha256 of cli_bytes over every distinct argv of the workload's deck at
+# seeds 1 and 20030601, computed before the list writers and the per-size
+# item streams; the decks are read from bench/jobs.py.
+DECK_DIGESTS = {
+    "ring": ("ed9251eea19fdbe908510ea7b052fe8f"
+             "cd5b1f2d54372979722c1e14aba65a7e"),
+    "tables": ("c555c4f7ee66d12ae0eb51aa4024fef7"
+               "13a5a0576b8dfc473d13fdddfb83f244"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DECK_DIGESTS))
+def test_deck_bytes_are_pinned(workload):
+    assert cli_digest(deck_argvs(workload)) == DECK_DIGESTS[workload]

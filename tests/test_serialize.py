@@ -7,9 +7,14 @@ two must agree byte for byte on every document with string keys.  A
 top-level value may instead be a stream of item texts from the item
 encoders: the document must read the same as with the list, and the stream
 is consumed only as chunks are taken.  Integer texts come from a table of
--1024..1024 that never stores a miss.  The CLI bytes of every distinct
-`tables` and `ring` bench argv are pinned by one digest, computed before
-the table.
+-1024..1024 that never stores a miss.
+
+Each list shape has one writer: `int_list` and `int_rows` write exactly what
+``json.dumps(value, indent=2)`` writes once big integers are quoted, at any
+nesting depth, and their `Written` text is copied verbatim into a document.
+The `numbers` and `total_chern` streams, written one index-set size at a
+time, match the former item loops (`helpers.reference_number_texts`,
+`helpers.reference_term_texts`) on seeded and on zero-heavy tables.
 
 `sequence_from_doc` gives the sequence the public constructor gives on the
 parsed entries, and a malformed document exits with its pinned code and one
@@ -30,10 +35,14 @@ from bott_towers import (IntegralSequence, ValidationError, cli,
                          encode_canonical)
 from bott_towers import sequences as SEQUENCES
 from bott_towers import serialize as SERIALIZE
-from bott_towers.serialize import (_int_text, cone_texts, encode_chunks,
+from bott_towers.cohomology import _total_chern_table
+from bott_towers.sequences import _bott_table
+from bott_towers.serialize import (Written, _int_text, cone_texts,
+                                   encode_chunks, int_list, int_rows,
                                    number_texts, sequence_from_doc,
                                    term_texts)
-from helpers import cli_digest, deck_argvs, reference_canonical
+from helpers import (random_sequence, reference_canonical,
+                     reference_number_texts, reference_term_texts)
 
 LIMIT = 2 ** 53
 EDGE_INTS = [LIMIT - 1, -(LIMIT - 1), LIMIT, -LIMIT, 2 ** 80, 0, -1]
@@ -108,6 +117,82 @@ class TestStreamSlot:
         rest = "".join(chunks)
         assert taken == [1, 2]
         assert rest.endswith('\n  ],\n  "b": 1\n}\n')
+
+
+def dumped(value, depth):
+    """``json.dumps(value, indent=2)``, big integers quoted, nested `depth`
+    levels deep."""
+    return reference_canonical(value)[:-1].replace("\n", "\n" + "  " * depth)
+
+
+WRITER_CASES = [  # (writer, value): empty, single, ragged, big-int shapes
+    (int_list, []), (int_list, [7]), (int_list, (0, -1, 1024, -1025)),
+    (int_list, EDGE_INTS),
+    (int_rows, []), (int_rows, [[]]), (int_rows, [()]), (int_rows, [[5]]),
+    (int_rows, [[1, 2, 3], [], [4]]), (int_rows, ((1,), (2, 3), ())),
+    (int_rows, [EDGE_INTS, [2 ** 80], [-LIMIT, 7]]),
+]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("writer, value", WRITER_CASES,
+                             ids=range(len(WRITER_CASES)))
+    def test_fixed_shapes_match_json_dumps(self, writer, value, depth):
+        text = writer(value, depth)
+        assert type(text) is Written
+        assert text == dumped(value, depth)
+
+    def test_any_shape_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.one_of(st.integers(-2 ** 60, 2 ** 60),
+                         st.sampled_from(EDGE_INTS))
+        row = st.one_of(st.lists(ints, max_size=6),
+                        st.lists(ints, max_size=6).map(tuple))
+        depths = st.integers(0, 4)
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(row, st.lists(row, max_size=5), depths)
+        def matches(values, rows, depth):
+            assert int_list(values, depth) == dumped(values, depth)
+            assert int_rows(rows, depth) == dumped(rows, depth)
+
+        matches()
+
+    def test_written_text_is_copied_verbatim(self):
+        doc = {"a": int_rows([[1, -2], []]), "b": {"c": int_list([3], 2)},
+               "d": "[1]"}
+        listed = {"a": [[1, -2], []], "b": {"c": [3]}, "d": "[1]"}
+        assert encode_canonical(doc) == reference_canonical(listed)
+
+
+def zero_heavy(k, seed):
+    """A table of 2^k values, nine in ten of them 0, the others up to 2^60
+    in magnitude."""
+    rng = random.Random(seed)
+    return [rng.randint(-2 ** 60, 2 ** 60) if rng.random() < 0.1 else 0
+            for _ in range(2 ** k)]
+
+
+class TestSizedStreams:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_seeded_tables_match_the_item_loops(self, n):
+        c = random_sequence(random.Random(n), n, -3, 3)
+        table = _bott_table(c, n)
+        assert [*number_texts(table)] == [*reference_number_texts(table)]
+        table = _total_chern_table(c, n)
+        assert [*term_texts(table)] == [*reference_term_texts(table)]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_zero_heavy_tables_match_the_item_loops(self, n):
+        tables = [_bott_table(IntegralSequence.zero(n), n),
+                  _total_chern_table(IntegralSequence.zero(n), n),
+                  zero_heavy(n, n), [0] * 2 ** n]
+        for table in tables:
+            assert [*number_texts(table)] == [*reference_number_texts(table)]
+            assert [*term_texts(table)] == [*reference_term_texts(table)]
 
 
 OVER_LIMIT = "9" * 5000  # more digits than int() converts
@@ -231,17 +316,6 @@ def test_well_typed_sequence_runs_no_element_check(monkeypatch):
     c = sequence_from_doc({"n": 4, "entries": triples})
     assert reads == [4]
     assert c.entries() == ((1, 2, 3), (1, 4, -2), (2, 3, -1))
-
-
-# sha256 of cli_bytes over the distinct `tables` and `ring` argv at seeds 1
-# and 20030601, computed before the integer table and the one-sweep ingest.
-DECK_DIGEST = ("bab49d1945df52d1852f12f0526de7e5"
-               "88a85f64ba000c41f5742660cf1f8111")
-
-
-def test_deck_cli_bytes_are_pinned():
-    assert (cli_digest(deck_argvs("tables") + deck_argvs("ring"))
-            == DECK_DIGEST)
 
 
 def test_encoder_matches_reference():
