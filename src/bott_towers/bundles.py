@@ -1,10 +1,13 @@
 """Quotient presentations, character line bundles, and support-function data.
 
-A height-k tower is a quotient of (C^2 \\ 0)^k by a k-torus.  The torus sits
-inside the coordinate torus through k kernel generators (one per stage), and
-dually each coordinate x_r, y_r carries a character weight.  Line bundles on
-the tower are recorded by their character exponents: a length-k integer tuple
-giving the twist against each stage of the acting torus.
+A height-k tower is a quotient of (C^2 \\ 0)^k by a k-torus.  Line bundles
+on the tower are recorded by their character exponents: a length-k integer
+tuple giving the twist against each stage of the acting torus.  Each
+coordinate x_r, y_r carries one such character, and those 2k characters are
+the line bundles of the tangent splitting (the Euler sequence of the toric
+variety), built once by `tangent_splitting`.  The torus sits inside the
+coordinate torus through k kernel generators, one per stage: the transpose
+of the 2k characters.
 
 Support-function data attaches one integer h(i, gamma) to every fan
 generator a_{i,gamma}; on the maximal cone of each code w those k numbers
@@ -33,27 +36,28 @@ from .sequences import (IntegralSequence, _check_code, _check_int,
 class QuotientPresentation:
     """The k-torus inside (C*)^{2k} whose quotient is the tower.
 
-    Coordinates are ordered x_1, y_1, ..., x_k, y_k.  `kernel_generators`
-    lists one exponent vector per stage; `action_weights` gives the character
-    weight of each coordinate, which is the transpose of the generator
-    matrix.
+    Coordinates are ordered x_1, y_1, ..., x_k, y_k.  `action_weights` gives
+    the character of each coordinate, and those 2k characters are the line
+    bundles of the tangent splitting (the Euler sequence of the tower);
+    `kernel_generators` is their transpose, one exponent vector per stage.
+
+    >>> c = IntegralSequence(2, {(1, 2): 5})
+    >>> q = QuotientPresentation(c, 2)
+    >>> q.action_weights == tuple(b.exps for b in tangent_splitting(c, 2))
+    True
+    >>> q.action_weights
+    ((1, 0), (1, 0), (0, 1), (5, 1))
+    >>> q.kernel_generators
+    ((1, 1, 0, 5), (0, 0, 1, 1))
     """
 
     __slots__ = ("sequence", "k", "kernel_generators", "action_weights")
 
     def __init__(self, sequence: IntegralSequence, k: int):
-        self.sequence = _check_sequence(sequence)
-        self.k = sequence.check_stage(k)
-        cols = [sequence.column(s) for s in range(1, k + 1)]
-        generators = []
-        for r in range(1, k + 1):
-            vec = [0] * (2 * k)
-            vec[2 * r - 2] = vec[2 * r - 1] = 1
-            for s in range(r + 1, k + 1):
-                vec[2 * s - 1] = cols[s - 1][r - 1]
-            generators.append(tuple(vec))
-        self.kernel_generators = tuple(generators)
-        self.action_weights = tuple(zip(*generators))
+        self.action_weights = tuple(
+            b.exps for b in tangent_splitting(sequence, k))  # checks c and k
+        self.kernel_generators = tuple(zip(*self.action_weights))
+        self.sequence, self.k = sequence, k
 
     def __repr__(self):
         return f"QuotientPresentation({self.sequence!r}, k={self.k})"
@@ -158,7 +162,11 @@ def tangent_splitting(c: IntegralSequence, k: int):
 
     Position (j,0) carries the dual of the stage-j tautological bundle
     (exponents e_j); position (j,1) carries (c(1,j), ..., c(j-1,j), 1, 0...).
-    The tensor-square sum of the 2k bundles splits the tangent bundle.
+    These are the characters of the coordinates x_j and y_j, so they are the
+    `action_weights` of the quotient presentation, and the kernel generators
+    are their transpose.  By the Euler sequence
+    0 -> C^k -> L_{1,0} + L_{1,1} + ... + L_{k,1} -> T -> 0 their sum is the
+    tangent bundle plus a trivial rank-k bundle.
     """
     _check_sequence(c).check_stage(k)
     bundles = []

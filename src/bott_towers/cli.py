@@ -170,7 +170,7 @@ def _cmd_charts(args):
 
 def _cmd_bundle(args):
     from .bundles import (canonical_lambda, lambda_bundle, lambda_perp,
-                          quotient_presentation, tangent_splitting, xi_bundle)
+                          quotient_presentation, xi_bundle)
     from .serialize import int_list, int_rows
 
     c, k = _sequence_and_stage(args)
@@ -183,7 +183,7 @@ def _cmd_bundle(args):
         "canonical_lambda": int_list(canonical_lambda(k).exps),
         "lambda": int_rows(lambdas),
         "lambda_perp": int_list(lambda_perp(c, k).exps),
-        "tangent": int_rows([b.exps for b in tangent_splitting(c, k)]),
+        "tangent": int_rows(q.action_weights),
     }
     if k < c.n:
         doc["xi"] = int_list(xi_bundle(c, k).exps)

@@ -819,6 +819,21 @@ def reference_cohomology_doc(c: IntegralSequence, k: int,
     return doc
 
 
+def reference_kernel_generators(c: IntegralSequence, k: int) -> tuple:
+    """The stage-k kernel generators by one loop over the stages, without the
+    tangent splitting: generator r is 1 on x_r and y_r and c(r,s) on y_s for
+    every stage s above r."""
+    cols = [c.column(s) for s in range(1, k + 1)]
+    generators = []
+    for r in range(1, k + 1):
+        vec = [0] * (2 * k)
+        vec[2 * r - 2] = vec[2 * r - 1] = 1
+        for s in range(r + 1, k + 1):
+            vec[2 * s - 1] = cols[s - 1][r - 1]
+        generators.append(tuple(vec))
+    return tuple(generators)
+
+
 def reference_bundle_doc(c: IntegralSequence, k: int) -> dict:
     """The `bundle -k k` document, written out from the entries c(i,j)."""
     def unit(j):

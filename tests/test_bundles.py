@@ -4,7 +4,9 @@ Core claims:
 
 1. The quotient presentation's kernel generators really span the kernel of
    the ray projection (x_r -> e_r, y_r -> a_{r,1}), and the action weights
-   are the transpose of the kernel generator matrix.
+   are the transpose of the kernel generator matrix.  Those weights are the
+   tangent splitting's 2k characters, and the generators equal the ones a
+   separate loop over the stages writes out.
 2. Character exponent arithmetic: conjugation negates, the rank-2 splitting
    lambda(k) + lambda(k)-perp matches trivial + lifted xi_{k-1}, and xi_k
    decomposes over the stage bundles lambda(i).  The library's own bundle
@@ -44,7 +46,7 @@ from bott_towers import (
     tangent_splitting,
     xi_bundle,
 )
-from helpers import random_sequence
+from helpers import random_sequence, reference_kernel_generators
 
 
 # ===================================================================
@@ -84,6 +86,29 @@ class TestQuotient:
             for m in range(2 * k):
                 assert q.action_weights[m] == tuple(
                     q.kernel_generators[r][m] for r in range(k))
+
+    def test_weights_are_the_tangent_splitting(self):
+        # zero tower, bounded flag, small twists and twists near +-2^60
+        rng = random.Random(3007)
+        for n in range(1, 13):
+            towers = [IntegralSequence.zero(n), IntegralSequence.bounded_flag(n),
+                      random_sequence(rng, n),
+                      random_sequence(rng, n, 2 ** 60 - 9, 2 ** 60 + 9),
+                      random_sequence(rng, n, -2 ** 60 - 9, -2 ** 60 + 9)]
+            for c in towers:
+                for k in range(1, n + 1):
+                    q = quotient_presentation(c, k)
+                    gens = q.kernel_generators
+                    assert gens == reference_kernel_generators(c, k)
+                    assert q.action_weights == tuple(zip(*gens))
+                    assert tuple(b.exps for b in tangent_splitting(c, k)) == (
+                        q.action_weights)
+                    # the exact sequence behind the quotient: each generator
+                    # is a linear relation among the fan's 2k rays
+                    rays = build_fan(c, k).rays()
+                    for g in gens:
+                        assert [sum(x * ray[t] for x, ray in zip(g, rays))
+                                for t in range(k)] == [0] * k
 
 
 # ===================================================================

@@ -56,6 +56,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -641,6 +642,35 @@ class TestBundle:
         assert doc["xi"] == [5]
         assert doc["k"] == 1
 
+    def test_each_column_is_read_once(self, monkeypatch, capsys):
+        from bott_towers import IntegralSequence, bundles, cli, sequence_to_doc
+
+        calls = Counter()
+        column, split = IntegralSequence.column, bundles.tangent_splitting
+        init = bundles.QuotientPresentation.__init__.__code__
+
+        def counted_column(self, j):
+            calls["column"] += 1
+            return column(self, j)
+
+        def counted_split(c, k):
+            assert sys._getframe(1).f_code is init  # the quotient reads it
+            calls["tangent_splitting"] += 1
+            return split(c, k)
+
+        monkeypatch.setattr(IntegralSequence, "column", counted_column)
+        monkeypatch.setattr(bundles, "tangent_splitting", counted_split)
+        rng = random.Random(7100)
+        for n in range(1, 9):
+            doc = json.dumps(sequence_to_doc(random_sequence(rng, n, -3, 3)))
+            for k in range(1, n + 1):
+                calls.clear()
+                assert cli.main(["bundle", doc, "-k", str(k)]) == 0
+                assert capsys.readouterr().out
+                # k for the splitting, one for lambda_perp, one for xi
+                assert calls == {"column": k + 2 if k < n else k + 1,
+                                 "tangent_splitting": 1}
+
 
 class TestCohomology:
     def test_hirzebruch_ring_frozen(self):
@@ -654,6 +684,23 @@ class TestCohomology:
     def test_oracle_flag(self):
         doc = stdout_doc(run_cli("cohomology", HIRZEBRUCH_SEQ, "--oracle"))
         assert doc["oracle"] == {"checked": 5, "match": True}
+
+    @pytest.mark.parametrize("name, fault, message", [
+        ("betti", lambda ranks: [ranks[0] + 1, *ranks[1:]], r"betti\[0\]"),
+        ("betti", lambda ranks: [*ranks, 1], "total rank"),  # 2^k + 1
+        ("_total_chern_table", lambda table: [*table[:-1], table[-1] + 1],
+         "Euler characteristic"),
+    ])
+    def test_oracle_mismatch_writes_nothing(self, name, fault, message,
+                                            monkeypatch, capsys):
+        from bott_towers import cli, cohomology
+
+        build = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name,
+                            lambda c, k: fault(build(c, k)))
+        with pytest.raises(RuntimeError, match="oracle mismatch on " + message):
+            cli.main(["cohomology", THREE_SEQ, "--oracle"])
+        assert capsys.readouterr().out == ""
 
 
 class TestRingDocumentsAgainstReference:
