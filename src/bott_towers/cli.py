@@ -77,8 +77,10 @@ def _load_document(source: str):
         raise ValidationError(f"integer literal: {err}") from None
 
 
-def _load_fan(source: str):
-    """A GeneralFan from a fan document, a full BottFan from a sequence one."""
+def _load_fan(source: str, check_height=None):
+    """A GeneralFan from a fan document, a full BottFan from a sequence one;
+    `check_height`, if given, is called on a sequence's height before its
+    Bott matrix is built."""
     from .fans import build_fan
     from .serialize import fan_from_doc
 
@@ -86,6 +88,8 @@ def _load_fan(source: str):
     if isinstance(doc, dict) and "rays" in doc:
         return fan_from_doc(doc)
     c = sequence_from_doc(doc)
+    if check_height is not None:
+        check_height(c.n)
     return build_fan(c, c.n)
 
 
@@ -191,16 +195,17 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
-    from .cohomology import _total_chern_table, betti, presentation
+    from .cohomology import _chern_presentation, _total_chern_table, betti
     from .serialize import _int_text, int_list, int_rows, term_texts
 
     c, k = _sequence_and_stage(args)
-    table = _total_chern_table(c, k)
+    p = _chern_presentation(c, k)  # above the cap, refused with no column
+    table = _total_chern_table(c, k, p)
     _int_text(max(table, key=abs))  # every nonzero term is written
     ranks = betti(c, k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
     doc = {"k": k,
-           "relations": int_rows(presentation(c, k).relations),
+           "relations": int_rows(p.relations),
            "betti": int_list(ranks),
            "euler_characteristic": euler,
            "total_chern": term_texts(table)}
@@ -227,9 +232,9 @@ def _cmd_classify(args):
 
 
 def _cmd_render(args):
-    from .render import render_svg
+    from .render import _require_plane, render_svg
 
-    return (render_svg(_load_fan(args.input)),), 0
+    return (render_svg(_load_fan(args.input, _require_plane)),), 0
 
 
 # name: (handler, help, takes -k/--stage, {store_true flag: its help})

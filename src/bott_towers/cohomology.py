@@ -357,28 +357,39 @@ def character_class(c: IntegralSequence, k: int, exps) -> CohomologyClass:
     return CohomologyRing(c, k).character_class(exps)
 
 
-def _total_chern_table(c: IntegralSequence, k: int) -> list:
-    """The total Chern class as 2^k coefficients indexed by mask.
-
-    The product with m_j resolves x_i for i = j-1, ..., 1 as `_times_linear`
-    does, but pending coefficients depend only on the bits above i-1, so
-    pend[h-1] holds one for x_h per block of 2^i masks that share them:
-    x_i adds a times each block's lower half into its upper half
-    (`sequences._add_halves`), then the blocks split in two and the half
-    with x_i adds -a c(h,i) to x_h.
-    Each column of c is read once, at its stage; its nonzero twists serve
-    the stages above.
-    """
+def _chern_presentation(c: IntegralSequence, k: int) -> RingPresentation:
+    """presentation(c, k), once k is checked to be a stage of c under the
+    cap of a 2^k-coefficient table: a refused stage reads no column."""
     _check_table_stage(c, k, "the total Chern class", "coefficients")
-    twists = [()]  # twists[i]: the nonzero (h, c(h,i)), read with column i
+    return presentation(c, k)
+
+
+def _total_chern_table(c: IntegralSequence, k: int,
+                       p: RingPresentation | None = None) -> list:
+    """The total Chern class of stage k of c as 2^k coefficients indexed by
+    mask.
+
+    It reads the rows of `p`, the presentation `_chern_presentation(c, k)`
+    returns, made here when not given: the stage cap has refused k before
+    any column is read.  Row j is (c(1,j), ..., c(j-1,j), 1), and its
+    nonzero twists serve the stages above.  The product with m_j resolves
+    x_i for i = j-1, ..., 1 as `_times_linear` does, but pending
+    coefficients depend only on the bits above i-1, so pend[h-1] holds one
+    for x_h per block of 2^i masks that share them: x_i adds a times each
+    block's lower half into its upper half (`sequences._add_halves`), then
+    the blocks split in two and the half with x_i adds -a c(h,i) to x_h.
+    """
+    if p is None:
+        p = _chern_presentation(c, k)
+    twists = [()]  # twists[i]: the nonzero (h, c(h,i)) of row i
     table = [1]
-    for j in range(1, k + 1):
+    for row in p.relations:
         out = table.copy()
-        column = c.column(j)
+        column = row[:-1]
         twists.append([(h, value) for h, value in enumerate(column, 1)
                        if value])
         pend = [[value] for value in column]
-        for i in range(j - 1, 0, -1):
+        for i in range(len(column), 0, -1):
             a = pend.pop()
             _add_halves(out, table, 1 << (i - 1), a)
             for h, col in enumerate(pend):

@@ -30,12 +30,17 @@ def _tip(ray, radius: float):
             CENTER - radius * ray[1] / norm)
 
 
+def _require_plane(dim: int) -> None:
+    """Refuse a fan dimension other than 2."""
+    if dim != 2:
+        raise ValidationError(
+            f"rendering requires a two-dimensional fan, got dimension {dim}")
+
+
 def render_svg(fan) -> str:
     """The SVG text of a dimension-2 fan; refuses others before any cone."""
     gf = fan if isinstance(fan, BottFan) and fan.dim != 2 else _as_general(fan)
-    if gf.dim != 2:
-        raise ValidationError(
-            f"rendering requires a two-dimensional fan, got dimension {gf.dim}")
+    _require_plane(gf.dim)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" '
         f'height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',

@@ -9,6 +9,12 @@ read from a constant table of -1024..1024; any other is made on each
 lookup and never stored, and one of more digits than Python converts is
 invalid data.
 
+The frames of lists and objects are built once per process: a list's
+bracket and separator texts per nesting depth (:func:`_frame`), and an
+object's key heads and closing text per sorted key tuple and depth
+(:func:`_object_frame`).  Each cache keeps its `_KEPT` (128) most recent
+frames, so documents of ever new keys cannot grow it.
+
 Each list shape has one writer, :func:`int_list` or :func:`int_rows`.  The
 encoder calls it after a type sweep; a caller that built the list itself
 calls it directly, at the list's nesting depth, and puts the :class:`Written`
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import (chain, combinations, compress, islice, product,
                        repeat)
 from json.encoder import encode_basestring_ascii
@@ -36,8 +43,8 @@ from .errors import ValidationError
 from .sequences import IntegralSequence
 
 PRECISION_LIMIT = 2 ** 53
-_ITEM = "    "  # indent of the items of a top-level list
 _BATCH = 64  # streamed items joined into one chunk
+_KEPT = 128  # frames kept by each frame cache, the least recent dropped
 
 
 class _IntTexts(dict):
@@ -59,20 +66,21 @@ _int_text = _IntTexts({value: str(value)
                        for value in range(-1024, 1025)}).__getitem__
 
 
-def _frame(indent: str):
-    """(open, separator, close) of a non-empty list whose brackets sit at
-    `indent`."""
-    inner = "\n" + indent + "  "
-    return "[" + inner, "," + inner, "\n" + indent + "]"
+@lru_cache(maxsize=_KEPT)
+def _frame(depth: int):
+    """(open, separator, close) of a non-empty list whose brackets sit
+    `depth` levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner, "," + inner, "\n" + "  " * depth + "]"
 
 
-def _object_frame(keys, indent: str):
-    """The texts before each value of an object with these sorted keys at
-    `indent`, then its closing text."""
-    inner = "\n" + indent + "  "
-    return ([("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
-             + ": " for i, key in enumerate(keys)]
-            + ["\n" + indent + "}"])
+@lru_cache(maxsize=_KEPT)
+def _object_frame(keys: tuple, depth: int) -> tuple:
+    """The texts before each value of an object with these sorted keys
+    `depth` levels deep, then its closing text."""
+    inner = "\n" + "  " * (depth + 1)
+    return (*[("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
+              + ": " for i, key in enumerate(keys)], "\n" + "  " * depth + "}")
 
 
 class Written(str):
@@ -85,8 +93,8 @@ def _items(texts: list, depth: int) -> str:
     """The list of these item texts as a value nested `depth` levels deep."""
     if not texts:
         return "[]"
-    inner = ",\n" + "  " * (depth + 1)
-    return "[" + inner[1:] + inner.join(texts) + "\n" + "  " * depth + "]"
+    opener, sep, close = _frame(depth)
+    return opener + sep.join(texts) + close
 
 
 def int_list(values, depth: int = 1) -> Written:
@@ -97,13 +105,15 @@ def int_list(values, depth: int = 1) -> Written:
 def int_rows(rows, depth: int = 1) -> Written:
     """The text of a list of int lists (no bools) nested `depth` levels
     deep, such as a matrix or a ray list: one join per row."""
-    opener, sep, close = _frame("  " * (depth + 1))
+    opener, sep, close = _frame(depth + 1)
     return Written(_items([opener + sep.join(map(_int_text, row)) + close
                            if row else "[]" for row in rows], depth))
 
 
 def _encode(doc, depth: int) -> str:
     """The canonical text of one value nested `depth` levels deep."""
+    if type(doc) is Written:
+        return doc
     if isinstance(doc, (list, tuple)):
         types = {*map(type, doc)}
         if types == {int}:  # no bools
@@ -115,17 +125,16 @@ def _encode(doc, depth: int) -> str:
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        deeper = depth + 1
-        inner = ",\n" + "  " * deeper
-        body = [encode_basestring_ascii(key) + ": " + _encode(doc[key], deeper)
-                for key in sorted(doc)]
-        return "{" + inner[1:] + inner.join(body) + "\n" + "  " * depth + "}"
+        keys = tuple(sorted(doc))
+        frame = _object_frame(keys, depth)
+        return "".join([head + _encode(doc[key], depth + 1)
+                        for head, key in zip(frame, keys)]) + frame[-1]
     if type(doc) is bool:  # before int: True == 1
         return "true" if doc else "false"
     if isinstance(doc, int):
         return _int_text(doc)
     if isinstance(doc, str):
-        return doc if type(doc) is Written else encode_basestring_ascii(doc)
+        return encode_basestring_ascii(doc)
     if doc is None:
         return "null"
     return json.dumps(doc)
@@ -143,24 +152,24 @@ def encode_chunks(doc):
     if not (isinstance(doc, dict) and doc):
         yield _encode(doc, 0) + "\n"
         return
-    keys = sorted(doc)
-    *heads, end = _object_frame(keys, "")
+    keys = tuple(sorted(doc))
+    frame = _object_frame(keys, 0)
     parts = [value if isinstance(value := doc[key], Iterator)
              else head + _encode(value, 1)
-             for key, head in zip(keys, heads)]
+             for key, head in zip(keys, frame)]
     text = ""
-    for head, part in zip(heads, parts):
+    for head, part in zip(frame, parts):
         if isinstance(part, str):
             text += part
             continue
         yield text + head
-        opener, sep, close = _frame("  ")
+        opener, sep, close = _frame(1)
         text = opener
         while batch := list(islice(part, _BATCH)):
             yield text + sep.join(batch)
             text = sep
         text = "[]" if text is opener else close
-    yield text + end + "\n"
+    yield text + frame[-1] + "\n"
 
 
 def encode_canonical(doc) -> str:
@@ -182,7 +191,7 @@ def cone_texts(k: int):
     The cone of the code w lists the ray indices 2i + w_i; each index text
     is made once, with the brackets folded into the first and last.
     """
-    opener, sep, close = _frame(_ITEM)
+    opener, sep, close = _frame(2)
     choices = [[str(2 * i), str(2 * i + 1)] for i in range(k)]
     choices[0] = [opener + text for text in choices[0]]
     choices[-1] = [text + close for text in choices[-1]]
@@ -196,9 +205,9 @@ def chart_texts(rows):
     through a frame made once; a chart is written when its code is complete
     (j equals the row length).
     """
-    head, middle, tail = _object_frame(("code", "monomials"), _ITEM)
-    opener, sep, close = _frame(_ITEM + "  ")
-    r_open, r_sep, r_close = _frame(_ITEM + "    ")
+    head, middle, tail = _object_frame(("code", "monomials"), 2)
+    opener, sep, close = _frame(3)
+    r_open, r_sep, r_close = _frame(4)
     code, texts = [], []
     for j, bit, row in rows:
         del code[j - 1:], texts[j - 1:]
@@ -213,8 +222,8 @@ def number_texts(table):
     """Item texts of the `numbers` list from `sequences._bott_table`: the
     nonempty index sets by size, then lex.  Each size is written by C-level
     maps over side-by-side combinations of the labels and the mask bits."""
-    head, middle, tail = _object_frame(("set", "value"), _ITEM)
-    start, comma, end = _frame(_ITEM + "  ")
+    head, middle, tail = _object_frame(("set", "value"), 2)
+    start, comma, end = _frame(3)
     head, middle, tail = map(repeat, (head + start, end + middle, tail))
     n = len(table).bit_length() - 1
     labels = [str(i) for i in range(1, n + 1)]
@@ -234,8 +243,8 @@ def term_texts(table):
     indexed by mask (bit j-1 is x_j): the index sets by size, then lex, the
     empty one giving the degree-0 term, with zeros skipped.  Each size is
     written as in :func:`number_texts`."""
-    opener, sep, close = _frame(_ITEM)
-    start, comma, end = _frame(_ITEM + "  ")
+    opener, sep, close = _frame(2)
+    start, comma, end = _frame(3)
     head, middle, tail = map(repeat, (opener + start, end + sep, close))
     k = len(table).bit_length() - 1
     labels = [str(j) for j in range(1, k + 1)]
@@ -298,18 +307,20 @@ def sequence_to_doc(c: IntegralSequence) -> dict:
 
 
 def sequence_from_doc(doc) -> IntegralSequence:
-    """The IntegralSequence of a sequence document.  The entries get one
-    type and shape sweep; parse_int runs per entry only after a failed one,
-    or when a key repeats, to read quoted ints or name the first fault.
-    The constructor checks the ranges."""
+    """The IntegralSequence of a sequence document, with one type sweep of
+    its entries: the one the constructor makes of the entry dict.  After any
+    failure, or when a key repeats, parse_int runs per entry, to read quoted
+    ints or name the first fault; the constructor checks the ranges."""
     _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
     n = parse_int(doc["n"], "sequence height n")
     triples = _require_list(doc.get("entries", []), "sequence entries")
-    if ({*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}
-            and {*map(type, chain.from_iterable(triples))} <= {int}):
-        entries = {(i, j): value for i, j, value in triples}
-        if len(entries) == len(triples):
-            return IntegralSequence(n, entries)
+    if {*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}:
+        try:
+            entries = {(i, j): value for i, j, value in triples}
+            if len(entries) == len(triples):
+                return IntegralSequence(n, entries)
+        except (TypeError, ValidationError):  # an unhashable or bad entry
+            pass
     entries = {}
     for triple in triples:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:

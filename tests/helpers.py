@@ -20,7 +20,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 from bott_towers import (
@@ -46,7 +46,7 @@ from bott_towers import (
 )
 from bott_towers.fans import _fano_condition, _match_rays, _smoothness_report
 from bott_towers.sequences import _check_int, _check_range
-from bott_towers.serialize import (_ITEM, _frame, _int_text, _object_frame,
+from bott_towers.serialize import (_frame, _int_text, _object_frame,
                                    _require_keys, _require_list, parse_int)
 
 
@@ -180,8 +180,8 @@ def _reference_index_sets(labels, start: int):
 def reference_number_texts(table):
     """The former `serialize.number_texts`, kept as a test oracle: one
     generator step per index set."""
-    head, middle, tail = _object_frame(("set", "value"), _ITEM)
-    start, comma, end = _frame(_ITEM + "  ")
+    head, middle, tail = _object_frame(("set", "value"), 2)
+    start, comma, end = _frame(3)
     head, middle = head + start, end + middle
     n = len(table).bit_length() - 1
     for mask, ids in _reference_index_sets([str(i) for i in range(1, n + 1)],
@@ -192,8 +192,8 @@ def reference_number_texts(table):
 def reference_term_texts(table):
     """The former `serialize.term_texts`, kept as a test oracle: one
     generator step per index set, zeros skipped."""
-    opener, sep, close = _frame(_ITEM)
-    start, comma, end = _frame(_ITEM + "  ")
+    opener, sep, close = _frame(2)
+    start, comma, end = _frame(3)
     k = len(table).bit_length() - 1
     for mask, ids in _reference_index_sets([str(j) for j in range(1, k + 1)],
                                            0):
@@ -596,6 +596,30 @@ def reference_fan_ingest(doc):
               for r in _require_list(cone, "cone")]
              for cone in _require_list(doc["cones"], "fan cones")]
     return reference_general_fan(dim, rays, cones)
+
+
+def reference_sequence_ingest(doc) -> IntegralSequence:
+    """The former sequence_from_doc, verbatim: a type and shape sweep of the
+    triples, then the constructor's own sweep of the entry dict."""
+    _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
+    n = parse_int(doc["n"], "sequence height n")
+    triples = _require_list(doc.get("entries", []), "sequence entries")
+    if ({*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}
+            and {*map(type, chain.from_iterable(triples))} <= {int}):
+        entries = {(i, j): value for i, j, value in triples}
+        if len(entries) == len(triples):
+            return IntegralSequence(n, entries)
+    entries = {}
+    for triple in triples:
+        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+            raise ValidationError(
+                f"sequence entry must be an [i, j, value] triple, got {triple!r}")
+        i = parse_int(triple[0], "entry index i")
+        j = parse_int(triple[1], "entry index j")
+        if (i, j) in entries:
+            raise ValidationError(f"duplicate sequence entry ({i}, {j})")
+        entries[(i, j)] = parse_int(triple[2], f"entry c({i},{j})")
+    return IntegralSequence(n, entries)
 
 
 def reference_check_doc(gf: GeneralFan) -> dict:

@@ -20,7 +20,8 @@ Core claims:
    are byte-identical to documents written from the reference oracles.  The
    cohomology document is streamed from the flat Chern table, never from
    a listed class, with cancelled terms omitted; a stage above 20 exits 3
-   before any table is built.
+   before any table is built or any column read.  A cohomology job reads
+   each column of its stage once, for the rows written as "relations".
 6. The streamed documents (fan, charts, numbers --sets, with and without
    --oracle and -k) are byte-identical to the reference oracles on stdout
    and through -o, big integers included.  Oracle comparisons, and the
@@ -44,7 +45,8 @@ Core claims:
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
-   refuses a dimension other than 2 before any cone.
+   refuses a dimension other than 2 before any cone, and a sequence height
+   other than 2 before its Bott matrix.
 """
 
 from __future__ import annotations
@@ -697,7 +699,7 @@ class TestCohomology:
 
         build = getattr(cohomology, name)
         monkeypatch.setattr(cohomology, name,
-                            lambda c, k: fault(build(c, k)))
+                            lambda *a: fault(build(*a)))
         with pytest.raises(RuntimeError, match="oracle mismatch on " + message):
             cli.main(["cohomology", THREE_SEQ, "--oracle"])
         assert capsys.readouterr().out == ""
@@ -786,6 +788,42 @@ class TestCohomologyTable:
             "coefficients; stages above 20 are refused\n")
         # interpreter start-up aside, the refusal takes no time
         assert elapsed < baseline + 0.2
+
+    @pytest.mark.parametrize("n", [40, 3000])
+    def test_stage_above_cap_reads_no_column(self, n, monkeypatch, capsys):
+        from bott_towers import IntegralSequence, cli
+
+        def refused(self, j):
+            raise AssertionError(f"column {j} read above the stage cap")
+
+        monkeypatch.setattr(IntegralSequence, "column", refused)
+        assert cli.main(["cohomology", json.dumps({"n": n})]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: the total Chern class at stage k={n} has 2^{n} "
+            "coefficients; stages above 20 are refused\n"))
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_each_column_is_read_once(self, oracle, monkeypatch, capsys):
+        """The Chern table reads the rows written as "relations"."""
+        from bott_towers import IntegralSequence, cli, sequence_to_doc
+
+        reads = []
+        column = IntegralSequence.column
+
+        def counted_column(self, j):
+            reads.append(j)
+            return column(self, j)
+
+        monkeypatch.setattr(IntegralSequence, "column", counted_column)
+        rng = random.Random(7200)
+        for n in range(1, 9):
+            doc = json.dumps(sequence_to_doc(random_sequence(rng, n, -3, 3)))
+            for k in range(1, n + 1):
+                reads.clear()
+                argv = ["cohomology", doc, "-k", str(k)]
+                assert cli.main(argv + ["--oracle"] * oracle) == 0
+                assert capsys.readouterr().out
+                assert sorted(reads) == list(range(1, k + 1))
 
     def test_stage_below_cap_still_runs(self, capsys):
         from bott_towers import IntegralSequence, cli
@@ -988,6 +1026,28 @@ class TestRender:
                                      f"{n}\n")
             # refused before any of the 2^n cones is listed
             assert elapsed < baseline + 0.2
+
+    def test_sequence_height_refused_before_the_bott_matrix(
+            self, monkeypatch, capsys):
+        from bott_towers import cli, fans, sequences
+
+        def refused(c, ids):
+            raise AssertionError("a Bott matrix was built")
+
+        monkeypatch.setattr(sequences, "bott_matrix", refused)
+        monkeypatch.setattr(fans, "bott_matrix", refused)
+        assert cli.main(["render", '{"n": 1000}']) == 3
+        assert capsys.readouterr() == ("", (
+            "error: rendering requires a two-dimensional fan, got "
+            "dimension 1000\n"))
+
+    def test_large_sequence_height_exits_at_once(self):
+        _, baseline = timed_cli("render", '{"n": 2}')
+        result, elapsed = timed_cli("render", '{"n": 1000}')
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == ("error: rendering requires a two-dimensional"
+                                 " fan, got dimension 1000\n")
+        assert elapsed < max(0.5, baseline + 0.2)
 
     def test_product_fan_svg(self):
         result = run_cli("render", '{"n": 2}')

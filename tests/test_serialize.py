@@ -20,13 +20,20 @@ time, match the former item loops (`helpers.reference_number_texts`,
 parsed entries, and a malformed document exits with its pinned code and one
 stderr line, the parse error of a triple winning over a range error of an
 earlier key.  A well-typed document is checked by sweeps, with no check of
-one entry at a time.
+one entry at a time, and constructs its sequence once.  On seeded documents
+with faults of every kind it raises what the former two-sweep ingest
+(`helpers.reference_sequence_ingest`) raised, with the same message.
+
+The list and object frames are built once per process, in caches that
+10,000 documents of distinct key sets and deep nesting keep within their
+size limit.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -42,7 +49,8 @@ from bott_towers.serialize import (Written, _int_text, cone_texts,
                                    number_texts, sequence_from_doc,
                                    term_texts)
 from helpers import (random_sequence, reference_canonical,
-                     reference_number_texts, reference_term_texts)
+                     reference_number_texts, reference_sequence_ingest,
+                     reference_term_texts)
 
 LIMIT = 2 ** 53
 EDGE_INTS = [LIMIT - 1, -(LIMIT - 1), LIMIT, -LIMIT, 2 ** 80, 0, -1]
@@ -316,6 +324,127 @@ def test_well_typed_sequence_runs_no_element_check(monkeypatch):
     c = sequence_from_doc({"n": 4, "entries": triples})
     assert reads == [4]
     assert c.entries() == ((1, 2, 3), (1, 4, -2), (2, 3, -1))
+
+
+def _mutate_triple(rng, triple, shape: bool):
+    """The triple with one slot of a wrong type, or of a wrong shape; kept
+    if it is already not a list of three."""
+    if not (isinstance(triple, list) and len(triple) == 3):
+        return triple
+    if shape:
+        return rng.choice([tuple(triple), str(triple), {"i": triple[0]},
+                           triple[:2], triple[:rng.randrange(2)],
+                           triple + [0]])
+    slot = rng.randrange(3)
+    value = triple[slot] if type(triple[slot]) is int else 1
+    bad = rng.choice([True, False, 1.0, float(value), str(value), str(value),
+                      f" {value}", "x", None, [value], {"v": 1}])
+    return [bad if s == slot else x for s, x in enumerate(triple)]
+
+
+# (fault, weight): slot types and triple shapes, repeated keys, zero
+# values, i >= j, j > n, a bad n, a quoted triple, entries not a list
+FAULTS = {"slot": 6, "shape": 2, "repeat": 2, "zero": 1, "order": 1,
+          "beyond": 1, "height": 2, "quoted": 1, "entries": 0.2}
+
+
+def _mutated_sequence_doc(rng):
+    """A seeded sequence document with up to three faults."""
+    n = height = rng.randint(1, 7)
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    triples = [[i, j, rng.randint(-3, 3)]
+               for i, j in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    faults = rng.choices([*FAULTS], [*FAULTS.values()], k=rng.randint(0, 3))
+    for fault in faults:
+        at = rng.randrange(len(triples) + 1)
+        i, j = sorted(rng.sample(range(1, n + 3), 2))
+        if fault in ("slot", "shape") and triples:
+            at = min(at, len(triples) - 1)
+            triples[at] = _mutate_triple(rng, triples[at], fault == "shape")
+        elif fault == "repeat" and triples:  # maybe with True for 1
+            first = rng.choice(triples)
+            if isinstance(first, list) and len(first) == 3:
+                copy = [*first[:2], rng.randint(-3, 3)]
+                if copy[0] == 1 and rng.random() < 0.5:
+                    copy[0] = True
+                triples.insert(at, copy)
+        elif fault == "zero":
+            triples.insert(at, [i, j, 0])
+        elif fault == "order":
+            triples.insert(at, [j, rng.choice([i, j]), 1])
+        elif fault == "beyond":
+            triples.insert(at, [rng.randint(1, n), n + rng.randint(1, 3), 2])
+        elif fault == "height":  # with the entries' own faults, if any
+            height = rng.choice([0, -1, True, 2.0, "x", "0", str(n), None])
+        elif fault == "quoted":
+            triples.insert(at, [str(i), j, str(rng.randint(-3, 3))])
+        elif fault == "entries":
+            triples = rng.choice([tuple(triples), {"e": 1}, "[]"])
+            break
+    return {"n": height, "entries": triples}
+
+
+def _ingest_outcome(ingest, doc):
+    """(n, entries) of the sequence, or (exception type, message)."""
+    try:
+        c = ingest(doc)
+    except Exception as err:  # the type is compared, not assumed
+        return type(err), str(err)
+    return c.n, c.entries()
+
+
+def test_ingest_matches_the_former_two_sweeps():
+    """Every seeded fault gets the exception of the former ingest, with its
+    message, and every valid document the same sequence."""
+    rng = random.Random(31)
+    kinds = Counter()
+    for _ in range(4000):
+        doc = _mutated_sequence_doc(rng)
+        got = _ingest_outcome(sequence_from_doc, doc)
+        assert got == _ingest_outcome(reference_sequence_ingest, doc), doc
+        kinds[got[0] if isinstance(got[0], type) else "ok"] += 1
+    assert kinds.keys() == {"ok", ValidationError}
+    assert min(kinds.values()) > 1000
+
+
+def test_well_typed_document_constructs_once(monkeypatch):
+    calls = []
+    init = IntegralSequence.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IntegralSequence, "__init__", counted)
+    rng = random.Random(32)
+    docs = [{"n": 3}, {"n": 3, "entries": []}, {"n": 2**60, "entries": []}]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        docs.append({"n": n, "entries": [
+            [i, j, rng.randint(-3, 3)]
+            for i, j in rng.sample(pairs, rng.randint(0, len(pairs)))]})
+    for doc in docs:
+        calls.clear()
+        c = sequence_from_doc(doc)
+        assert len(calls) == 1
+        assert c == reference_sequence_ingest(doc)
+
+
+def test_frame_caches_stay_bounded():
+    """Documents with 10,000 distinct key sets, and nested deeper than a
+    frame cache holds, leave each cache within its size limit."""
+    for index in range(10_000):
+        key = f"key{index}"
+        doc = {key: [index, -index], "nested": {key: {"rows": [[index]]}}}
+        if index % 1000 == 0:
+            for depth in range(2 * SERIALIZE._KEPT):
+                doc = {key: doc} if depth % 2 else [1, doc]
+        assert encode_canonical(doc) == reference_canonical(doc)
+    for cache in (SERIALIZE._frame, SERIALIZE._object_frame):
+        info = cache.cache_info()
+        assert info.maxsize == SERIALIZE._KEPT
+        assert info.currsize <= info.maxsize
 
 
 def test_encoder_matches_reference():

@@ -1,15 +1,23 @@
-"""tools/src_lines.py counts physical lines and code lines.
+"""The tools under tools/.
 
-A code line holds a token that is not a comment, a newline or indentation,
-outside every module, class and function docstring.
+tools/src_lines.py counts physical lines and code lines: a code line holds
+a token that is not a comment, a newline or indentation, outside every
+module, class and function docstring.  tools/paired_ab.py runs a bench deck
+on two checkouts job by job: the same checkout on both sides writes the
+same bytes, and a difference in stdout or exit code fails the run.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "src_lines.py"
+PAIRED = ROOT / "tools" / "paired_ab.py"
 MODULE = '"""A module docstring."""\n# a comment\n\nx = 1\ny = x + 1\n'
 NESTED = '''class A:
     """A class docstring
@@ -22,8 +30,8 @@ NESTED = '''class A:
 '''
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -41,3 +49,26 @@ def test_directory_total(tmp_path, capsys):
     assert load_tool().main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
         f"{tmp_path}: 13 physical lines, 6 code lines\n")
+
+
+def test_paired_same_checkout_writes_identical_bytes():
+    done = subprocess.run(
+        [sys.executable, str(PAIRED), str(ROOT), str(ROOT),
+         "--workload", "ring", "--passes", "1", "--limit", "24"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "24 jobs x 1 pass(es), identical exit codes and stdout" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("ratio")
+
+
+def test_paired_reports_a_difference():
+    tool = load_tool(PAIRED)
+
+    def side(text, code):
+        return SimpleNamespace(main=lambda argv: print(text) or code)
+
+    argvs = [("a",), ("b",)]
+    same = tool.compare([side("x", 0), side("x", 0)], argvs, 2)
+    assert same[1] == [] and [len(t) for t in same[0]] == [4, 4]
+    assert tool.compare([side("x", 0), side("y", 0)], argvs, 1)[1] == argvs
+    assert tool.compare([side("x", 0), side("x", 3)], argvs, 1)[1] == argvs
