@@ -26,7 +26,7 @@ from __future__ import annotations
 from .charts import _dual_generators
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _check_code, _check_int,
-                        _check_range, _check_sequence, bott_matrix)
+                        _check_range, _check_sequence, _suffix_pass)
 
 
 # ===================================================================
@@ -249,14 +249,16 @@ def hk_support(c: IntegralSequence, k: int) -> SupportFunctionData:
     """The canonical support data whose lift grows the tower by one stage.
 
     Assigns 0 to every a_{i,0} and the matrix entry b(i,k+1) to a_{i,1};
-    needs the tower to possess a stage k+1 supplying those entries.
+    needs the tower to possess a stage k+1 supplying those entries.  That
+    last column of the Bott matrix is one suffix pass over 1..k+1, whose
+    entry k+1-i is the Bott number of the run i..k+1.
     """
     _check_range(k, "k", 1, _check_sequence(c).n - 1)
-    rows = bott_matrix(c, range(1, k + 2))
+    column = _suffix_pass(c, tuple(range(1, k + 2)))
     values = {}
     for i in range(1, k + 1):
         values[(i, 0)] = 0
-        values[(i, 1)] = rows[i - 1][k]
+        values[(i, 1)] = column[k + 1 - i]
     return SupportFunctionData(c, k, values)
 
 

@@ -6,7 +6,10 @@ with ``-o``.  Exit codes: 0 success, 2 unreadable input or bad usage, 3
 well-formed but invalid data, 4 a ``classify`` rejection (the rejection
 document is still printed).  ``check``, ``classify`` and ``render`` read a
 sequence document as its tower's 2k rays and stage pairs, never as its 2^k
-cones.
+cones, and its Bott matrix is built only when a ray is read: ``render``
+refuses a height other than 2 before it.  Each input is checked once: the
+stage of ``-k`` by the handler's first library call, a fan document by the
+``GeneralFan`` constructor.
 
 Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
@@ -77,10 +80,10 @@ def _load_document(source: str):
         raise ValidationError(f"integer literal: {err}") from None
 
 
-def _load_fan(source: str, check_height=None):
-    """A GeneralFan from a fan document, a full BottFan from a sequence one;
-    `check_height`, if given, is called on a sequence's height before its
-    Bott matrix is built."""
+def _load_fan(source: str):
+    """A GeneralFan from a fan document, a full-height BottFan from a
+    sequence one; the BottFan builds its Bott matrix only when a ray is
+    read."""
     from .fans import build_fan
     from .serialize import fan_from_doc
 
@@ -88,14 +91,14 @@ def _load_fan(source: str, check_height=None):
     if isinstance(doc, dict) and "rays" in doc:
         return fan_from_doc(doc)
     c = sequence_from_doc(doc)
-    if check_height is not None:
-        check_height(c.n)
     return build_fan(c, c.n)
 
 
 def _sequence_and_stage(args):
+    """The sequence and the requested stage, unchecked: the handler's first
+    library call checks it."""
     c = sequence_from_doc(_load_document(args.input))
-    return c, c.check_stage(c.n if args.stage is None else args.stage)
+    return c, c.n if args.stage is None else args.stage
 
 
 def _cmd_numbers(args):
@@ -200,7 +203,7 @@ def _cmd_cohomology(args):
 
     c, k = _sequence_and_stage(args)
     p = _chern_presentation(c, k)  # above the cap, refused with no column
-    table = _total_chern_table(c, k, p)
+    table = _total_chern_table(p)
     _int_text(max(table, key=abs))  # every nonzero term is written
     ranks = betti(c, k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
@@ -232,9 +235,9 @@ def _cmd_classify(args):
 
 
 def _cmd_render(args):
-    from .render import _require_plane, render_svg
+    from .render import render_svg
 
-    return (render_svg(_load_fan(args.input, _require_plane)),), 0
+    return (render_svg(_load_fan(args.input)),), 0
 
 
 # name: (handler, help, takes -k/--stage, {store_true flag: its help})

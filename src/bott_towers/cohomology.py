@@ -364,14 +364,13 @@ def _chern_presentation(c: IntegralSequence, k: int) -> RingPresentation:
     return presentation(c, k)
 
 
-def _total_chern_table(c: IntegralSequence, k: int,
-                       p: RingPresentation | None = None) -> list:
-    """The total Chern class of stage k of c as 2^k coefficients indexed by
-    mask.
+def _total_chern_table(p: RingPresentation) -> list:
+    """The total Chern class of the stage p.k ring as 2^k coefficients
+    indexed by mask.
 
     It reads the rows of `p`, the presentation `_chern_presentation(c, k)`
-    returns, made here when not given: the stage cap has refused k before
-    any column is read.  Row j is (c(1,j), ..., c(j-1,j), 1), and its
+    returns once the stage cap has passed k, so a refused stage reads no
+    column.  Row j is (c(1,j), ..., c(j-1,j), 1), and its
     nonzero twists serve the stages above.  The product with m_j resolves
     x_i for i = j-1, ..., 1 as `_times_linear` does, but pending
     coefficients depend only on the bits above i-1, so pend[h-1] holds one
@@ -379,8 +378,6 @@ def _total_chern_table(c: IntegralSequence, k: int,
     block's lower half into its upper half (`sequences._add_halves`), then
     the blocks split in two and the half with x_i adds -a c(h,i) to x_h.
     """
-    if p is None:
-        p = _chern_presentation(c, k)
     twists = [()]  # twists[i]: the nonzero (h, c(h,i)) of row i
     table = [1]
     for row in p.relations:
@@ -406,7 +403,7 @@ def _total_chern_table(c: IntegralSequence, k: int,
 def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
     """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1):
     the nonzero entries of the flat table of the module docstring."""
-    table = _total_chern_table(c, k)
+    table = _total_chern_table(_chern_presentation(c, k))
     return CohomologyClass._of(CohomologyRing(c, k), {
         mask: value for mask, value in enumerate(table) if value})
 

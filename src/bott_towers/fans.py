@@ -5,8 +5,10 @@ The fan of a height-k tower has 2k generators
     a_{i,0} = e_i,         a_{i,1} = (0, ..., 0, b(i,i), b(i,i+1), ..., b(i,k)),
 
 with b(i,i) = -1 at coordinate i, and one maximal cone per binary code
-w in {0,1}^k spanned by a_{1,w_1}, ..., a_{k,w_k}.  The 2^k maximal cones are
-virtual on :class:`BottFan` (never stored) and expanded on demand.
+w in {0,1}^k spanned by a_{1,w_1}, ..., a_{k,w_k}.  A :class:`BottFan` stores
+its tower and height; its Bott matrix, whose rows are the a_{i,1}, is built
+on the first call that reads a ray, and its 2^k maximal cones are virtual
+(never stored) and expanded on demand.
 
 Generic fans come in through :class:`GeneralFan`: explicit primitive rays plus
 full-dimensional simplicial maximal cones given as ray index sets.  The checks
@@ -36,14 +38,19 @@ def _tower_cones(k: int):
 
 
 class BottFan:
-    """The crosspolytope fan of the first k stages of a tower."""
+    """The crosspolytope fan of the first k stages of a tower.
+
+    It stores the tower and the checked stage k.  `_rows`, the stage-k Bott
+    matrix, is None until :meth:`rays` first builds it, so a fan that is
+    only refused or paired by construction never pays for it.
+    """
 
     __slots__ = ("sequence", "k", "_rows")
 
     def __init__(self, sequence: IntegralSequence, k: int):
         self.sequence = _check_sequence(sequence)
         self.k = sequence.check_stage(k)
-        self._rows = bott_matrix(sequence, range(1, k + 1))
+        self._rows = None
 
     @property
     def dim(self) -> int:
@@ -53,15 +60,15 @@ class BottFan:
         """The ray a_{i,gamma} as an integer tuple of length k."""
         _check_range(i, "i", 1, self.k)
         _check_range(gamma, "gamma", 0, 1)
-        if gamma == 0:
-            return tuple(int(j == i - 1) for j in range(self.k))
-        return tuple(self._rows[i - 1])
+        return self.rays()[2 * i - 2 + gamma]
 
     def rays(self):
         """All 2k generators in the order (1,0), (1,1), ..., (k,0), (k,1).
 
         a_{i,1} is row i of the Bott matrix, which is 0 below the diagonal.
         """
+        if self._rows is None:
+            self._rows = bott_matrix(self.sequence, range(1, self.k + 1))
         rays = []
         for i, row in enumerate(self._rows):
             unit = [0] * self.k
@@ -382,13 +389,14 @@ def _tower_fano(rows) -> bool:
     """Batyrev's test: the stage-k tower is Fano iff each primitive relation
     a_{i,0} + a_{i,1} = sum_j lam_j a_{j,g_j} has degree 2 - sum lam_j > 0.
 
-    Forward substitution over ``rows``, the Bott matrix a BottFan holds,
-    locates the sum: it is 0 up to coordinate i, a coordinate j >= 0 is lam
-    a_{j,0} = lam e_j, and a coordinate j < 0 is lam a_{j,1}, whose j is -1.
+    Forward substitution over ``rows``, the Bott matrix (a BottFan's second
+    rays), locates the sum: it is 0 up to coordinate i, a coordinate j >= 0
+    is lam a_{j,0} = lam e_j, and a coordinate j < 0 is lam a_{j,1}, whose j
+    is -1.
     """
     k = len(rows)
     for i in range(k):
-        rest = [0] * (i + 1) + rows[i][i + 1:]  # ends as +-lam_j at j
+        rest = [0] * (i + 1) + [*rows[i][i + 1:]]  # ends as +-lam_j at j
         for j in range(i + 1, k):
             if rest[j] < 0:
                 for t in range(j + 1, k):
@@ -407,7 +415,7 @@ def is_fano(fan) -> bool:
     BottFan is decided by its primitive relations, without its cones.
     """
     if isinstance(fan, BottFan):
-        return _tower_fano(fan._rows)
+        return _tower_fano(fan.rays()[1::2])
     gf = _as_general(fan)
     if not is_complete(gf):
         raise RejectionError("not complete")

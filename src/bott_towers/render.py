@@ -30,17 +30,13 @@ def _tip(ray, radius: float):
             CENTER - radius * ray[1] / norm)
 
 
-def _require_plane(dim: int) -> None:
-    """Refuse a fan dimension other than 2."""
-    if dim != 2:
-        raise ValidationError(
-            f"rendering requires a two-dimensional fan, got dimension {dim}")
-
-
 def render_svg(fan) -> str:
-    """The SVG text of a dimension-2 fan; refuses others before any cone."""
+    """The SVG text of a dimension-2 fan; refuses others before any ray or
+    cone, so a tall BottFan builds no Bott matrix."""
     gf = fan if isinstance(fan, BottFan) and fan.dim != 2 else _as_general(fan)
-    _require_plane(gf.dim)
+    if gf.dim != 2:
+        raise ValidationError("rendering requires a two-dimensional fan, "
+                              f"got dimension {gf.dim}")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" '
         f'height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',

@@ -345,24 +345,30 @@ def fan_to_doc(fan) -> dict:
 
 
 def _int_lists(value, what: str, row: str, item: str) -> list:
-    rows = _require_list(value, what)
-    if ({*map(type, rows)} <= {list}
-            and {*map(type, chain.from_iterable(rows))} <= {int}):
-        return rows
-    return [[parse_int(x, item) for x in _require_list(r, row)] for r in rows]
+    return [[parse_int(x, item) for x in _require_list(r, row)]
+            for r in _require_list(value, what)]
 
 
 def fan_from_doc(doc):
-    """The GeneralFan of a fan document.  Rays and cones get a type sweep
-    each; parse_int runs per element only after a failed one, to read quoted
-    ints or name the first fault."""
+    """The GeneralFan of a fan document.  When the rays, the cones and each
+    of their rows are lists, they go straight to the constructor, whose
+    sweep is the only one of their elements.  After a ValidationError from
+    it, or for any other shape, parse_int runs per element, to read quoted
+    ints or name the first fault, before the constructor runs again."""
     from .fans import GeneralFan
 
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
                   "fan document")
     dim = parse_int(doc["dim"], "fan dimension")
-    rays = _int_lists(doc["rays"], "fan rays", "ray", "ray coordinate")
-    cones = _int_lists(doc["cones"], "fan cones", "cone", "cone ray index")
+    rays, cones = doc["rays"], doc["cones"]
+    if (isinstance(rays, list) and isinstance(cones, list)
+            and {*map(type, chain(rays, cones))} <= {list}):
+        try:
+            return GeneralFan(dim, rays, cones)
+        except ValidationError:  # the per-element path names the fault
+            pass
+    rays = _int_lists(rays, "fan rays", "ray", "ray coordinate")
+    cones = _int_lists(cones, "fan cones", "cone", "cone ray index")
     return GeneralFan(dim, rays, cones)
 
 

@@ -16,7 +16,8 @@ Core claims:
    ray (j,1); for the bounded-flag tower the perp vector is (0,..,0,-1,1).
 4. Support values on the 2k generators determine one exact integer vector
    r(w) per cone, whose code is checked once; the canonical values (0 and
-   b(i,k+1)) lift the fan to the next tower fan on the nose, and the
+   b(i,k+1), the last column of the Bott matrix of 1..k+1) lift the fan to
+   the next tower fan on the nose, and the
    extension rule X_i - r(1..1)_i recovers the stored column.
 5. Lifting along values shifted by a global linear functional changes the
    result by the block unimodular matrix with that functional as bottom row.
@@ -46,7 +47,8 @@ from bott_towers import (
     tangent_splitting,
     xi_bundle,
 )
-from helpers import random_sequence, reference_kernel_generators
+from helpers import (random_sequence, reference_bott_matrix,
+                     reference_kernel_generators)
 
 
 # ===================================================================
@@ -234,6 +236,17 @@ class TestSupportFunction:
             assert h.value(1, 1) == cval
             assert h.r((0,)) == (0,)
             assert h.r((1,)) == (-cval,)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_hk_reads_the_bott_matrix_column(self, k):
+        rng = random.Random(8100 + k)
+        for _ in range(4):
+            c = random_sequence(rng, k + 1, -3, 3)
+            column = [row[k] for row in reference_bott_matrix(
+                c, range(1, k + 2))]
+            h = hk_support(c, k)
+            assert [h.value(i, 1) for i in range(1, k + 1)] == column[:-1]
+            assert [h.value(i, 0) for i in range(1, k + 1)] == [0] * k
 
     def test_hk_needs_next_column(self):
         c = IntegralSequence(2)

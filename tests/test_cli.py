@@ -4,6 +4,8 @@ Core claims:
 
 1. Exit codes separate the failure families: 0 success, 2 unreadable input
    or bad usage, 3 well-formed but invalid data, 4 mathematical rejection.
+   A stage outside 1..n exits 3 with one line naming the range on each
+   command that takes -k.
 2. Every document is canonical JSON: sorted keys, two-space indent, one
    trailing newline, integers of magnitude >= 2^53 as decimal strings (and
    accepted back as strings, in exactly the form written), ray indices
@@ -172,6 +174,17 @@ class TestExitCodes:
 
     def test_stage_out_of_range(self):
         assert run_cli("fan", '{"n": 2}', "-k", "5").returncode == 3
+
+    @pytest.mark.parametrize("command", ["fan", "charts", "bundle",
+                                         "cohomology"])
+    @pytest.mark.parametrize("stage", ["0", "4", "-1"])
+    def test_stage_refusal_bytes(self, command, stage, capsys):
+        from bott_towers import cli
+
+        # the handler's first library call checks the stage, once
+        assert cli.main([command, '{"n": 3}', f"--stage={stage}"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: k={stage} outside 1..3\n")
 
     def test_non_integer_entry(self):
         assert run_cli("numbers",

@@ -49,7 +49,7 @@ from bott_towers import (
     top_chern_class,
     total_chern_class,
 )
-from bott_towers.cohomology import _total_chern_table
+from bott_towers.cohomology import _chern_presentation, _total_chern_table
 from bott_towers.sequences import _MAX_TABLE_STAGE
 from helpers import (
     random_sequence,
@@ -453,7 +453,7 @@ class TestFlatTable:
         for _ in range(12):
             k = rng.randint(1, 10)
             c = random_sequence(rng, k, -3, 3)
-            table = _total_chern_table(c, k)
+            table = _total_chern_table(_chern_presentation(c, k))
             assert len(table) == 2 ** k
             assert table[-1] == 2 ** k
             expected = reference_total_chern_class(c, k)
@@ -464,7 +464,8 @@ class TestFlatTable:
 
     def test_twist_free_tower(self):
         # the product of the 1 + 2 x_j: every monomial of size s has 2^s
-        table = _total_chern_table(IntegralSequence(6), 6)
+        table = _total_chern_table(
+            _chern_presentation(IntegralSequence(6), 6))
         assert table == [2 ** mask.bit_count() for mask in range(2 ** 6)]
 
     def test_stage_cap(self):
@@ -475,7 +476,7 @@ class TestFlatTable:
                 ValidationError, total_chern_class, c, k))
             assert seconds < 0.01
         with pytest.raises(ValidationError, match="stages above 20"):
-            _total_chern_table(c, 21)
+            _chern_presentation(c, 21)
         assert euler_characteristic(c, 40) == 2 ** 40  # needs no table
 
 

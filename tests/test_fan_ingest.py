@@ -1,10 +1,13 @@
 """Fan-document ingest in one validating pass.
 
-`fan_from_doc` gives the rays and the cones one type sweep each, and
-`GeneralFan.__init__` one per ray and one over all cones; the per-element
-`parse_int` and `_check_int` loops run only when a sweep finds something
-other than a plain int, to read quoted ints or name the first fault.  The
-former ingest, which ran both loops on every element, is kept as
+`fan_from_doc` checks only that the rays, the cones and their rows are
+lists, and hands them to `GeneralFan.__init__`, whose sweeps (one per ray
+and one over all cones) are the only ones of their elements.  Only after a
+`ValidationError` from it, or for rays or cones of another shape (a tuple
+among them), does the per-element `parse_int` loop run, to read quoted ints
+or name the first fault in the former order; the constructor's `_check_int`
+loop likewise runs only when its sweep finds something other than a plain
+int.  The former ingest, which ran both loops on every element, is kept as
 `helpers.reference_fan_ingest`: on well-formed, mutated and library input
 both raise the same exception type and message, or build the same fan.
 
@@ -25,7 +28,7 @@ from itertools import chain
 
 import pytest
 
-from bott_towers import GeneralFan, cli, fan_to_doc
+from bott_towers import GeneralFan, ValidationError, cli, fan_to_doc
 from bott_towers import fans as FANS
 from bott_towers import serialize as SERIALIZE
 from bott_towers.serialize import fan_from_doc
@@ -217,6 +220,45 @@ class TestOnePass:
             assert cli.main([command, doc]) == 0
         assert reads == [k, k]
         assert '"sequence"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_well_typed_document_builds_one_fan(self, k, monkeypatch):
+        doc = fan_to_doc(scrambled_tower(random.Random(k), k, -3, 3))
+        expected = outcome(reference_fan_ingest, doc)
+        reads, built = [], []
+        parse, init = SERIALIZE.parse_int, GeneralFan.__init__
+
+        def counted_parse(value, what):
+            reads.append(what)
+            return parse(value, what)
+
+        def counted_init(self, *args):
+            built.append(len(args[1]))
+            init(self, *args)
+
+        def refuse(*args):
+            raise AssertionError("rays or cones swept outside the constructor")
+
+        monkeypatch.setattr(SERIALIZE, "_int_lists", refuse)
+        monkeypatch.setattr(SERIALIZE, "parse_int", counted_parse)
+        monkeypatch.setattr(GeneralFan, "__init__", counted_init)
+        assert outcome(fan_from_doc, doc) == expected
+        # no element is parsed one by one, and the constructor runs once
+        assert reads == ["fan dimension"]
+        assert built == [2 * k]
+
+    @pytest.mark.parametrize("key", ["rays", "cones"])
+    def test_tuples_are_refused(self, key):
+        doc = fan_to_doc(scrambled_tower(random.Random(3), 3, -3, 3))
+        for value in (tuple(doc[key]), [tuple(row) for row in doc[key]]):
+            bad = {**doc, key: value}
+            word = "fan " + key if type(value) is tuple else key[:-1]
+            with pytest.raises(ValidationError,
+                               match=f"^{word}: expected a JSON array, "
+                                     "got tuple$"):
+                fan_from_doc(bad)
+            assert outcome(fan_from_doc, bad) == outcome(
+                reference_fan_ingest, bad)
 
 
 # sha256 of cli_bytes over pinned_argvs(), computed before the single pass and

@@ -387,6 +387,40 @@ class TestFano:
         assert [is_fano(fan) for fan in towers] == expected
 
 
+class TestLazyBottMatrix:
+    """A BottFan builds its Bott matrix on the first ray read, once."""
+
+    def test_construction_builds_none(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("bott_matrix called")
+
+        monkeypatch.setattr(FANS, "bott_matrix", refused)
+        fan = build_fan(IntegralSequence(1000), 1000)
+        assert (fan.dim, is_smooth(fan), is_complete(fan)) == (1000, True,
+                                                               True)
+
+    def test_one_matrix_per_fan(self, monkeypatch):
+        calls = []
+        build = FANS.bott_matrix
+
+        def counted(c, ids):
+            calls.append(c)
+            return build(c, ids)
+
+        monkeypatch.setattr(FANS, "bott_matrix", counted)
+        c = random_sequence(random.Random(4013), 5, -2, 2)
+        fan = build_fan(c, 5)
+        assert calls == []
+        first = fan.rays()
+        assert fan.rays() == first
+        assert [fan.generator(i, g) for i in range(1, 6)
+                for g in (0, 1)] == list(first)
+        is_fano(fan)
+        assert calls == [c]
+        assert first[1::2] == tuple(map(tuple, reference_bott_matrix(
+            c, range(1, 6))))
+
+
 # ===================================================================
 # 5. Unimodular maps and fan isomorphism
 # ===================================================================

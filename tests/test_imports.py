@@ -11,6 +11,10 @@ layers `serialize`, `sequences` and `cohomology` load neither `fans` nor
 The benchmark's tracer (bench/tracing.py) wraps public functions by name, so
 each name it lists must exist: installing it resolves every layer, and
 uninstalling it puts every attribute back.
+
+No private helper is orphaned: every function or class defined at the top
+of a module with a leading underscore is read somewhere in the package
+outside its own definition (an import alone does not count).
 """
 
 from __future__ import annotations
@@ -134,3 +138,48 @@ def test_bench_tracer_resolves_every_layer():
         tracing.uninstall(undo)
     assert [dict(vars(module)) for module in modules] == before
     assert sequences.IntegralSequence.__init__ is init
+
+
+def orphaned_helpers(sources: dict):
+    """(module, name) of each private module-level function or class that
+    no module of `sources` (name: source text) reads as a name or an
+    attribute outside the lines of its own definition."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name, node.lineno, node.end_lineno)
+                    for node in tree.body if isinstance(node, (
+                        ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.attr, node.lineno))
+    return [(module, name) for module, name, first, last in defined
+            if not any(used == name and (where != module
+                                         or not first <= line <= last)
+                       for where, used, line in reads)]
+
+
+def test_the_orphan_finder_sees_an_unread_helper():
+    sources = {"a.py": ("from .b import _shared\n"
+                        "def _loop(n):\n    return _loop(n - 1)\n"
+                        "class _Kept:\n    pass\n"
+                        "def _called():\n    return _shared()\n"
+                        "def run():\n    return _called(), _Kept\n"),
+               "b.py": ("from .a import _loop\n"
+                        "def _shared():\n    return 1\n"
+                        "def _by_attribute():\n    return 2\n"
+                        "def g(module):\n    return module._by_attribute\n"
+                        "def __getattr__(name):\n    return name\n")}
+    # recursion and a bare import do not count; a call, an attribute and a
+    # read in another module do, and dunder names are not helpers
+    assert orphaned_helpers(sources) == [("a.py", "_loop")]
+
+
+def test_no_private_helper_is_orphaned():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8")
+               for name in MODULES}
+    assert orphaned_helpers(sources) == []

@@ -42,7 +42,7 @@ from bott_towers import (IntegralSequence, ValidationError, cli,
                          encode_canonical)
 from bott_towers import sequences as SEQUENCES
 from bott_towers import serialize as SERIALIZE
-from bott_towers.cohomology import _total_chern_table
+from bott_towers.cohomology import _chern_presentation, _total_chern_table
 from bott_towers.sequences import _bott_table
 from bott_towers.serialize import (Written, _int_text, cone_texts,
                                    encode_chunks, int_list, int_rows,
@@ -190,13 +190,14 @@ class TestSizedStreams:
         c = random_sequence(random.Random(n), n, -3, 3)
         table = _bott_table(c, n)
         assert [*number_texts(table)] == [*reference_number_texts(table)]
-        table = _total_chern_table(c, n)
+        table = _total_chern_table(_chern_presentation(c, n))
         assert [*term_texts(table)] == [*reference_term_texts(table)]
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_zero_heavy_tables_match_the_item_loops(self, n):
         tables = [_bott_table(IntegralSequence.zero(n), n),
-                  _total_chern_table(IntegralSequence.zero(n), n),
+                  _total_chern_table(
+                      _chern_presentation(IntegralSequence.zero(n), n)),
                   zero_heavy(n, n), [0] * 2 ** n]
         for table in tables:
             assert [*number_texts(table)] == [*reference_number_texts(table)]
