@@ -18,6 +18,12 @@ rays sum to zero modulo the stages above.  The columns of M are the first
 rays in stage order, B is the second rays' coordinates in it (one solve),
 and C = -B^-1 by exact forward substitution (B is triangular with -1 on
 the diagonal), so bott_matrix(C) = B: M maps the tower onto the input.
+
+The ``check`` command's four verdicts are decided here by the same rule.
+A fan whose pairs have a stage matrix is smooth, complete and a
+crosspolytope, and Fano exactly when the primitive relations of its stage
+matrix say so; any other fan gets each verdict from its own exact test, a
+rejection counting as False.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from math import gcd
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .fans import (GeneralFan, _as_general, _pairs, _rays, _smoothness_report,
-                   is_complete)
+from .fans import (GeneralFan, _as_general, _fano_condition, _pairs, _rays,
+                   _smoothness_report, _tower_fano, is_complete, is_smooth)
 from .sequences import IntegralSequence, _check_range
 
 __all__ = [
@@ -220,3 +226,27 @@ def classify(fan) -> ClassificationResult:
         raise RuntimeError("classification found no tower witness for a "
                            "smooth complete crosspolytope fan")
     return witness
+
+
+def _verdicts(fan) -> dict:
+    """The ``check`` document of a fan: its smooth, complete, Fano and
+    crosspolytope verdicts, witness first as in classify.  A stage matrix
+    of the pairs makes the fan smooth and complete with no cone
+    determinant, and gives its Fano verdict; without one, each verdict
+    comes from its own test, and only a complete fan is tested for Fano."""
+    def holds(predicate):
+        """predicate(fan), a rejection counting as False."""
+        try:
+            return predicate(fan)
+        except RejectionError:
+            return False
+
+    pairs = holds(crosspolytope_check)
+    if staged := pairs and _stage_matrix(_rays(fan), pairs):
+        complete = smooth = True  # a tower fan up to GL(Z)
+        fano = _tower_fano(staged[1])
+    else:  # in this order, so that is_smooth reads memoised determinants
+        complete, smooth = holds(is_complete), holds(is_smooth)
+        fano = complete and _fano_condition(fan)
+    return {"smooth": smooth, "complete": complete, "fano": fano,
+            "crosspolytope": bool(pairs)}

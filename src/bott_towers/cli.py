@@ -9,7 +9,9 @@ sequence document as its tower's 2k rays and stage pairs, never as its 2^k
 cones, and its Bott matrix is built only when a ray is read: ``render``
 refuses a height other than 2 before it.  Each input is checked once: the
 stage of ``-k`` by the handler's first library call, a fan document by the
-``GeneralFan`` constructor.
+``GeneralFan`` constructor.  The verdicts of ``check`` and ``classify`` are
+decided in the ``classify`` module, by ``_verdicts`` and ``classify``; their
+handlers only load the fan and write the document.
 
 Each handler imports the layers it uses when it runs, so a process loads
 only the modules of its one command; this module loads just ``errors`` and
@@ -40,7 +42,7 @@ from itertools import combinations, compress, count
 from operator import ne
 from types import SimpleNamespace
 
-from .errors import RejectionError, ValidationError
+from .errors import ValidationError
 from .serialize import encode_chunks, sequence_from_doc
 
 EXIT_PARSE = 2
@@ -136,31 +138,10 @@ def _cmd_fan(args):
                           "cones": cone_texts(k)}), 0
 
 
-def _verdict(predicate, gf):
-    """predicate(gf), a rejection counting as False."""
-    try:
-        return predicate(gf)
-    except RejectionError:
-        return False
-
-
 def _cmd_check(args):
-    from .classify import _stage_matrix, crosspolytope_check
-    from .fans import (_fano_condition, _rays, _tower_fano, is_complete,
-                       is_smooth)
+    from .classify import _verdicts
 
-    fan = _load_fan(args.input)
-    pairs = _verdict(crosspolytope_check, fan)
-    staged = pairs and _stage_matrix(_rays(fan), pairs)
-    if staged:  # a tower fan up to GL(Z), so smooth and complete
-        complete = smooth = True
-        fano = _tower_fano(staged[1])
-    else:  # is_smooth reuses the determinants is_complete memoised
-        complete = _verdict(is_complete, fan)
-        smooth = _verdict(is_smooth, fan)
-        fano = complete and _fano_condition(fan)
-    return encode_chunks({"smooth": smooth, "complete": complete,
-                          "fano": fano, "crosspolytope": bool(pairs)}), 0
+    return encode_chunks(_verdicts(_load_fan(args.input))), 0
 
 
 def _cmd_charts(args):

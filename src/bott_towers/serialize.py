@@ -352,9 +352,11 @@ def _int_lists(value, what: str, row: str, item: str) -> list:
 def fan_from_doc(doc):
     """The GeneralFan of a fan document.  When the rays, the cones and each
     of their rows are lists, they go straight to the constructor, whose
-    sweep is the only one of their elements.  After a ValidationError from
-    it, or for any other shape, parse_int runs per element, to read quoted
-    ints or name the first fault, before the constructor runs again."""
+    sweep is the only one of their elements.  Its ValidationError stands
+    when every element is a plain int, which parse_int would leave as it
+    is.  After any other, or for any other shape, parse_int runs per
+    element, to read quoted ints or name the first fault, before the
+    constructor runs again."""
     from .fans import GeneralFan
 
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
@@ -365,8 +367,9 @@ def fan_from_doc(doc):
             and {*map(type, chain(rays, cones))} <= {list}):
         try:
             return GeneralFan(dim, rays, cones)
-        except ValidationError:  # the per-element path names the fault
-            pass
+        except ValidationError:  # plain ints would meet the same fault
+            if {*map(type, chain.from_iterable(chain(rays, cones)))} <= {int}:
+                raise
     rays = _int_lists(rays, "fan rays", "ray", "ray coordinate")
     cones = _int_lists(cones, "fan cones", "cone", "cone ray index")
     return GeneralFan(dim, rays, cones)

@@ -36,14 +36,18 @@ Core claims:
 7. check is witness first: on scrambled towers, acceptance test 08's fans
    and rejects of every kind its document equals the four verdicts
    computed independently, and it answers towers up to k = 10 without a
-   cone determinant.  BOTT_SEED is ignored, check has no --probes option,
-   and each subcommand of the one argparse parser accepts exactly its
-   pinned option strings.  An argv in the closed grammar of
-   `cli._plain_args` (every bench deck argv) is read into the namespace
-   the command's subparser gives and constructs no parser; any other,
-   help, usage and error argv among them, builds the one full parser and
-   prints the bytes and exit code of a prebuilt one, and repeated calls
-   in one process answer as calls through parsers built for each.
+   cone determinant.  check and classify agree: on those fans, more
+   seeded rejects and the tower fans of the sequence documents, check
+   reports smooth, complete and a crosspolytope exactly when classify
+   accepts, and then the Fano verdict of the recovered tower.  BOTT_SEED
+   is ignored, check has no --probes option, and each subcommand of the
+   one argparse parser accepts exactly its pinned option strings.  An argv
+   in the closed grammar of `cli._plain_args` (every bench deck argv) is
+   read into the namespace the command's subparser gives and constructs no
+   parser; any other, help, usage and error argv among them, builds the
+   one full parser and prints the bytes and exit code of a prebuilt one,
+   and repeated calls in one process answer as calls through parsers
+   built for each.
 8. A sequence document is read from its tower's 2k rays, and no cone of it
    is listed: check and classify print the bytes of the references on the
    expanded fan, finish at height 30 as fast as at height 1, and render
@@ -77,6 +81,7 @@ from helpers import (
     reference_cohomology_doc,
     reference_fan_doc,
     reference_numbers_doc,
+    reject_fans,
     tower_ladder,
 )
 
@@ -613,6 +618,35 @@ class TestSequenceDocumentsFromRays:
         assert doc.get("sequence", doc) == expected
         # interpreter start-up aside, 30 stages take O(k^4) witness steps
         assert elapsed < baseline + 0.5
+
+
+def agreement_fans(name):
+    """The fans of one recognition set, of seeded rejects, or the tower
+    fans of the sequence documents."""
+    from bott_towers import build_fan
+
+    if name == "seeded rejects":
+        return reject_fans(random.Random(6021))
+    if name == "sequence documents":
+        return [build_fan(c, c.n) for c in sequence_documents()]
+    return RECOGNITION_FAN_SETS[name]()
+
+
+class TestCheckAgreesWithClassify:
+    @pytest.mark.parametrize("name", [*sorted(RECOGNITION_FAN_SETS),
+                                      "seeded rejects", "sequence documents"])
+    def test_accepted_fans_and_fano_verdicts_agree(self, name):
+        from bott_towers import build_fan, classify, is_fano
+        from bott_towers.classify import _verdicts
+
+        for fan in agreement_fans(name):
+            verdicts, result = _verdicts(fan), classify(fan)
+            accepted = (verdicts["smooth"] and verdicts["complete"]
+                        and verdicts["crosspolytope"])
+            assert accepted == result.ok, fan
+            if accepted:
+                c = result.sequence
+                assert verdicts["fano"] == is_fano(build_fan(c, c.n)), fan
 
 
 # ===================================================================

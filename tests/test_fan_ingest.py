@@ -2,14 +2,16 @@
 
 `fan_from_doc` checks only that the rays, the cones and their rows are
 lists, and hands them to `GeneralFan.__init__`, whose sweeps (one per ray
-and one over all cones) are the only ones of their elements.  Only after a
-`ValidationError` from it, or for rays or cones of another shape (a tuple
-among them), does the per-element `parse_int` loop run, to read quoted ints
-or name the first fault in the former order; the constructor's `_check_int`
-loop likewise runs only when its sweep finds something other than a plain
-int.  The former ingest, which ran both loops on every element, is kept as
-`helpers.reference_fan_ingest`: on well-formed, mutated and library input
-both raise the same exception type and message, or build the same fan.
+and one over all cones) are the only ones of their elements.  A refusal of
+a document whose elements are all plain ints stands, with no second pass.
+Only after a `ValidationError` on any other document, or for rays or cones
+of another shape (a tuple among them), does the per-element `parse_int`
+loop run, to read quoted ints or name the first fault in the former order;
+the constructor's `_check_int` loop likewise runs only when its sweep finds
+something other than a plain int.  The former ingest, which ran both loops
+on every element, is kept as `helpers.reference_fan_ingest`: on
+well-formed, mutated and library input both raise the same exception type
+and message, or build the same fan.
 
 The CLI bytes (exit code, stdout and stderr) of the `recognize` bench
 documents, the known rejects and the mutated documents are pinned by one
@@ -198,6 +200,23 @@ class TestIngestEquivalence:
                         == outcome(reference_general_fan, *shape()))
 
 
+# Faults that only the constructor names, each put in a scrambled tower's
+# document of height k.
+REFUSALS = {
+    "duplicate cone": lambda doc: doc["cones"].__setitem__(
+        -1, doc["cones"][0][::-1]),
+    "short ray": lambda doc: doc["rays"][-1].pop(),
+    "out-of-range index": lambda doc: doc["cones"][0].__setitem__(
+        0, len(doc["rays"])),
+}
+
+
+def refused_document(k, fault):
+    doc = fan_to_doc(scrambled_tower(random.Random(k), k, -3, 3))
+    REFUSALS[fault](doc)
+    return doc
+
+
 class TestOnePass:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_well_typed_document_runs_no_element_check(self, k, monkeypatch,
@@ -246,6 +265,46 @@ class TestOnePass:
         # no element is parsed one by one, and the constructor runs once
         assert reads == ["fan dimension"]
         assert built == [2 * k]
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("fault", sorted(REFUSALS))
+    def test_refused_plain_int_document_builds_one_fan(self, k, fault,
+                                                       monkeypatch):
+        doc = refused_document(k, fault)
+        expected = outcome(reference_fan_ingest, doc)
+        assert "ValidationError" in expected
+        reads, built = [], []
+        parse, init = SERIALIZE.parse_int, GeneralFan.__init__
+
+        def counted_parse(value, what):
+            reads.append(what)
+            return parse(value, what)
+
+        def counted_init(self, *args):
+            built.append(len(args[1]))
+            init(self, *args)
+
+        monkeypatch.setattr(SERIALIZE, "parse_int", counted_parse)
+        monkeypatch.setattr(GeneralFan, "__init__", counted_init)
+        assert outcome(fan_from_doc, doc) == expected
+        # the refusal stands: no element is parsed, no second construction
+        assert reads == ["fan dimension"]
+        assert built == [2 * k]
+
+    @pytest.mark.parametrize("fault", sorted(REFUSALS))
+    def test_quoted_int_keeps_the_refusal(self, fault, capsys):
+        plain = refused_document(5, fault)
+        quoted = copy.deepcopy(plain)
+        quoted["rays"][0][0] = str(quoted["rays"][0][0])
+        expected = outcome(reference_fan_ingest, quoted)
+        assert expected == outcome(reference_fan_ingest, plain)
+        with pytest.raises(ValidationError) as refusal:
+            reference_fan_ingest(plain)
+        for doc in (plain, quoted):
+            assert outcome(fan_from_doc, doc) == expected
+            for command in ("check", "classify"):
+                assert cli.main([command, json.dumps(doc)]) == 3
+                assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
     @pytest.mark.parametrize("key", ["rays", "cones"])
     def test_tuples_are_refused(self, key):

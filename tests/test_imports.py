@@ -8,6 +8,11 @@ loads only `errors` and `serialize` before a handler runs, and the document
 layers `serialize`, `sequences` and `cohomology` load neither `fans` nor
 `linalg`.
 
+Recognition stays inside `classify`: a function of `cli` imports nothing
+from `fans` but `build_fan`, and nothing from `classify` but `classify` and
+`_verdicts`, so the rule that decides `check`'s and `classify`'s verdicts is
+written in one module.
+
 The benchmark's tracer (bench/tracing.py) wraps public functions by name, so
 each name it lists must exist: installing it resolves every layer, and
 uninstalling it puts every attribute back.
@@ -103,6 +108,40 @@ def test_no_module_loads_fractions(name):
 
 def test_cli_loads_only_errors_and_serialize():
     assert module_imports("cli.py")[1] == {"errors", "serialize"}
+
+
+# The names a cli handler may import from the recognition layers: every
+# verdict of check and classify is decided in classify.
+CLI_RECOGNITION = {"fans": {"build_fan"}, "classify": {"classify", "_verdicts"}}
+
+
+def recognition_imports(source: str):
+    """(module, name) of each import, at any depth, from a module named in
+    CLI_RECOGNITION that it does not allow; ``from . import fans`` gives the
+    name "*"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            found += ([(node.module, name) for name in names]
+                      if node.module else [(name, "*") for name in names])
+    return [(module, name) for module, name in found
+            if name not in CLI_RECOGNITION.get(module, {name})]
+
+
+def test_the_recognition_lint_sees_a_fan_internal():
+    source = ("from .errors import RejectionError\n"
+              "def check(x):\n"
+              "    from .classify import _verdicts, _stage_matrix\n"
+              "    from .fans import build_fan, _rays\n"
+              "    from . import classify, serialize\n")
+    assert recognition_imports(source) == [
+        ("classify", "_stage_matrix"), ("fans", "_rays"), ("classify", "*")]
+
+
+def test_cli_leaves_recognition_to_classify():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert recognition_imports(source) == []
 
 
 @pytest.mark.parametrize("name", ["serialize.py", "sequences.py",
