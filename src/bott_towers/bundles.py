@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from .charts import _dual_generators
 from .errors import ValidationError
-from .sequences import (IntegralSequence, _check_code, _check_int,
-                        _check_range, _check_sequence, _suffix_pass)
+from .sequences import (IntegralSequence, _bott_rows, _check_code,
+                        _check_int, _check_range, _check_sequence)
 
 
 # ===================================================================
@@ -250,16 +250,14 @@ def hk_support(c: IntegralSequence, k: int) -> SupportFunctionData:
 
     Assigns 0 to every a_{i,0} and the matrix entry b(i,k+1) to a_{i,1};
     needs the tower to possess a stage k+1 supplying those entries.  That
-    last column of the Bott matrix is one suffix pass over 1..k+1, whose
-    entry k+1-i is the Bott number of the run i..k+1.
+    last column of the Bott matrix over 1..k+1 is the row kernel on one
+    column, whose row i holds the Bott number of the run i..k+1.
     """
     _check_range(k, "k", 1, _check_sequence(c).n - 1)
-    column = _suffix_pass(c, tuple(range(1, k + 2)))
-    values = {}
-    for i in range(1, k + 1):
-        values[(i, 0)] = 0
-        values[(i, 1)] = column[k + 1 - i]
-    return SupportFunctionData(c, k, values)
+    rows = _bott_rows(c._entries, range(1, k + 2), k)
+    return SupportFunctionData(c, k, {
+        (i, gamma): gamma * b for i, (b,) in enumerate(rows[:k], 1)
+        for gamma in (0, 1)})
 
 
 def extend_sequence(c: IntegralSequence, k: int, h: SupportFunctionData):

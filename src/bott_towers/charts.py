@@ -10,14 +10,21 @@ exponent basis to the other.
 Everything is exponent data: a monomial is its integer exponent vector, a
 monomial map between charts is an integer matrix, and all gluing identities
 are exact matrix identities.
+
+The ``charts`` command lists every chart in one pass per prefix node: u_j(w)
+depends on w_1, ..., w_j only, and its values for w_j = 0 and 1 differ by
+sign, so :func:`_prefix_rows` yields each node's unsigned row once, 2^k - 1
+rows for the 2^k charts, and `serialize.chart_texts` writes both children
+from it.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .sequences import (IntegralSequence, _check_code, _check_int,
-                        _check_range, _check_sequence, _prepend, bott_matrix)
+from .sequences import (IntegralSequence, _bott_rows, _check_code,
+                        _check_int, _check_range, _check_sequence,
+                        bott_matrix)
 
 
 def index_sets(w, i: int, j: int):
@@ -57,54 +64,43 @@ def dual_generators(c: IntegralSequence, k: int, w):
 
 def _dual_generators(c: IntegralSequence, k: int, w: tuple):
     """dual_generators for a checked sequence, stage and code.  For each j,
-    the sets {l} + zeros(l, j) + {j}, l = j-1, ..., 1, share one suffix pass:
-    a zero position l joins the chain of later sets."""
-    entries = c._entries
+    one run of the row kernel on the last column of 1..j, the twists into
+    the ones below j dropped: row l then holds b({l} + zeros(l, j) + {j})."""
     vectors = []
     for j in range(1, k + 1):
-        sign = -1 if w[j - 1] == 1 else 1
-        vec = [0] * k
-        vec[j - 1] = sign
-        chain, values = [j], [-1]  # zeros(l, j) + {j}, b of their suffixes
-        for l in range(j - 1, 0, -1):
-            value = _prepend(entries, l, chain, values)
-            if w[l - 1] == 1:
-                vec[l - 1] = sign * value
-            else:
-                chain.append(l)
-                values.append(value)
-        vectors.append(tuple(vec))
+        twists = {(i, t): v for (i, t), v in c._entries.items()
+                  if t == j or t < j and not w[t - 1]}
+        column = _bott_rows(twists, range(1, j + 1), j - 1)
+        sign = -1 if w[j - 1] else 1
+        row = [sign * b * bit for (b,), bit in zip(column, w[:j - 1])]
+        vectors.append(tuple(row + [sign] + [0] * (k - j)))
     return vectors
 
 
 def _prefix_rows(table: list, k: int):
-    """Every dual generator u_j(w) once per prefix (w_1, ..., w_j), with the
-    Bott numbers read from `table = sequences._bott_table(c, k)`.
+    """Every dual generator u_j(w) once per prefix node (w_1, ..., w_{j-1}),
+    with the Bott numbers read from `table = sequences._bott_table(c, k)`.
 
-    u_j(w) depends on w_1..w_j only, so a depth-first walk over the codes in
-    binary order yields (j, w_j, u_j(w)) once per prefix: sum_j 2^j rows
-    instead of k 2^k, and the rows of a code are the last ones yielded at
-    depths 1..k when j reaches k.  The two prefixes ending in w_j = 0 and 1
-    share the unsigned row.  A node carries, for each l < j with w_l = 1,
-    the mask of {l} + zeros(l, j) awaiting j.
+    u_j(w) depends on w_1..w_j only, and its two values for w_j = 0 and 1
+    differ by sign, so a depth-first walk over the prefix nodes yields
+    (j, row) once per node, row the unsigned u_j (its value for w_j = 0):
+    2^k - 1 rows instead of k 2^k.  The walk visits a node's w_j = 0 child
+    and its subtree before its w_j = 1 child, so the codes come in binary
+    order.  A node carries, for each l < j with w_l = 1, the mask of
+    {l} + zeros(l, j) awaiting j.
     """
-    def node(j, ones):
-        vec = [0] * k
-        vec[j - 1] = 1
+    stack = [(1, ())]
+    while stack:
+        j, ones = stack.pop()
+        row = [0] * k
+        row[j - 1] = 1
         bit = 1 << (j - 1)
         for l, chain in ones:
-            vec[l - 1] = table[chain | bit]
-        return (j, 1, ones, vec), (j, 0, ones, vec)
-
-    stack = [*node(1, ())]
-    while stack:
-        j, bit, ones, vec = stack.pop()
-        yield j, bit, (tuple([-x for x in vec]) if bit else tuple(vec))
+            row[l - 1] = table[chain | bit]
+        yield j, row
         if j < k:
-            mask = 1 << (j - 1)
-            ones = (ones + ((j, mask),) if bit
-                    else tuple([(l, chain | mask) for l, chain in ones]))
-            stack += node(j + 1, ones)
+            stack += ((j + 1, (*ones, (j, bit))),
+                      (j + 1, tuple([(l, chain | bit) for l, chain in ones])))
 
 
 class LaurentMonomial:

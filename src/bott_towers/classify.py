@@ -15,9 +15,11 @@ GL(Z).  So in the basis of the pairs' first rays the second rays are the
 rows of B up to one permutation, the stage order.  The top live stage is
 the first live pair whose second ray is -e_t on every live coordinate: its
 rays sum to zero modulo the stages above.  The columns of M are the first
-rays in stage order, B is the second rays' coordinates in it (one solve),
-and C = -B^-1 by exact forward substitution (B is triangular with -1 on
-the diagonal), so bott_matrix(C) = B: M maps the tower onto the input.
+rays in stage order, B is the second rays' coordinates in it (one solve,
+or none for a BottFan, whose first rays are e_1, ..., e_k and whose second
+rays are the rows of B), and C = -B^-1 by the row kernel of `sequences`
+(-B is unitriangular), so bott_matrix(C) = B: M maps the tower onto the
+input.
 
 The ``check`` command's four verdicts are decided here by the same rule.
 A fan whose pairs have a stage matrix is smooth, complete and a
@@ -32,9 +34,10 @@ from math import gcd
 
 from . import linalg
 from .errors import RejectionError, ValidationError
-from .fans import (GeneralFan, _as_general, _fano_condition, _pairs, _rays,
-                   _smoothness_report, _tower_fano, is_complete, is_smooth)
-from .sequences import IntegralSequence, _check_range
+from .fans import (BottFan, GeneralFan, _as_general, _fano_condition, _pairs,
+                   _rays, _smoothness_report, _tower_fano, is_complete,
+                   is_smooth)
+from .sequences import IntegralSequence, _bott_rows, _check_range
 
 __all__ = [
     "ClassificationResult",
@@ -151,49 +154,64 @@ def project(fan, pair_index: int) -> GeneralFan:
     return GeneralFan(gf.dim - 1, heads, cones)
 
 
-def _stage_matrix(rays, pairs):
-    """(order, B), the 0-based stage order and the Bott matrix, or None.
-    One solve gives y = d x, d = det M0, x[t] the second ray of pair t in
-    the basis M0 of the first rays; d y is x if d = +-1 and has no -1 entry
-    otherwise.  The top live stage, the first live t with x[t] = -e_t on
-    every live coordinate, goes in front, so B (x in stage order) is upper
-    triangular with -1 on the diagonal."""
+def _stage_matrix(d, y):
+    """(order, B), the 0-based stage order and the Bott matrix, or None,
+    from the second rays' coordinates y = d x of :func:`_staged`; d y is x
+    if d = +-1 and has no -1 entry otherwise.  The top live stage, the
+    first live t with x[t] = -e_t on every live coordinate, goes in front,
+    so B (x in stage order) is upper triangular with -1 on the diagonal.
+    bad[t] counts the live coordinates where x[t] differs from -e_t, so a
+    round costs O(k): a pick drops its coordinate from every count."""
+    x = y if d == 1 else [[d * v for v in row] for row in y]
+    bad = [len(row) - row.count(0) + (row[t] == 0) - (row[t] == -1)
+           for t, row in enumerate(x)]
+    live, order = list(range(len(x))), []
+    while live:
+        if (top := next((t for t in live if not bad[t]), None)) is None:
+            return None
+        order.insert(0, top)
+        live.remove(top)
+        for t in live:
+            bad[t] -= x[t][top] != 0
+    return order, [[x[t][s] for s in order] for t in order]
+
+
+def _staged(rays, pairs, fan=None):
+    """The stage matrix of the pairs of a fan with these rays, or None.  A
+    BottFan's first rays are e_1, ..., e_k, so its second rays, the rows of
+    its Bott matrix, are their own coordinates: d = 1, nothing solved.  Any
+    other fan pays one solve for d = det M0, M0 the first rays as columns,
+    and y[t] = d x[t], x[t] the second ray of pair t in that basis;
+    dependent first rays have no stage matrix."""
+    firsts, seconds = [rays[p] for p, _ in pairs], [rays[q] for _, q in pairs]
     try:
-        d, y = linalg.solve_fraction_free(
-            list(zip(*(rays[p] for p, _ in pairs))),
-            [rays[q] for _, q in pairs])
-        live, order = list(range(len(pairs))), []
-        while live:
-            order.insert(0, next(t for t in live if all(
-                d * y[t][s] == -(s == t) for s in live)))
-            live.remove(order[0])
-    except (StopIteration, ValidationError):
+        d, y = (1, seconds) if isinstance(fan, BottFan) else (
+            linalg.solve_fraction_free(list(zip(*firsts)), seconds))
+    except ValidationError:
         return None
-    return order, [[d * y[t][s] for s in order] for t in order]
+    return _stage_matrix(d, y)
 
 
-def _tower_witness(rays, pairs):
+def _tower_witness(rays, pairs, order, b):
     """The ClassificationResult whose matrix M sends a_{i,gamma} to
-    rays[ray_map[2(i-1)+gamma]], or None when there is no stage matrix.
-    C := -B^-1 is exact, c(i,j) = B[i][j] + sum_{i<l<j} c(i,l) B[l][j], so
-    bott_matrix(c) = -C^-1 = B and M a_{i,1} = sum_j B[i][j] M e_j is the
-    second ray of stage i; M a_{i,0} = M e_i is its first.  No cone is read:
-    the cones of a checked pairing, or of a tower fan paired as (2i, 2i+1),
-    are the 2^k transversals of the pairs, and ray_map sends pairs to pairs."""
-    if (staged := _stage_matrix(rays, pairs)) is None:
-        return None
-    order, b = staged
+    rays[ray_map[2(i-1)+gamma]], for the stage matrix (order, B) of the
+    pairs.  C := -B^-1 is exact: -B is unitriangular, so the row kernel
+    gives K(-B) = B^-1 and C = -K(-B), whence bott_matrix(c) = -C^-1 = B
+    and M a_{i,1} = sum_j B[i][j] M e_j is the second ray of stage i;
+    M a_{i,0} = M e_i is its first.  No cone is read: the cones of a checked
+    pairing, or of a tower fan paired as (2i, 2i+1), are the 2^k
+    transversals of the pairs, and ray_map sends pairs to pairs."""
     k = len(order)
-    cols, twists = list(zip(*b)), {}
-    for i in range(k):
-        c = [int(l == i) for l in range(k)]  # row i of C, left to right
-        for j in range(i + 1, k):
-            c[j] = twists[i + 1, j + 1] = sum(map(int.__mul__, c, cols[j]))
+    inverse = _bott_rows({(i, j): -x for i, row in enumerate(b) for j, x
+                          in enumerate(row[i + 1:], i + 1) if x}, range(k))
     stages = [pairs[t] for t in order]
-    return ClassificationResult(IntegralSequence(k, twists),
-                                tuple(t + 1 for t in order),
-                                tuple(zip(*(rays[p] for p, _ in stages))),
-                                tuple(r for pair in stages for r in pair))
+    return ClassificationResult(  # row i of K, right to left, ends at K[i][i]
+        IntegralSequence(k, {(i + 1, k - s): -x
+                             for i, row in enumerate(inverse)
+                             for s, x in enumerate(row[:-1]) if x}),
+        tuple(t + 1 for t in order),
+        tuple(zip(*(rays[p] for p, _ in stages))),
+        tuple(r for pair in stages for r in pair))
 
 
 def classify(fan) -> ClassificationResult:
@@ -212,7 +230,9 @@ def classify(fan) -> ClassificationResult:
     contradict the converse theorem and raises RuntimeError.
     """
     try:
-        witness = _tower_witness(_rays(fan), crosspolytope_check(fan))
+        rays, pairs = _rays(fan), crosspolytope_check(fan)
+        staged = _staged(rays, pairs, fan)
+        witness = staged and _tower_witness(rays, pairs, *staged)
         if witness is None:
             gf = _as_general(fan)
             smooth, report = _smoothness_report(gf)
@@ -242,7 +262,7 @@ def _verdicts(fan) -> dict:
             return False
 
     pairs = holds(crosspolytope_check)
-    if staged := pairs and _stage_matrix(_rays(fan), pairs):
+    if staged := pairs and _staged(_rays(fan), pairs, fan):
         complete = smooth = True  # a tower fan up to GL(Z)
         fano = _tower_fano(staged[1])
     else:  # in this order, so that is_smooth reads memoised determinants

@@ -78,18 +78,19 @@ class CohomologyRing:
     """Carrier for the ring of one tower stage: builds and reduces classes.
 
     `_twists[j]` holds the nonzero pairs (i, c(i,j)), i < j, of stage j
-    (`_twists[0]` is empty), read once from the sequence.
+    (`_twists[0]` is empty), read once from the rows of the ring's
+    presentation: `_p` when the caller holds it already, so no column is
+    read again, or else one built here.
     """
 
     __slots__ = ("sequence", "k", "_twists")
 
-    def __init__(self, sequence: IntegralSequence, k: int):
-        self.k = _check_sequence(sequence).check_stage(k)
-        self.sequence = sequence
+    def __init__(self, sequence: IntegralSequence, k: int, _p=None):
+        p = _p or RingPresentation(sequence, k)  # checks sequence and k
+        self.sequence, self.k = sequence, p.k
         self._twists = ((),) + tuple(
-            tuple((i, value) for i, value in enumerate(sequence.column(j), 1)
-                  if value)
-            for j in range(1, k + 1))
+            tuple((i, value) for i, value in enumerate(row[:-1], 1) if value)
+            for row in p.relations)
 
     # -- construction -------------------------------------------------
 
@@ -402,10 +403,13 @@ def _total_chern_table(p: RingPresentation) -> list:
 
 def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
     """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1):
-    the nonzero entries of the flat table of the module docstring."""
-    table = _total_chern_table(_chern_presentation(c, k))
-    return CohomologyClass._of(CohomologyRing(c, k), {
-        mask: value for mask, value in enumerate(table) if value})
+    the nonzero entries of the flat table of the module docstring, in a
+    ring whose twists come from the same presentation rows, so each column
+    is read once."""
+    p = _chern_presentation(c, k)
+    return CohomologyClass._of(CohomologyRing(c, k, p), {
+        mask: value for mask, value in enumerate(_total_chern_table(p))
+        if value})
 
 
 def top_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:

@@ -9,23 +9,26 @@ the triangular recursion
     b(i,i) = -1,      b(i,j) = - sum_{i < k <= j} c(i,k) b(k,j).
 
 The top-right entry b(I) of B(I) is the Bott number of I, and the (r,s)
-entry is the Bott number of the run {i_r < ... < i_s} of I.  Read along the
-last column, the recursion only ever needs Bott numbers of suffixes of I:
+entry is the Bott number of the run {i_r < ... < i_s} of I.  Row by row the
+recursion reads
 
-    b({i}) = -1,      b(I) = - sum_{t >= 2} c(i_1, i_t) b(I_{>=t}),
+    B_r = -e_r - sum_{t > r, c(i_r, i_t) != 0} c(i_r, i_t) B_t,
 
-where I_{>=t} = {i_t < ... < i_m}.  :func:`bott_number` is a point lookup,
-one pass of this recursion with no memo, and each column of
-:func:`bott_matrix` is one more.  Commands that list every index set read
-:func:`_bott_table` instead: 2^n ints indexed by mask, one multiply-add per
-set, refused above stage `_MAX_TABLE_STAGE`.  The Bott number also admits
-an independent expansion as an alternating sum over chains through the
-interior of I.  :func:`_chain_products` multiplies out every chain of one
-interval by prefix, one multiply per chain; :func:`bott_number_moebius`
-sums them for one set, and :func:`_chain_table`, the check behind
-``numbers --oracle``, turns them into b(I) for every set with one subset-sum
-transform per pair of endpoints: O(n 2^n) operations in all, against the
-3^n / 4 chains of the sets taken one at a time.
+so the row kernel :func:`_bott_rows` builds the rows from the bottom up,
+each from the rows of its nonzero twists alone, summed by C-level maps: a
+tower with few twists costs O(m^2), not O(m^3).  :func:`bott_matrix` reads
+every column of the kernel; :func:`bott_number`, a point lookup with no
+memo, and `bundles.hk_support` read the last column alone, where the rows
+are the Bott numbers of the suffixes of I.  Commands that list every index
+set read :func:`_bott_table` instead: 2^n ints indexed by mask, one
+multiply-add per set, refused above stage `_MAX_TABLE_STAGE`.  The Bott
+number also admits an independent expansion as an alternating sum over
+chains through the interior of I.  :func:`_chain_products` multiplies out
+every chain of one interval by prefix, one multiply per chain;
+:func:`bott_number_moebius` sums them for one set, and :func:`_chain_table`,
+the check behind ``numbers --oracle``, turns them into b(I) for every set
+with one subset-sum transform per pair of endpoints: O(n 2^n) operations in
+all, against the 3^n / 4 chains of the sets taken one at a time.
 
 >>> c = IntegralSequence(3, {(1, 2): 2, (1, 3): 5, (2, 3): 3})
 >>> bott_matrix(c, (1, 2, 3))
@@ -43,7 +46,7 @@ matrix, so B(n) is the negated Moebius matrix.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, repeat, zip_longest
 from operator import add, lt, mul, sub
 
 from .errors import ValidationError
@@ -208,40 +211,43 @@ def c_matrix(c: IntegralSequence, ids):
 
 def bott_matrix(c: IntegralSequence, ids):
     """B(I), with C(I) @ (-B(I)) = Id: entry (r,s) is the Bott number of the
-    run i_r..i_s of I, column s one suffix pass; 0 below the diagonal."""
-    ids = _index_set(c, ids)
-    m = len(ids)
-    columns = [_suffix_pass(c, ids[:s + 1]) for s in range(m)]
-    return [[columns[s][s - r] if r <= s else 0 for s in range(m)]
-            for r in range(m)]
+    run i_r..i_s of I, the rows read off the row kernel; 0 below the
+    diagonal."""
+    rows = _bott_rows(c._entries, _index_set(c, ids))
+    return [[0] * r + row[::-1] for r, row in enumerate(rows)]
 
 
 def bott_number(c: IntegralSequence, ids) -> int:
     """The Bott number b(I): top-right entry of B(I); -1 for singletons.
 
-    A point lookup: I is validated once and evaluated by one pass of the
-    suffix recursion, in a loop (no recursion limit), with no memo.
+    A point lookup: I is validated once and the row kernel runs on the last
+    column alone, with no memo.
     """
-    return _suffix_pass(c, _index_set(c, ids))[-1]
+    ids = _index_set(c, ids)
+    return _bott_rows(c._entries, ids, len(ids) - 1)[0][0]
 
 
-def _prepend(entries: dict, i: int, chain, values) -> int:
-    """b({i} + S) for a set S above i, given in any order as its elements
-    `chain` and the Bott numbers `values` of the suffixes they start."""
-    total = 0
-    for s, value in zip(chain, values):
-        twist = entries.get((i, s))
-        if twist:
-            total -= twist * value
-    return total
+def _bott_rows(entries: dict, ids, lo: int = 0) -> list:
+    """The rows of B = -C^-1 for the unitriangular C whose entry (r, t)
+    above the diagonal is entries.get((ids[r], ids[t]), 0): row r written
+    right to left, from column m - 1 down to column max(r, lo).
 
-
-def _suffix_pass(c: IntegralSequence, ids: tuple) -> list:
-    """b of the suffixes of a sorted, validated tuple, shortest first."""
-    values = [-1]
-    for t in range(len(ids) - 2, -1, -1):
-        values.append(_prepend(c._entries, ids[t], ids[:t:-1], values))
-    return values
+    Row r is -e_r minus C[r][t] times row t over the nonzero twists of r
+    alone, from the bottom row -e_m up.  Right to left, all rows start at
+    the last column, so the terms of one row line up and are summed column
+    by column in one C-level pass.
+    """
+    m = len(ids)
+    rows = [None] * (m - 1) + [[-1]]
+    for r in range(m - 2, -1, -1):
+        i, terms = ids[r], []
+        for t in range(r + 1, m):
+            if v := entries.get((i, ids[t])):
+                terms.append(map((-v).__mul__, rows[t]))
+        width = m - r - 1 if r >= lo else m - lo
+        row = [*map(sum, zip_longest(repeat(0, width), *terms, fillvalue=0))]
+        rows[r] = row + [-1] if r >= lo else row
+    return rows
 
 
 def _bott_table(c: IntegralSequence, n: int) -> list:

@@ -26,8 +26,10 @@ yields the canonical texts of the list's items, which the encoder joins in
 batches as they come, so a document of 2^k rows never exists as a tree or as
 one string.  The item encoders below (:func:`cone_texts`,
 :func:`chart_texts`, :func:`number_texts`, :func:`term_texts`) write those
-texts, the last two one index-set size at a time through C-level maps; this
-module is the only one that knows indents, separators and quoting.
+texts: the charts in one pass per prefix node, each chart's text grown from
+its parent's items, and the last two one index-set size at a time through
+C-level maps.  This module is the only one that knows indents, separators
+and quoting.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import lru_cache
 from itertools import (chain, combinations, compress, islice, product,
                        repeat)
 from json.encoder import encode_basestring_ascii
+from operator import neg
 
 from .errors import ValidationError
 from .sequences import IntegralSequence
@@ -198,24 +201,33 @@ def cone_texts(k: int):
     return map(sep.join, product(*choices))
 
 
-def chart_texts(rows):
+def chart_texts(nodes):
     """Item texts of the `charts` list from `charts._prefix_rows` events.
 
-    Each event (j, w_j, u_j) encodes one row of ints, once per prefix,
-    through a frame made once; a chart is written when its code is complete
-    (j equals the row length).
+    Each event (j, row) is one prefix node; its row is written twice, as
+    is and negated in C, and each child's code and monomial texts are its
+    parent's with one more item.  The children wait on a stack in the
+    walk's own order, the w_j = 0 child popped first, so each event meets
+    its prefix; a node of depth j equal to the row length joins its prefix
+    once and writes the two charts it ends.  The prefixes are tuples of
+    short texts, so no long text outlives its chart.
     """
     head, middle, tail = _object_frame(("code", "monomials"), 2)
     opener, sep, close = _frame(3)
     r_open, r_sep, r_close = _frame(4)
-    code, texts = [], []
-    for j, bit, row in rows:
-        del code[j - 1:], texts[j - 1:]
-        code.append("1" if bit else "0")
-        texts.append(r_open + r_sep.join(map(_int_text, row)) + r_close)
-        if j == len(row):
-            yield (head + opener + sep.join(code) + close + middle
-                   + opener + sep.join(texts) + close + tail)
+    stack = [((), ())]
+    for j, row in nodes:
+        code, texts = stack.pop()
+        plus = r_open + r_sep.join(map(_int_text, row)) + r_close
+        minus = r_open + r_sep.join(map(_int_text, map(neg, row))) + r_close
+        if j < len(row):
+            stack += (((*code, "1"), (*texts, minus)),
+                      ((*code, "0"), (*texts, plus)))
+        else:  # each prefix item is followed by a separator
+            code = head + opener + sep.join((*code, ""))
+            texts = middle + opener + sep.join((*texts, ""))
+            yield "".join((code, "0", close, texts, plus, close, tail))
+            yield "".join((code, "1", close, texts, minus, close, tail))
 
 
 def number_texts(table):

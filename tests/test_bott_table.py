@@ -2,7 +2,7 @@
 
 1. Property test on random towers of height n <= 7 with twists in [-5, 5]:
    the flat table `sequences._bott_table` (one multiply-add per set, by
-   mask), `bott_matrix` (one suffix pass per column) and
+   mask), `bott_matrix` (the row kernel) and
    `bott_number_moebius` (the alternating chain sum) agree on every index
    set, and the Bott matrix of the full set inverts its coefficient matrix:
    C(I)·(-B(I)) = Id.

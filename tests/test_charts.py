@@ -14,8 +14,9 @@ Core claims:
    reversed direction, cocycle under composition, and they transport the
    dual-generator rows.  Read as U(w2) A(w), with no general inverse, they
    equal the former inverse-based product (kept in helpers).
-5. The prefix walk behind `bott charts` yields one row per prefix, and the
-   rows of every code, in binary order, are its dual generators.
+5. The prefix walk behind `bott charts` yields one unsigned row per prefix
+   node, 2^k - 1 in all, and the rows of every code, signed per child and
+   read in binary order, are its dual generators.
 """
 
 from __future__ import annotations
@@ -189,20 +190,27 @@ class TestPrefixRows:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_rows_of_each_code(self, k):
+        # each event is one prefix node; its children wait on a stack in
+        # the walk's order, w_j = 0 popped first, as chart_texts keeps them
         c = random_sequence(random.Random(4100 + k), k + 1, -3, 3)
-        codes, rows, path = [], [], [None] * k
-        for j, bit, row in _prefix_rows(_bott_table(c, k), k):
-            path[j - 1] = (bit, row)
-            if j == k:
-                codes.append(tuple(b for b, _ in path))
-                rows.append([r for _, r in path])
+        codes, rows, stack = [], [], [((), [])]
+        for j, row in _prefix_rows(_bott_table(c, k), k):
+            code, prefix = stack.pop()
+            children = [(code + (1,), prefix + [tuple(-x for x in row)]),
+                        (code + (0,), prefix + [tuple(row)])]
+            if j < k:
+                stack += children
+            else:
+                for code, prefix in children[::-1]:
+                    codes.append(code)
+                    rows.append(prefix)
         assert codes == list(binary_codes(k))
         assert rows == [dual_generators(c, k, w) for w in codes]
 
     def test_one_row_per_prefix(self):
         c = random_sequence(random.Random(4200), 9, -3, 3)
         rows = _prefix_rows(_bott_table(c, 9), 9)
-        assert sum(1 for _ in rows) == 2 ** 10 - 2
+        assert sum(1 for _ in rows) == 2 ** 9 - 1
 
 
 # ===================================================================

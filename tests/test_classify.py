@@ -36,7 +36,11 @@ Core claims:
    its 2k rays alone, up to k = 24.  Every witness's sequence has the
    stage matrix B as its Bott matrix, the identity that needs no run-time
    check, and `check` and `classify` build no Bott matrix on an accepted
-   fan document and one, its BottFan's, on a sequence document.
+   fan document and one, its BottFan's, on a sequence document.  A
+   sequence document runs no elimination (its first rays are e_1 ... e_k)
+   and writes pinned bytes; the zero tower of height 3 keeps the stage
+   order [3, 2, 1]; `numbers` at n = 600 and `check` and `classify` at
+   n = 1000 finish as subprocesses within seconds.
 9. The pairing decides the transversals by count: it gives the same pairs,
    or the same rejection and witness, as the former 2^k walk (kept in
    helpers) on the recognition fan sets and on mutated scrambled towers, the
@@ -653,11 +657,12 @@ class TestOneBasis:
         found = 0
         for _ in range(cases):
             rays, pairs = make(rng)
-            result = CLASSIFY._tower_witness(rays, pairs)
+            staged = CLASSIFY._staged(rays, pairs)
+            result = staged and CLASSIFY._tower_witness(rays, pairs, *staged)
             assert repr(result) == repr(reference_tower_witness(rays, pairs))
             if result is not None:
                 # the identity the witness holds with no run-time check
-                order, b = CLASSIFY._stage_matrix(rays, pairs)
+                order, b = staged
                 assert result.order == tuple(t + 1 for t in order)
                 assert bott_matrix(result.sequence,
                                    range(1, len(order) + 1)) == b
@@ -772,6 +777,81 @@ class TestOneBottMatrix:
                 assert cli.main([command, doc]) == 0
                 capsys.readouterr()
                 assert len(calls) == 1
+
+
+class TestSequenceDocumentsSolveNothing:
+    """A sequence document's first rays are e_1, ..., e_k: its stage matrix
+    is its Bott matrix, read with no solve, and the witness inverts it with
+    the row kernel."""
+
+    # sha256 of "command\ncode\nstdout" over the documents of `documents`,
+    # check then classify, written before the stage matrix solved nothing
+    PINNED = "87f8743c9f618ee602fcdd062788ba9dc60ef591da62c939cb075d4d6a100379"
+
+    @staticmethod
+    def documents():
+        rng = random.Random(6035)
+        towers = [random_sequence(rng, k, -3, 3, density=rng.random())
+                  for k in range(1, 25)]
+        towers += [IntegralSequence.zero(k) for k in range(1, 6)]
+        towers.append(IntegralSequence.bounded_flag(6))
+        return [json.dumps(sequence_to_doc(c)) for c in towers]
+
+    def test_no_elimination_and_the_same_bytes(self, monkeypatch, capsys):
+        import hashlib
+
+        from bott_towers import cli
+
+        def refuse(*args):
+            raise AssertionError("an elimination was run")
+
+        monkeypatch.setattr(CLASSIFY.linalg, "_eliminate", refuse)
+        digest = hashlib.sha256()
+        for doc in self.documents():
+            for command in ("check", "classify"):
+                code = cli.main([command, doc])
+                digest.update(f"{command}\n{code}\n"
+                              f"{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == self.PINNED
+
+    def test_the_zero_tower_keeps_its_stage_order(self, capsys):
+        from bott_towers import cli
+
+        assert cli.main(["classify", '{"n": 3}']) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["order"] == [3, 2, 1]
+        assert result["sequence"] == {"n": 3, "entries": []}
+        assert result["ray_map"] == [4, 5, 2, 3, 0, 1]
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["numbers", '{"n":600}'], 2.0),     # about 0.25 s
+        (["check", '{"n":1000}'], 5.0),      # about 0.4 s
+        (["classify", '{"n":1000}'], 5.0),   # about 0.7 s
+    ], ids=["numbers-600", "check-1000", "classify-1000"])
+    def test_tall_towers_finish(self, argv, bound):
+        import os
+        import subprocess
+        import sys
+        import time
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "bott_towers", *argv],
+                              capture_output=True, env=env, timeout=bound)
+        assert time.perf_counter() - start < bound
+        assert done.returncode == 0, done.stderr
+        if argv[0] == "check":
+            assert json.loads(done.stdout) == {
+                "smooth": True, "complete": True, "fano": True,
+                "crosspolytope": True}
+        elif argv[0] == "classify":
+            result = json.loads(done.stdout)
+            assert result["sequence"] == {"n": 1000, "entries": []}
+            assert result["order"] == list(range(1000, 0, -1))
+            assert result["matrix"] == [[int(r + s == 999)
+                                         for s in range(1000)]
+                                        for r in range(1000)]
 
 
 # ===================================================================

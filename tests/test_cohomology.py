@@ -18,7 +18,8 @@ Core claims:
    public class constructor and coefficient lookup keep their contracts.
 7. The total Chern class is one flat table of 2^k coefficients, refused
    above stage 20 before it is built, and listing the terms of a sparse
-   class costs its terms, not 2^k.
+   class costs its terms, not 2^k; total_chern_class reads each column
+   once, its ring taking the twists from the presentation rows.
 """
 
 from __future__ import annotations
@@ -467,6 +468,25 @@ class TestFlatTable:
         table = _total_chern_table(
             _chern_presentation(IntegralSequence(6), 6))
         assert table == [2 ** mask.bit_count() for mask in range(2 ** 6)]
+
+    def test_each_column_is_read_once(self, monkeypatch):
+        c = random_sequence(random.Random(5018), 8, -3, 3)
+        ring = cohomology_ring(c, 6)
+        calls = []
+        column = IntegralSequence.column
+
+        def counted(self, j):
+            calls.append(j)
+            return column(self, j)
+
+        monkeypatch.setattr(IntegralSequence, "column", counted)
+        total = total_chern_class(c, 6)
+        assert calls == [1, 2, 3, 4, 5, 6]
+        assert total.ring._twists == ring._twists
+        assert (total.ring.sequence, total.ring.k) == (c, 6)
+        assert total.terms() == CohomologyClass(ring, {
+            frozenset(key): value for key, value in
+            reference_total_chern_class(c, 6).items()}).terms()
 
     def test_stage_cap(self):
         assert _MAX_TABLE_STAGE == 20

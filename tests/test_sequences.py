@@ -2,14 +2,17 @@
 
 Core claims exercised here:
 
-1. B(I), one suffix pass per column, inverts C(I)
-   exactly: C(I)·(-B(I)) = Id, -B(I) agrees entry-by-entry with a Fraction
-   Gauss-Jordan inverse, and B(I) equals the triangular recursion's matrix.
+1. B(I), read off the row kernel, inverts C(I) exactly: C(I)·(-B(I)) = Id,
+   -B(I) agrees entry-by-entry with a Fraction Gauss-Jordan inverse, and
+   B(I) equals the triangular recursion's matrix on sparse and dense towers
+   up to k = 40 and on sets that are not prefixes; bott_number and
+   hk_support are its entries, all three call the one kernel, and a tall
+   sparse tower (k = 1,500) is fast.
 2. bott_number over an index set depends only on the entries c(i,j) with both
    indices in the set (sub-tower locality).
 3. bott_number_moebius (alternating sum over chains through the interior of I)
-   and bott_number (one unmemoised suffix pass, no recursion limit, no Bott
-   matrix, nothing kept on the sequence) agree with the matrix route, and
+   and bott_number (the row kernel on one column, no recursion limit, no
+   Bott matrix, nothing kept on the sequence) agree with the matrix route, and
    the flat 2^n table `_bott_table` agrees with the former memoised
    recursion (`helpers.reference_bott_number`) and the chain sum on every
    mask, and is refused above stage 20 before anything is allocated.
@@ -342,7 +345,7 @@ class TestBottNumber:
 
 
 class TestSuffixRecursion:
-    """bott_number's unmemoised suffix pass against the matrix route."""
+    """bott_number's unmemoised one-column pass against the matrix route."""
 
     @staticmethod
     def all_sets(n):
@@ -404,6 +407,71 @@ class TestSuffixRecursion:
         bott_number(c, [4, 1, 3, 2])
         bott_number_moebius(c, [4, 1, 3, 2])
         assert len(calls) == 2
+
+
+class TestRowKernel:
+    """bott_matrix, bott_number and hk_support read one row kernel."""
+
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    def test_matrix_matches_the_triangular_recursion(self, density):
+        rng = random.Random(2040 + int(10 * density))
+        for k in (1, 2, 3, 5, 8, 13, 21, 40):
+            c = random_sequence(rng, k, -3, 3, density=density)
+            sets = [range(1, k + 1)] + [  # and sets that are not prefixes
+                rng.sample(range(1, k + 1), rng.randint(1, k))
+                for _ in range(4)]
+            for ids in sets:
+                assert bott_matrix(c, ids) == reference_bott_matrix(c, ids)
+
+    def test_numbers_and_support_are_its_entries(self):
+        rng = random.Random(2041)
+        for k in (2, 3, 6, 11, 24):
+            c = random_sequence(rng, k, -3, 3, density=rng.random())
+            b = reference_bott_matrix(c, range(1, k + 1))
+            assert all(bott_number(c, range(r, s + 1)) == b[r - 1][s - 1]
+                       for r in range(1, k + 1) for s in range(r, k + 1))
+            ids = sorted(rng.sample(range(1, k + 1), rng.randint(1, k)))
+            sub = reference_bott_matrix(c, ids)
+            assert all(bott_number(c, ids[r:]) == sub[r][-1]
+                       for r in range(len(ids)))
+            support = hk_support(c, k - 1)
+            assert support.values_table() == tuple(
+                (i, gamma, gamma * b[i - 1][k - 1])
+                for i in range(1, k) for gamma in (0, 1))
+
+    def test_the_three_share_the_kernel(self, monkeypatch):
+        from bott_towers import bundles
+
+        calls = []
+        kernel = sequences._bott_rows
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(sequences, "_bott_rows", counted)
+        monkeypatch.setattr(bundles, "_bott_rows", counted)
+        c = random_sequence(random.Random(2042), 7, -3, 3)
+        bott_matrix(c, range(1, 8))
+        bott_number(c, (2, 4, 7))
+        hk_support(c, 5)
+        assert calls == [7, 3, 6]
+
+    def test_tall_sparse_tower(self):
+        import time
+
+        c = IntegralSequence(1500, {(1, 1500): 2, (2, 1499): 5,
+                                    (700, 701): -3})
+        start = time.perf_counter()
+        b = bott_matrix(c, range(1, 1501))
+        number = bott_number(c, range(1, 1501))
+        support = hk_support(c, 1499)
+        assert time.perf_counter() - start < 10  # about 0.7 s
+        expected = {(0, 1499): 2, (1, 1498): 5, (699, 700): -3}
+        assert all(b[r][s] == expected.get((r, s), -(r == s))
+                   for r in range(1500) for s in range(1500))
+        assert number == 2
+        assert [support.value(i, 1) for i in (1, 2, 3)] == [2, 0, 0]
 
 
 class TestBottTable:

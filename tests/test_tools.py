@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "src_lines.py"
 PAIRED = ROOT / "tools" / "paired_ab.py"
@@ -59,6 +61,30 @@ def test_paired_same_checkout_writes_identical_bytes():
     assert done.returncode == 0, done.stdout + done.stderr
     assert "24 jobs x 1 pass(es), identical exit codes and stdout" in done.stdout
     assert done.stdout.splitlines()[-1].startswith("ratio")
+
+
+def test_paired_command_keeps_those_jobs():
+    done = subprocess.run(
+        [sys.executable, str(PAIRED), str(ROOT), str(ROOT),
+         "--workload", "tables", "--passes", "1", "--limit", "12",
+         "--command", "fan", "--command", "numbers"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "12 jobs x 1 pass(es), identical exit codes and stdout" in done.stdout
+    deck = load_tool(PAIRED).bench_deck("tables", 1)
+    kept = [argv for argv in deck if argv[0] in ("fan", "numbers")]
+    assert 12 < len(kept) < len(deck)
+
+
+@pytest.mark.parametrize("name", ["nope", "classify"])
+def test_paired_unknown_command_exits_2(name):
+    done = subprocess.run(
+        [sys.executable, str(PAIRED), str(ROOT), str(ROOT),
+         "--workload", "tables", "--command", "fan", "--command", name],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert f"no tables job runs {name}" in done.stderr
+    assert done.stdout == ""
 
 
 def test_paired_reports_a_difference():

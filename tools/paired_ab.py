@@ -2,12 +2,16 @@
 
 Usage: python tools/paired_ab.py PARENT_DIR CHANGE_DIR --workload W
                                  [--seed N] [--passes P] [--limit J]
+                                 [--command NAME ...]
 
 Each checkout's ``src/bott_towers`` is loaded under its own package name,
 so both live in this process.  Every job of the deck that ``bench/jobs.py``
-builds (the first J with ``--limit``) runs on both sides back to back, the
-side that goes first alternating from job to job, each run starting from a
-collected heap as in ``bench/worker.py``.  A job whose exit code or stdout
+builds runs on both sides back to back, the side that goes first
+alternating from job to job, each run starting from a collected heap as in
+``bench/worker.py``.  ``--command NAME``, which may be repeated, keeps only
+the jobs of those subcommands, so a gain can be split between them; a name
+with no job in the deck is a usage error (exit 2).  ``--limit J`` then keeps
+the first J jobs.  A job whose exit code or stdout
 differs between the sides is reported, and the exit status is then 1.
 Otherwise each side's pass time, median and 90th-percentile job time are
 printed with their change/parent ratios.
@@ -108,8 +112,16 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--limit", type=int, default=None,
                         help="run only the first LIMIT jobs of the deck")
+    parser.add_argument("--command", action="append", metavar="NAME",
+                        help="run only this subcommand's jobs (repeatable)")
     args = parser.parse_args(argv)
-    argvs = bench_deck(args.workload, args.seed)[:args.limit]
+    argvs = bench_deck(args.workload, args.seed)
+    if args.command:
+        unknown = sorted(set(args.command) - {argv[0] for argv in argvs})
+        if unknown:
+            parser.error(f"no {args.workload} job runs {', '.join(unknown)}")
+        argvs = [argv for argv in argvs if argv[0] in args.command]
+    argvs = argvs[:args.limit]
     clis = [load_cli(checkout, f"bott_towers_{side}")
             for checkout, side in zip((args.parent, args.change), SIDES)]
     times, differ = compare(clis, argvs, args.passes)
