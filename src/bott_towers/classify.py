@@ -200,15 +200,17 @@ def _tower_witness(rays, pairs, order, b):
     and M a_{i,1} = sum_j B[i][j] M e_j is the second ray of stage i;
     M a_{i,0} = M e_i is its first.  No cone is read: the cones of a checked
     pairing, or of a tower fan paired as (2i, 2i+1), are the 2^k
-    transversals of the pairs, and ray_map sends pairs to pairs."""
+    transversals of the pairs, and ray_map sends pairs to pairs.  The
+    twists of K above its diagonal are 1 <= i < j <= k by construction, so
+    the sequence stores them with no check."""
     k = len(order)
     inverse = _bott_rows({(i, j): -x for i, row in enumerate(b) for j, x
                           in enumerate(row[i + 1:], i + 1) if x}, range(k))
     stages = [pairs[t] for t in order]
     return ClassificationResult(  # row i of K, right to left, ends at K[i][i]
-        IntegralSequence(k, {(i + 1, k - s): -x
-                             for i, row in enumerate(inverse)
-                             for s, x in enumerate(row[:-1]) if x}),
+        IntegralSequence._of(k, {(i + 1, k - s): -x
+                                 for i, row in enumerate(inverse)
+                                 for s, x in enumerate(row[:-1]) if x}),
         tuple(t + 1 for t in order),
         tuple(zip(*(rays[p] for p, _ in stages))),
         tuple(r for pair in stages for r in pair))

@@ -104,14 +104,24 @@ def _sequence_and_stage(args):
 
 
 def _cmd_numbers(args):
+    """C(1..n) and B(1..n), and with ``--sets`` every b(I).  A job whose
+    ``--sets`` or ``--oracle`` fills the flat table of every b(I) reads B
+    from it: entry (r, s) is b of the run r+1..s+1, at the mask of bits
+    r..s.  Plain ``numbers`` builds no table, its n being unbounded, and
+    runs the row kernel through `bott_matrix`."""
     from .sequences import _bott_table, _chain_table, bott_matrix, c_matrix
     from .serialize import _int_text, int_rows, number_texts
 
     c = sequence_from_doc(_load_document(args.input))
-    table = _bott_table(c, c.n) if args.sets or args.oracle else None
     full = tuple(range(1, c.n + 1))
+    if args.sets or args.oracle:
+        table = _bott_table(c, c.n)
+        bott = [[0] * r + [table[(2 << s) - (1 << r)] for s in range(r, c.n)]
+                for r in range(c.n)]
+    else:
+        bott = bott_matrix(c, full)
     doc = {"n": c.n, "c_matrix": int_rows(c_matrix(c, full)),
-           "bott_matrix": int_rows(bott_matrix(c, full))}
+           "bott_matrix": int_rows(bott)}
     if args.oracle:  # compared here, before "numbers" is written
         chains = _chain_table(c, c.n)  # 0 on the singletons
         wrong = [tuple(i for i in full if mask >> (i - 1) & 1)
@@ -179,14 +189,14 @@ def _cmd_bundle(args):
 
 
 def _cmd_cohomology(args):
-    from .cohomology import _chern_presentation, _total_chern_table, betti
+    from .cohomology import _chern_presentation, _ranks, _total_chern_table
     from .serialize import _int_text, int_list, int_rows, term_texts
 
     c, k = _sequence_and_stage(args)
-    p = _chern_presentation(c, k)  # above the cap, refused with no column
+    p = _chern_presentation(c, k)  # k's one check: above the cap, no column
     table = _total_chern_table(p)
     _int_text(max(table, key=abs))  # every nonzero term is written
-    ranks = betti(c, k)
+    ranks = _ranks(k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
     doc = {"k": k,
            "relations": int_rows(p.relations),

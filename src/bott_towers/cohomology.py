@@ -53,13 +53,14 @@ class RingPresentation:
 
     `relations[j-1]` lists the coefficients (c(1,j), ..., c(j-1,j), 1) of the
     form paired with x_j; each involves only the first j variables and is
-    monic in x_j.
+    monic in x_j.  `_checked` skips the stage check for a caller that has
+    made it.
     """
 
     __slots__ = ("k", "relations")
 
-    def __init__(self, c: IntegralSequence, k: int):
-        self.k = _check_sequence(c).check_stage(k)
+    def __init__(self, c: IntegralSequence, k: int, _checked: bool = False):
+        self.k = k if _checked else _check_sequence(c).check_stage(k)
         self.relations = tuple(c.column(j) + (1,) for j in range(1, k + 1))
 
     def __eq__(self, other):
@@ -337,7 +338,11 @@ def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 def betti(c: IntegralSequence, k: int):
     """Ranks of the even-degree groups: binomial(k, i) for i = 0..k."""
-    _check_sequence(c).check_stage(k)
+    return _ranks(_check_sequence(c).check_stage(k))
+
+
+def _ranks(k: int) -> list:
+    """betti's ranks for a stage k its caller has checked."""
     return [math.comb(k, i) for i in range(k + 1)]
 
 
@@ -360,9 +365,10 @@ def character_class(c: IntegralSequence, k: int, exps) -> CohomologyClass:
 
 def _chern_presentation(c: IntegralSequence, k: int) -> RingPresentation:
     """presentation(c, k), once k is checked to be a stage of c under the
-    cap of a 2^k-coefficient table: a refused stage reads no column."""
+    cap of a 2^k-coefficient table: a refused stage reads no column, and
+    that check is the only one of k."""
     _check_table_stage(c, k, "the total Chern class", "coefficients")
-    return presentation(c, k)
+    return RingPresentation(c, k, _checked=True)
 
 
 def _total_chern_table(p: RingPresentation) -> list:

@@ -21,7 +21,12 @@ every column of the kernel; :func:`bott_number`, a point lookup with no
 memo, and `bundles.hk_support` read the last column alone, where the rows
 are the Bott numbers of the suffixes of I.  Commands that list every index
 set read :func:`_bott_table` instead: 2^n ints indexed by mask, one
-multiply-add per set, refused above stage `_MAX_TABLE_STAGE`.  The Bott
+multiply-add per set, refused above stage `_MAX_TABLE_STAGE`.  Entry (r, s)
+of B(1..n) is the table's entry at the mask of bits r..s, so a job that
+holds the table reads its Bott matrix there, with no kernel run.
+:func:`c_matrix` places the stored twists in one pass, reading no column.
+A sequence is built by its checked constructor, or by
+`IntegralSequence._of` from twists its caller has checked.  The Bott
 number also admits an independent expansion as an alternating sum over
 chains through the interior of I.  :func:`_chain_products` multiplies out
 every chain of one interval by prefix, one multiply per chain;
@@ -72,6 +77,13 @@ def _check_range(x, what: str, lo: int = 1, hi: int | None = None) -> int:
     return x
 
 
+def _in_range(n: int, lows, highs) -> bool:
+    """Whether n >= 1 and 1 <= i < j <= n for the int pairs (i, j) of
+    `lows` and `highs`: three C-level sweeps."""
+    return (n >= 1 and all(map(lt, lows, highs)) and 1 <= min(lows, default=1)
+            and max(highs, default=1) <= n)
+
+
 def _check_sequence(c) -> "IntegralSequence":
     if not isinstance(c, IntegralSequence):
         raise ValidationError("expected an IntegralSequence")
@@ -97,13 +109,10 @@ class IntegralSequence:
         keys = entries.keys()
         if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
                 and {*map(type, chain.from_iterable(keys))} <= {int}
-                and {*map(type, entries.values())} <= {int}):
-            lows, highs = zip(*keys) if keys else ((), ())
-            if (all(map(lt, lows, highs)) and 1 <= min(lows, default=1)
-                    and max(highs, default=1) <= n):
-                self._entries = {key: val for key, val in entries.items()
-                                 if val}
-                return
+                and {*map(type, entries.values())} <= {int}
+                and _in_range(n, *(zip(*keys) if keys else ((), ())))):
+            self._entries = {key: val for key, val in entries.items() if val}
+            return
         # the same rules one entry at a time, to name the first fault
         stored = {}
         for key, val in entries.items():
@@ -120,6 +129,15 @@ class IntegralSequence:
             if val != 0:
                 stored[(i, j)] = val
         self._entries = stored
+
+    @classmethod
+    def _of(cls, n: int, twists: dict) -> "IntegralSequence":
+        """Wrap a height and a dict of its nonzero twists keyed by int pairs
+        1 <= i < j <= n, all checked by the caller (by `_in_range`, or true
+        by construction), without copying."""
+        self = cls.__new__(cls)
+        self.n, self._entries = n, twists
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "IntegralSequence":
@@ -201,12 +219,20 @@ def _index_set(c: IntegralSequence, ids) -> tuple:
 
 
 def c_matrix(c: IntegralSequence, ids):
-    """The m x m coefficient matrix C(I): c(i_r, i_s) above the diagonal."""
+    """The m x m coefficient matrix C(I): c(i_r, i_s) above the diagonal.
+
+    The identity is filled from one pass over the stored twists, each placed
+    when both its ends are in I; no column is read.
+    """
     ids = _index_set(c, ids)
-    cols = [c.column(j) for j in ids]
-    m = len(ids)
-    return [[cols[s][ids[r] - 1] if r < s else int(r == s) for s in range(m)]
-            for r in range(m)]
+    rows = [[0] * len(ids) for _ in ids]
+    for r, row in enumerate(rows):
+        row[r] = 1
+    at = dict(zip(ids, range(len(ids))))
+    for (i, j), value in c._entries.items():
+        if i in at and j in at:
+            rows[at[i]][at[j]] = value
+    return rows
 
 
 def bott_matrix(c: IntegralSequence, ids):

@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 from operator import neg
 
 from .errors import ValidationError
-from .sequences import IntegralSequence
+from .sequences import IntegralSequence, _in_range
 
 PRECISION_LIMIT = 2 ** 53
 _BATCH = 64  # streamed items joined into one chunk
@@ -319,20 +319,23 @@ def sequence_to_doc(c: IntegralSequence) -> dict:
 
 
 def sequence_from_doc(doc) -> IntegralSequence:
-    """The IntegralSequence of a sequence document, with one type sweep of
-    its entries: the one the constructor makes of the entry dict.  After any
-    failure, or when a key repeats, parse_int runs per entry, to read quoted
-    ints or name the first fault; the constructor checks the ranges."""
+    """The IntegralSequence of a sequence document, its triples checked by
+    one set of C-level sweeps: each a list of three plain ints (no bools),
+    no (i, j) pair repeated, and n >= 1 with 1 <= i < j <= n
+    (`sequences._in_range`).  The nonzero twists are then stored by
+    `IntegralSequence._of`, so the constructor's sweep does not run again.
+    After any failed check, parse_int runs per entry, to read quoted ints or
+    name the first fault, and the constructor checks the ranges."""
     _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
     n = parse_int(doc["n"], "sequence height n")
     triples = _require_list(doc.get("entries", []), "sequence entries")
-    if {*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}:
-        try:
-            entries = {(i, j): value for i, j, value in triples}
-            if len(entries) == len(triples):
-                return IntegralSequence(n, entries)
-        except (TypeError, ValidationError):  # an unhashable or bad entry
-            pass
+    if ({*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}
+            and {*map(type, chain.from_iterable(triples))} <= {int}):
+        lows, highs, values = zip(*triples) if triples else ((), (), ())
+        entries = dict(zip(zip(lows, highs), values))
+        if len(entries) == len(triples) and _in_range(n, lows, highs):
+            return IntegralSequence._of(n, entries if 0 not in values else {
+                key: value for key, value in entries.items() if value})
     entries = {}
     for triple in triples:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:

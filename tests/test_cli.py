@@ -23,7 +23,9 @@ Core claims:
    cohomology document is streamed from the flat Chern table, never from
    a listed class, with cancelled terms omitted; a stage above 20 exits 3
    before any table is built or any column read.  A cohomology job reads
-   each column of its stage once, for the rows written as "relations".
+   each column of its stage once, for the rows written as "relations",
+   and checks its stage once; presentation, betti and cohomology_ring
+   each keep their own check.
 6. The streamed documents (fan, charts, numbers --sets, with and without
    --oracle and -k) are byte-identical to the reference oracles on stdout
    and through -o, big integers included.  Oracle comparisons, and the
@@ -31,7 +33,10 @@ Core claims:
    leaves no partial file, and a streamed run holds far less memory than
    the document it writes.  numbers and charts read one
    flat Bott table per job, which a stage above 20 refuses with exit 3
-   before it is built; the ring and recognition commands build none.  fan
+   before it is built; the ring and recognition commands build none.
+   numbers --sets and --oracle read their Bott matrix from that table and
+   their C matrix from the stored twists, with no row kernel and no column
+   read; plain numbers builds no table and runs the row kernel.  fan
    refuses a stage above 20 the same way, before any cone.
 7. check is witness first: on scrambled towers, acceptance test 08's fans
    and rejects of every kind its document equals the four verdicts
@@ -73,6 +78,7 @@ from helpers import (
     child_env,
     deck_argvs,
     random_sequence,
+    reference_bott_matrix,
     reference_bundle_doc,
     reference_canonical,
     reference_charts_doc,
@@ -446,6 +452,53 @@ class TestNumbers:
             assert cli.main(argv) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    def test_table_jobs_read_both_matrices_from_held_data(
+            self, density, monkeypatch, capsys):
+        """With --sets or --oracle, B is read from the flat table and C from
+        the stored twists: no row kernel runs and no column is read."""
+        from bott_towers import (IntegralSequence, cli, sequence_to_doc,
+                                 sequences)
+
+        def refused(*args):
+            raise AssertionError("the row kernel or a column read ran")
+
+        rng = random.Random(3500 + int(10 * density))
+        runs = []
+        for n in range(1, 11):
+            c = random_sequence(rng, n, -3, 3, density=density)
+            seq, full = json.dumps(sequence_to_doc(c)), range(1, n + 1)
+            base = {"n": n, "bott_matrix": reference_bott_matrix(c, full),
+                    "c_matrix": [[c.value(i, j) if i <= j else 0
+                                  for j in full] for i in full]}
+            numbers = {"numbers": reference_numbers_doc(c)["numbers"]}
+            oracle = {"oracle": {"checked": 2 ** n - 1 - n, "match": True}}
+            for flags, extra in [(["--sets"], numbers), (["--oracle"], oracle),
+                                 (["--sets", "--oracle"], {**numbers, **oracle})]:
+                runs.append((["numbers", seq, *flags],
+                             reference_canonical({**base, **extra})))
+        monkeypatch.setattr(sequences, "_bott_rows", refused)
+        monkeypatch.setattr(IntegralSequence, "column", refused)
+        for argv, text in runs:
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == (text, "")
+
+    def test_plain_numbers_runs_the_row_kernel(self, monkeypatch, capsys):
+        from bott_towers import cli, sequence_from_doc, sequences
+
+        def refuse(*args):
+            raise AssertionError("_bott_table called")
+
+        kernel, calls = sequences.bott_matrix, []
+        monkeypatch.setattr(sequences, "_bott_table", refuse)
+        monkeypatch.setattr(sequences, "bott_matrix",
+                            lambda c, ids: calls.append(ids) or kernel(c, ids))
+        assert cli.main(["numbers", THREE_SEQ]) == 0
+        assert json.loads(capsys.readouterr().out)["bott_matrix"] == (
+            reference_bott_matrix(sequence_from_doc(json.loads(THREE_SEQ)),
+                                  (1, 2, 3)))
+        assert calls == [(1, 2, 3)]
+
     def test_big_integers_round_trip_as_strings(self):
         seq = json.dumps({"n": 2, "entries": [[1, 2, str(BIG)]]})
         doc = stdout_doc(run_cli("numbers", seq))
@@ -735,8 +788,8 @@ class TestCohomology:
         assert doc["oracle"] == {"checked": 5, "match": True}
 
     @pytest.mark.parametrize("name, fault, message", [
-        ("betti", lambda ranks: [ranks[0] + 1, *ranks[1:]], r"betti\[0\]"),
-        ("betti", lambda ranks: [*ranks, 1], "total rank"),  # 2^k + 1
+        ("_ranks", lambda ranks: [ranks[0] + 1, *ranks[1:]], r"betti\[0\]"),
+        ("_ranks", lambda ranks: [*ranks, 1], "total rank"),  # 2^k + 1
         ("_total_chern_table", lambda table: [*table[:-1], table[-1] + 1],
          "Euler characteristic"),
     ])
@@ -750,6 +803,31 @@ class TestCohomology:
         with pytest.raises(RuntimeError, match="oracle mismatch on " + message):
             cli.main(["cohomology", THREE_SEQ, "--oracle"])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"], ["-k", "2"]])
+    def test_stage_is_checked_once(self, flags, monkeypatch, capsys):
+        """A job checks its stage once; each public function still checks."""
+        from bott_towers import (IntegralSequence, ValidationError, betti,
+                                 cli, cohomology_ring, presentation)
+
+        calls = []
+        check = IntegralSequence.check_stage
+
+        def counted(self, k):
+            calls.append(k)
+            return check(self, k)
+
+        monkeypatch.setattr(IntegralSequence, "check_stage", counted)
+        assert cli.main(["cohomology", THREE_SEQ, *flags]) == 0
+        assert capsys.readouterr().out
+        assert calls == [2 if flags[1:] == ["2"] else 3]
+        c = IntegralSequence(3)
+        for public in (presentation, betti, cohomology_ring):
+            calls.clear()
+            public(c, 2)
+            assert calls == [2]
+            with pytest.raises(ValidationError, match="outside 1..3"):
+                public(c, 4)
 
 
 class TestRingDocumentsAgainstReference:

@@ -20,7 +20,8 @@ time, match the former item loops (`helpers.reference_number_texts`,
 parsed entries, and a malformed document exits with its pinned code and one
 stderr line, the parse error of a triple winning over a range error of an
 earlier key.  A well-typed document is checked by sweeps, with no check of
-one entry at a time, and constructs its sequence once.  On seeded documents
+one entry at a time, and constructs its sequence once, by
+`IntegralSequence._of`, never entering the constructor.  On seeded documents
 with faults of every kind it raises what the former two-sweep ingest
 (`helpers.reference_sequence_ingest`) raised, with the same message.
 
@@ -409,14 +410,21 @@ def test_ingest_matches_the_former_two_sweeps():
 
 
 def test_well_typed_document_constructs_once(monkeypatch):
+    """Its sequence is made once, by `_of`: it never enters the constructor,
+    whose sweep would check the entries again."""
     calls = []
-    init = IntegralSequence.__init__
+    init, wrap = IntegralSequence.__init__, IntegralSequence._of.__func__
 
     def counted(self, *args):
-        calls.append(args)
+        calls.append("__init__")
         init(self, *args)
 
+    def wrapped(cls, *args):
+        calls.append("_of")
+        return wrap(cls, *args)
+
     monkeypatch.setattr(IntegralSequence, "__init__", counted)
+    monkeypatch.setattr(IntegralSequence, "_of", classmethod(wrapped))
     rng = random.Random(32)
     docs = [{"n": 3}, {"n": 3, "entries": []}, {"n": 2**60, "entries": []}]
     for _ in range(200):
@@ -428,8 +436,22 @@ def test_well_typed_document_constructs_once(monkeypatch):
     for doc in docs:
         calls.clear()
         c = sequence_from_doc(doc)
-        assert len(calls) == 1
+        assert calls == ["_of"]
         assert c == reference_sequence_ingest(doc)
+
+
+@pytest.mark.parametrize("n, triples", [
+    (3, [[1, 2, True]]), (3, [[True, 2, 1]]), (3, [[1, 2, 1], [True, 2, 0]]),
+    (3, [[1, 2, 0], [2, 3, 4]]), (3, [[1, 3, 0]]), (3, [[1, 2, 1], [1, 2, 1]]),
+    (3, [[2, 3, 1], [1, 3, 0], [2, 3, 0]]), (3, [[0, 2, 1]]), (3, [[2, 2, 1]]),
+    (3, [[3, 1, 5]]), (3, [[1, 4, 1]]), (3, [[1, 2, 1], [2, 4, True]]),
+    (0, []), (-2, [[1, 2, 1]]), (1, [[1, 2, 0]])])
+def test_faults_get_the_reference_outcome(n, triples):
+    """A bool, a zero twist, a repeated pair or an index out of range: the
+    exception and message, or the sequence, of the former ingest."""
+    doc = {"n": n, "entries": triples}
+    assert (_ingest_outcome(sequence_from_doc, doc)
+            == _ingest_outcome(reference_sequence_ingest, doc))
 
 
 def test_frame_caches_stay_bounded():

@@ -4,7 +4,8 @@ tools/src_lines.py counts physical lines and code lines: a code line holds
 a token that is not a comment, a newline or indentation, outside every
 module, class and function docstring.  tools/paired_ab.py runs a bench deck
 on two checkouts job by job: the same checkout on both sides writes the
-same bytes, and a difference in stdout or exit code fails the run.
+same bytes, and a difference in stdout or exit code fails the run.  Its
+per-subcommand pass times add up to the whole pass on each side.
 """
 
 from __future__ import annotations
@@ -85,6 +86,33 @@ def test_paired_unknown_command_exits_2(name):
     assert done.returncode == 2
     assert f"no tables job runs {name}" in done.stderr
     assert done.stdout == ""
+
+
+def test_paired_splits_the_pass_by_command():
+    done = subprocess.run(
+        [sys.executable, str(PAIRED), str(ROOT), str(ROOT),
+         "--workload", "tables", "--passes", "2", "--limit", "30"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    names = dict.fromkeys(argv[0] for argv in
+                          load_tool(PAIRED).bench_deck("tables", 1)[:30])
+    start = lines.index(f"{'command':10s} {'parent ms':>10s} "
+                        f"{'change ms':>10s} {'ratio':>10s}")
+    rows = [line.split() for line in lines[start + 1:start + 1 + len(names)]]
+    assert [row[0] for row in rows] == [*names] and len(names) > 1
+    sides = lines[start + len(names) + 2:start + len(names) + 4]
+    for side, line in enumerate(sides, 1):  # the parts add up to the pass
+        assert line.split()[0] == ("parent", "change")[side - 1]
+        assert sum(float(row[side]) for row in rows) == pytest.approx(
+            float(line.split()[1]), rel=1e-3, abs=1e-3)
+    assert lines[-1].startswith("ratio")
+
+
+def test_by_command_sums_each_pass():
+    argvs = [("a", "1"), ("b", "1"), ("a", "2")]
+    times = [1e6, 2e6, 3e6, 5e6, 4e6, 7e6]  # two passes of three jobs
+    assert load_tool(PAIRED).by_command(times, argvs) == {"a": 8.0, "b": 3.0}
 
 
 def test_paired_reports_a_difference():

@@ -13,8 +13,9 @@ the jobs of those subcommands, so a gain can be split between them; a name
 with no job in the deck is a usage error (exit 2).  ``--limit J`` then keeps
 the first J jobs.  A job whose exit code or stdout
 differs between the sides is reported, and the exit status is then 1.
-Otherwise each side's pass time, median and 90th-percentile job time are
-printed with their change/parent ratios.
+Otherwise each subcommand's pass time on each side is printed with its
+change/parent ratio, then each side's pass time, median and 90th-percentile
+job time with theirs, all from the same run.
 
 A job and its pair run microseconds apart, so drifts in machine speed that
 make separate runs differ by tens of percent cancel out.  Use it to size and
@@ -102,6 +103,16 @@ def summary(times, argvs_per_pass: int):
             statistics.quantiles(times, n=10)[8] / 1e6)
 
 
+def by_command(times, argvs):
+    """{subcommand: pass time (ms)} of one side's job times, in the order
+    of each subcommand's first job."""
+    passes = len(times) // len(argvs)
+    sums = dict.fromkeys((argv[0] for argv in argvs), 0)
+    for elapsed, argv in zip(times, argvs * passes):
+        sums[argv[0]] += elapsed
+    return {name: total / 1e6 / passes for name, total in sums.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout timed as the parent")
@@ -133,6 +144,12 @@ def main(argv=None) -> int:
     rows = [summary(side, len(argvs)) for side in times]
     print(f"{args.workload} seed {args.seed}: {len(argvs)} jobs x "
           f"{args.passes} pass(es), identical exit codes and stdout")
+    parent, change = (by_command(side, argvs) for side in times)
+    print(f"{'command':10s} {'parent ms':>10s} {'change ms':>10s} "
+          f"{'ratio':>10s}")
+    for name, old in parent.items():
+        print(f"{name:10s} {old:10.4f} {change[name]:10.4f} "
+              f"{change[name] / old:10.4f}")
     print(f"{'':8s} {'pass ms':>10s} {'p50 ms':>10s} {'p90 ms':>10s}")
     for side, row in zip(SIDES, rows):
         print(f"{side:8s} " + " ".join(f"{value:10.4f}" for value in row))
