@@ -11,13 +11,14 @@ refuses a height other than 2 before it.  Each input is checked once: the
 stage of ``-k`` by the handler's first library call, a fan document by the
 ``GeneralFan`` constructor.  The verdicts of ``check`` and ``classify`` are
 decided in the ``classify`` module, by ``_verdicts`` and ``classify``; their
-handlers only load the fan and write the document.
+handlers only load the fan and write the document (a fixed frame on success).
 
-Each handler imports the layers it uses when it runs, so a process loads
-only the modules of its one command; this module loads just ``errors`` and
-``serialize``.  The handler reads each name from its defining module at
-every call, so a name replaced there (by a tracer or a test) is the one
-called.  A command's arguments in one closed grammar (one input, the
+This module loads just ``errors`` and ``serialize``; a handler gets each
+other layer it uses from ``serialize._layer``, which imports it on its
+first use in the process, so a process loads only the modules of its one
+command.  The handler reads each function from its module at every call,
+so a function replaced there (by a tracer or a test) is the one called.
+A command's arguments in one closed grammar (one input, the
 command's exact option strings, each value not starting with '-') are read
 without argparse, into the namespace its subparser would give.  Any other
 arguments, help and unknown names among them, go to the one argparse
@@ -26,8 +27,9 @@ parser, with all eight commands as subparsers, built for that call.
 Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
 ``numbers --sets`` and ``cohomology`` are streams that are computed and
-encoded while they are written; the last three first check that their
-table's longest integer can be written.  Lists it builds itself, such as
+encoded while they are written; the last three first take from their
+table's longest integer a writer (``serialize.int_writer``), which refuses
+it if it cannot be written.  Lists it builds itself, such as
 matrices, it writes with ``serialize.int_list`` or ``int_rows``, with no
 type sweep.  ``-o`` writes a temporary file beside the target and renames
 it onto the target at the end.
@@ -43,7 +45,8 @@ from operator import ne
 from types import SimpleNamespace
 
 from .errors import ValidationError
-from .serialize import encode_chunks, sequence_from_doc
+from . import serialize
+from .serialize import _layer, encode_chunks
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -86,20 +89,17 @@ def _load_fan(source: str):
     """A GeneralFan from a fan document, a full-height BottFan from a
     sequence one; the BottFan builds its Bott matrix only when a ray is
     read."""
-    from .fans import build_fan
-    from .serialize import fan_from_doc
-
     doc = _load_document(source)
     if isinstance(doc, dict) and "rays" in doc:
-        return fan_from_doc(doc)
-    c = sequence_from_doc(doc)
-    return build_fan(c, c.n)
+        return serialize.fan_from_doc(doc)
+    c = serialize.sequence_from_doc(doc)
+    return _layer("fans").build_fan(c, c.n)
 
 
 def _sequence_and_stage(args):
     """The sequence and the requested stage, unchecked: the handler's first
     library call checks it."""
-    c = sequence_from_doc(_load_document(args.input))
+    c = serialize.sequence_from_doc(_load_document(args.input))
     return c, c.n if args.stage is None else args.stage
 
 
@@ -109,21 +109,20 @@ def _cmd_numbers(args):
     from it: entry (r, s) is b of the run r+1..s+1, at the mask of bits
     r..s.  Plain ``numbers`` builds no table, its n being unbounded, and
     runs the row kernel through `bott_matrix`."""
-    from .sequences import _bott_table, _chain_table, bott_matrix, c_matrix
-    from .serialize import _int_text, int_rows, number_texts
-
-    c = sequence_from_doc(_load_document(args.input))
+    sequences = _layer("sequences")
+    c = serialize.sequence_from_doc(_load_document(args.input))
     full = tuple(range(1, c.n + 1))
     if args.sets or args.oracle:
-        table = _bott_table(c, c.n)
+        table = sequences._bott_table(c, c.n)
         bott = [[0] * r + [table[(2 << s) - (1 << r)] for s in range(r, c.n)]
                 for r in range(c.n)]
     else:
-        bott = bott_matrix(c, full)
-    doc = {"n": c.n, "c_matrix": int_rows(c_matrix(c, full)),
-           "bott_matrix": int_rows(bott)}
+        bott = sequences.bott_matrix(c, full)
+    doc = {"n": c.n,
+           "c_matrix": serialize.int_rows(sequences.c_matrix(c, full)),
+           "bott_matrix": serialize.int_rows(bott)}
     if args.oracle:  # compared here, before "numbers" is written
-        chains = _chain_table(c, c.n)  # 0 on the singletons
+        chains = sequences._chain_table(c, c.n)  # 0 on the singletons
         wrong = [tuple(i for i in full if mask >> (i - 1) & 1)
                  for mask in compress(count(), map(ne, table, chains))
                  if mask & (mask - 1)]
@@ -132,77 +131,65 @@ def _cmd_numbers(args):
             raise RuntimeError(f"oracle mismatch on index set {ids}")
         doc["oracle"] = {"checked": len(table) - 1 - c.n, "match": True}
     if args.sets:  # the longest Bott number is refused before any is written
-        _int_text(max(table, key=abs))
-        doc["numbers"] = number_texts(table)
+        doc["numbers"] = serialize.number_texts(
+            table, serialize.int_writer(max(table, key=abs)))
     return encode_chunks(doc), 0
 
 
 def _cmd_fan(args):
-    from .fans import build_fan
-    from .sequences import _check_table_stage
-    from .serialize import cone_texts, int_rows
-
     c, k = _sequence_and_stage(args)
-    _check_table_stage(c, k, "the tower fan", "cones")
-    return encode_chunks({"dim": k, "rays": int_rows(build_fan(c, k).rays()),
-                          "cones": cone_texts(k)}), 0
+    _layer("sequences")._check_table_stage(c, k, "the tower fan", "cones")
+    rays = _layer("fans").build_fan(c, k).rays()
+    return encode_chunks({"dim": k, "rays": serialize.int_rows(rays),
+                          "cones": serialize.cone_texts(k)}), 0
 
 
 def _cmd_check(args):
-    from .classify import _verdicts
-
-    return encode_chunks(_verdicts(_load_fan(args.input))), 0
+    return (serialize.check_text(
+        _layer("classify")._verdicts(_load_fan(args.input))),), 0
 
 
 def _cmd_charts(args):
-    from .charts import _prefix_rows
-    from .sequences import _bott_table
-    from .serialize import _int_text, chart_texts
-
     c, k = _sequence_and_stage(args)
-    table = _bott_table(c, k)  # refused here above the cap
-    _int_text(max(table, key=abs))  # every |I| >= 2 entry is in some chart
-    return encode_chunks({"k": k,
-                          "charts": chart_texts(_prefix_rows(table, k))}), 0
+    table = _layer("sequences")._bott_table(c, k)  # refused here above the cap
+    text = serialize.int_writer(max(table, key=abs))  # each |I| >= 2 is used
+    return encode_chunks({"k": k, "charts": serialize.chart_texts(
+        _layer("charts")._prefix_rows(table, k), text)}), 0
 
 
 def _cmd_bundle(args):
-    from .bundles import (canonical_lambda, lambda_bundle, lambda_perp,
-                          quotient_presentation, xi_bundle)
-    from .serialize import int_list, int_rows
-
+    bundles = _layer("bundles")
+    int_list, int_rows = serialize.int_list, serialize.int_rows
     c, k = _sequence_and_stage(args)
-    q = quotient_presentation(c, k)
-    lambdas = [lambda_bundle(j, k).exps for j in range(1, k + 1)]
+    q = bundles.quotient_presentation(c, k)
+    lambdas = [bundles.lambda_bundle(j, k).exps for j in range(1, k + 1)]
     doc = {
         "k": k,
         "quotient": {"kernel_generators": int_rows(q.kernel_generators, 2),
                      "action_weights": int_rows(q.action_weights, 2)},
-        "canonical_lambda": int_list(canonical_lambda(k).exps),
+        "canonical_lambda": int_list(bundles.canonical_lambda(k).exps),
         "lambda": int_rows(lambdas),
-        "lambda_perp": int_list(lambda_perp(c, k).exps),
+        "lambda_perp": int_list(bundles.lambda_perp(c, k).exps),
         "tangent": int_rows(q.action_weights),
     }
     if k < c.n:
-        doc["xi"] = int_list(xi_bundle(c, k).exps)
+        doc["xi"] = int_list(bundles.xi_bundle(c, k).exps)
     return encode_chunks(doc), 0
 
 
 def _cmd_cohomology(args):
-    from .cohomology import _chern_presentation, _ranks, _total_chern_table
-    from .serialize import _int_text, int_list, int_rows, term_texts
-
+    cohomology = _layer("cohomology")
     c, k = _sequence_and_stage(args)
-    p = _chern_presentation(c, k)  # k's one check: above the cap, no column
-    table = _total_chern_table(p)
-    _int_text(max(table, key=abs))  # every nonzero term is written
-    ranks = _ranks(k)
+    p = cohomology._chern_presentation(c, k)  # k's one check
+    table = cohomology._total_chern_table(p)
+    text = serialize.int_writer(max(table, key=abs))  # each term is written
+    ranks = cohomology._ranks(k)
     euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
     doc = {"k": k,
-           "relations": int_rows(p.relations),
-           "betti": int_list(ranks),
+           "relations": serialize.int_rows(p.relations),
+           "betti": serialize.int_list(ranks),
            "euler_characteristic": euler,
-           "total_chern": term_texts(table)}
+           "total_chern": serialize.term_texts(table, text)}
     if args.oracle:  # k + 1 ranks, the total rank and the Euler number
         for size in range(k + 1):
             if ranks[size] != sum(1 for _ in combinations(range(k), size)):
@@ -217,18 +204,15 @@ def _cmd_cohomology(args):
 
 
 def _cmd_classify(args):
-    from .classify import classify
-    from .serialize import classification_to_doc
-
-    result = classify(_load_fan(args.input))
-    return (encode_chunks(classification_to_doc(result)),
-            0 if result.ok else EXIT_REJECTION)
+    result = _layer("classify").classify(_load_fan(args.input))
+    if result.ok:
+        return (serialize.accepted_text(result),), 0
+    doc = serialize.classification_to_doc(result)
+    return encode_chunks(doc), EXIT_REJECTION
 
 
 def _cmd_render(args):
-    from .render import render_svg
-
-    return (render_svg(_load_fan(args.input)),), 0
+    return (_layer("render").render_svg(_load_fan(args.input)),), 0
 
 
 # name: (handler, help, takes -k/--stage, {store_true flag: its help})

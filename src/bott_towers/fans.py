@@ -17,13 +17,14 @@ full-dimensional simplicial maximal cones given as ray index sets.  The checks
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat, starmap
 from math import gcd
 
 from . import linalg
 from .errors import RejectionError, ValidationError
 from .sequences import (IntegralSequence, bott_matrix, _check_code,
-                        _check_int, _check_range, _check_sequence)
+                        _check_int, _check_range, _check_sequence,
+                        _plain_rows)
 
 
 def binary_codes(k: int):
@@ -101,47 +102,62 @@ def build_fan(c: IntegralSequence, k: int) -> BottFan:
     return BottFan(c, k)
 
 
+def _name_ray_fault(rays, dim: int) -> None:
+    """Raise the fault of the first ray that has one, checks in ray order."""
+    for vec in rays:
+        for x in vec:
+            _check_int(x, "ray coordinate")
+        if len(vec) != dim:
+            raise ValidationError(
+                f"ray {vec} has length {len(vec)}, expected {dim}")
+        g = gcd(*vec)
+        if g == 0:
+            raise ValidationError("zero vector is not a valid ray")
+        if g != 1:
+            raise ValidationError(f"ray {vec} is not primitive (gcd {g})")
+
+
+def _name_cone_fault(cones, dim: int, rays: int) -> None:
+    """Raise the fault of the first cone that has one, checks in cone order."""
+    for cone in cones:
+        idx = tuple(sorted(_check_int(x, "ray index") for x in cone))
+        if len(idx) != dim:
+            raise ValidationError(
+                f"maximal cone {idx} has {len(idx)} rays, expected {dim}")
+        if len(set(idx)) != dim:
+            raise ValidationError(f"maximal cone {idx} repeats a ray")
+        if idx[0] < 0 or idx[-1] >= rays:
+            raise ValidationError(f"maximal cone {idx} indexes a missing ray")
+
+
 class GeneralFan:
     """A simplicial fan: primitive rays and full-dimensional maximal cones.
-    ``_masks[i]`` is cones[i] as a bitmask of its rays, built here once.  Each
-    ray and the cone list get a type sweep; ``_check_int`` names its faults."""
+    ``_masks[i]`` is cones[i] as a bitmask of its rays, built here once.
+    C-level sweeps of whole lists pass a well-formed fan; loops name faults."""
 
     __slots__ = ("dim", "rays", "cones", "_masks", "_dets")
 
     def __init__(self, dim: int, rays, cones):
         _check_range(dim, "dim")
-        ray_list = []
-        for ray in rays:
-            vec = tuple(ray)
-            if not {*map(type, vec)} <= {int}:
-                vec = tuple(_check_int(x, "ray coordinate") for x in vec)
-            if len(vec) != dim:
-                raise ValidationError(
-                    f"ray {vec} has length {len(vec)}, expected {dim}")
-            g = gcd(*vec)
-            if g == 0:
-                raise ValidationError("zero vector is not a valid ray")
-            if g != 1:
-                raise ValidationError(f"ray {vec} is not primitive (gcd {g})")
-            ray_list.append(vec)
+        ray_list = [*map(tuple, rays)]
+        if not (_plain_rows(ray_list, dim)
+                and {*starmap(gcd, ray_list)} == {1}):
+            _name_ray_fault(ray_list, dim)
         if not ray_list:
             raise ValidationError("fan needs at least one ray")
         if len(set(ray_list)) != len(ray_list):
             raise ValidationError("duplicate rays")
-        cone_list = [tuple(cone) for cone in cones]
-        typed = {*map(type, chain.from_iterable(cone_list))} <= {int}
-        for i, cone in enumerate(cone_list):
-            idx = cone_list[i] = tuple(sorted(cone if typed else (
-                _check_int(x, "ray index") for x in cone)))
-            if len(idx) != dim:
-                raise ValidationError(
-                    f"maximal cone {idx} has {len(idx)} rays, expected {dim}")
-            if len(set(idx)) != dim:
-                raise ValidationError(f"maximal cone {idx} repeats a ray")
-            if idx[0] < 0 or idx[-1] >= len(ray_list):
-                raise ValidationError(f"maximal cone {idx} indexes a missing ray")
-        self.cones = tuple(sorted(cone_list))
-        self._masks = tuple(sum(1 << r for r in cone) for cone in self.cones)
+        cone_list, top = [*map(tuple, cones)], len(ray_list)
+        if not _plain_rows(cone_list, dim):
+            _name_cone_fault(cone_list, dim, top)
+        used = {*chain.from_iterable(cone_list)}  # ints, of any subclass
+        if not 0 <= min(used, default=0) <= max(used, default=0) < top:
+            _name_cone_fault(cone_list, dim, top)
+        self.cones = tuple(sorted(map(tuple, map(sorted, cone_list))))
+        bits = {r: 1 << r for r in used}.__getitem__  # the used bits alone
+        self._masks = tuple(map(sum, map(map, repeat(bits), self.cones)))
+        if {*map(int.bit_count, self._masks)} - {dim}:  # a repeated ray
+            _name_cone_fault(cone_list, dim, top)
         if len(set(self._masks)) != len(self._masks):
             raise ValidationError("duplicate maximal cones")
         self.dim = dim

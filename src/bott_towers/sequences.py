@@ -77,6 +77,13 @@ def _check_range(x, what: str, lo: int = 1, hi: int | None = None) -> int:
     return x
 
 
+def _plain_rows(rows, width: int) -> bool:
+    """Whether every row has `width` items, each a plain int (no bool): the
+    one fast check of the twists, the rays and the cones of a document."""
+    return ({*map(len, rows)} <= {width}
+            and {*map(type, chain.from_iterable(rows))} <= {int})
+
+
 def _in_range(n: int, lows, highs) -> bool:
     """Whether n >= 1 and 1 <= i < j <= n for the int pairs (i, j) of
     `lows` and `highs`: three C-level sweeps."""
@@ -107,8 +114,7 @@ class IntegralSequence:
         self.n = _check_range(n, "n")
         entries = dict(entries) if entries else {}
         keys = entries.keys()
-        if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
-                and {*map(type, chain.from_iterable(keys))} <= {int}
+        if ({*map(type, keys)} <= {tuple} and _plain_rows(keys, 2)
                 and {*map(type, entries.values())} <= {int}
                 and _in_range(n, *(zip(*keys) if keys else ((), ())))):
             self._entries = {key: val for key, val in entries.items() if val}

@@ -18,7 +18,8 @@ frames, so documents of ever new keys cannot grow it.
 Each list shape has one writer, :func:`int_list` or :func:`int_rows`.  The
 encoder calls it after a type sweep; a caller that built the list itself
 calls it directly, at the list's nesting depth, and puts the :class:`Written`
-text it returns in the document, which the encoder copies verbatim.
+text it returns in the document, which the encoder copies verbatim, as it
+does the fixed frames of :func:`check_text` and :func:`accepted_text`.
 
 Documents are written in chunks (:func:`encode_chunks`).  A value of the
 top-level object may be an iterator instead of a list: the stream slot.  It
@@ -28,26 +29,33 @@ one string.  The item encoders below (:func:`cone_texts`,
 :func:`chart_texts`, :func:`number_texts`, :func:`term_texts`) write those
 texts: the charts in one pass per prefix node, each chart's text grown from
 its parent's items, and the last two one index-set size at a time through
-C-level maps.  This module is the only one that knows indents, separators
-and quoting.
+C-level maps, with the int writer :func:`int_writer` picks from the largest
+magnitude.  This module is the only one that knows indents, separators and
+quoting; it and `cli` get other modules from :func:`_layer`.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import (chain, combinations, compress, islice, product,
                        repeat)
 from json.encoder import encode_basestring_ascii
 from operator import neg
 
 from .errors import ValidationError
-from .sequences import IntegralSequence, _in_range
+from .sequences import IntegralSequence, _in_range, _plain_rows
 
 PRECISION_LIMIT = 2 ** 53
 _BATCH = 64  # streamed items joined into one chunk
 _KEPT = 128  # frames kept by each frame cache, the least recent dropped
+
+
+@cache
+def _layer(name: str):
+    """The package's module `name`, imported once per process."""
+    return __import__(name, globals(), None, ("__name__",), 1)
 
 
 class _IntTexts(dict):
@@ -113,6 +121,12 @@ def int_rows(rows, depth: int = 1) -> Written:
                            if row else "[]" for row in rows], depth))
 
 
+def _object_text(keys: tuple, texts, depth: int = 0) -> str:
+    """The object of these sorted keys and value texts, `depth` deep."""
+    frame = _object_frame(keys, depth)
+    return "".join(map(str.__add__, frame, texts)) + frame[-1]
+
+
 def _encode(doc, depth: int) -> str:
     """The canonical text of one value nested `depth` levels deep."""
     if type(doc) is Written:
@@ -129,9 +143,8 @@ def _encode(doc, depth: int) -> str:
         if not doc:
             return "{}"
         keys = tuple(sorted(doc))
-        frame = _object_frame(keys, depth)
-        return "".join([head + _encode(doc[key], depth + 1)
-                        for head, key in zip(frame, keys)]) + frame[-1]
+        return _object_text(keys, [_encode(doc[key], depth + 1)
+                                   for key in keys], depth)
     if type(doc) is bool:  # before int: True == 1
         return "true" if doc else "false"
     if isinstance(doc, int):
@@ -188,6 +201,31 @@ def encode_canonical(doc) -> str:
     return "".join(encode_chunks(doc))
 
 
+def check_text(verdicts: dict) -> str:
+    """The text of a ``check`` document from `classify._verdicts`."""
+    keys = ("complete", "crosspolytope", "fano", "smooth")
+    return _object_text(keys, [("false", "true")[verdicts[key]]
+                               for key in keys]) + "\n"
+
+
+def accepted_text(result) -> str:
+    """The text of `classification_to_doc` of an accepted result."""
+    c = result.sequence
+    sequence = _object_text(("entries", "n"),
+                            (int_rows(c.entries(), 2), _int_text(c.n)), 1)
+    return _object_text(("matrix", "order", "ray_map", "sequence"), (
+        int_rows(result.matrix), int_list(result.order),
+        int_list(result.ray_map), sequence)) + "\n"
+
+
+def int_writer(largest: int):
+    """The int writer of a table whose largest magnitude is |largest|, which
+    it refuses if too long: C `int.__repr__` if none is stored or quoted."""
+    _int_text(largest)
+    return (int.__repr__ if 1024 < abs(largest) < PRECISION_LIMIT
+            else _int_text)
+
+
 def cone_texts(k: int):
     """Item texts of the cones of a stage-k tower fan, codes in binary order.
 
@@ -201,7 +239,7 @@ def cone_texts(k: int):
     return map(sep.join, product(*choices))
 
 
-def chart_texts(nodes):
+def chart_texts(nodes, text=_int_text):
     """Item texts of the `charts` list from `charts._prefix_rows` events.
 
     Each event (j, row) is one prefix node; its row is written twice, as
@@ -218,8 +256,8 @@ def chart_texts(nodes):
     stack = [((), ())]
     for j, row in nodes:
         code, texts = stack.pop()
-        plus = r_open + r_sep.join(map(_int_text, row)) + r_close
-        minus = r_open + r_sep.join(map(_int_text, map(neg, row))) + r_close
+        plus = r_open + r_sep.join(map(text, row)) + r_close
+        minus = r_open + r_sep.join(map(text, map(neg, row))) + r_close
         if j < len(row):
             stack += (((*code, "1"), (*texts, minus)),
                       ((*code, "0"), (*texts, plus)))
@@ -230,7 +268,7 @@ def chart_texts(nodes):
             yield "".join((code, "1", close, texts, minus, close, tail))
 
 
-def number_texts(table):
+def number_texts(table, text=_int_text):
     """Item texts of the `numbers` list from `sequences._bott_table`: the
     nonempty index sets by size, then lex.  Each size is written by C-level
     maps over side-by-side combinations of the labels and the mask bits."""
@@ -244,13 +282,13 @@ def number_texts(table):
     def sized(size):
         ids = map(comma.join, combinations(labels, size))
         masks = map(sum, combinations(bits, size))
-        values = map(_int_text, map(table.__getitem__, masks))
+        values = map(text, map(table.__getitem__, masks))
         return map("".join, zip(head, ids, middle, values, tail))
 
     return chain.from_iterable(map(sized, range(1, n + 1)))
 
 
-def term_texts(table):
+def term_texts(table, text=_int_text):
     """Item texts of the `total_chern` list from a table of 2^k coefficients
     indexed by mask (bit j-1 is x_j): the index sets by size, then lex, the
     empty one giving the degree-0 term, with zeros skipped.  Each size is
@@ -265,10 +303,10 @@ def term_texts(table):
     def sized(size):
         coeffs = [*map(table.__getitem__, map(sum, combinations(bits, size)))]
         ids = map(comma.join, compress(combinations(labels, size), coeffs))
-        values = map(_int_text, compress(coeffs, coeffs))
+        values = map(text, compress(coeffs, coeffs))
         return map("".join, zip(head, ids, middle, values, tail))
 
-    empty = ([opener + "[]" + sep + _int_text(table[0]) + close]
+    empty = ([opener + "[]" + sep + text(table[0]) + close]
              if table[0] else [])
     return chain(empty, chain.from_iterable(map(sized, range(1, k + 1))))
 
@@ -329,8 +367,7 @@ def sequence_from_doc(doc) -> IntegralSequence:
     _require_keys(doc, {"n", "entries"}, {"n"}, "sequence document")
     n = parse_int(doc["n"], "sequence height n")
     triples = _require_list(doc.get("entries", []), "sequence entries")
-    if ({*map(type, triples)} <= {list} and {*map(len, triples)} <= {3}
-            and {*map(type, chain.from_iterable(triples))} <= {int}):
+    if {*map(type, triples)} <= {list} and _plain_rows(triples, 3):
         lows, highs, values = zip(*triples) if triples else ((), (), ())
         entries = dict(zip(zip(lows, highs), values))
         if len(entries) == len(triples) and _in_range(n, lows, highs):
@@ -351,9 +388,7 @@ def sequence_from_doc(doc) -> IntegralSequence:
 
 def fan_to_doc(fan) -> dict:
     """{"dim": d, "rays": [[...]], "cones": [[0-based indices]]}."""
-    from .fans import _as_general
-
-    gf = _as_general(fan)
+    gf = _layer("fans")._as_general(fan)
     return {"dim": gf.dim,
             "rays": [list(ray) for ray in gf.rays],
             "cones": [list(cone) for cone in gf.cones]}
@@ -372,8 +407,6 @@ def fan_from_doc(doc):
     is.  After any other, or for any other shape, parse_int runs per
     element, to read quoted ints or name the first fault, before the
     constructor runs again."""
-    from .fans import GeneralFan
-
     _require_keys(doc, {"dim", "rays", "cones"}, {"dim", "rays", "cones"},
                   "fan document")
     dim = parse_int(doc["dim"], "fan dimension")
@@ -381,13 +414,13 @@ def fan_from_doc(doc):
     if (isinstance(rays, list) and isinstance(cones, list)
             and {*map(type, chain(rays, cones))} <= {list}):
         try:
-            return GeneralFan(dim, rays, cones)
+            return _layer("fans").GeneralFan(dim, rays, cones)
         except ValidationError:  # plain ints would meet the same fault
             if {*map(type, chain.from_iterable(chain(rays, cones)))} <= {int}:
                 raise
     rays = _int_lists(rays, "fan rays", "ray", "ray coordinate")
     cones = _int_lists(cones, "fan cones", "cone", "cone ray index")
-    return GeneralFan(dim, rays, cones)
+    return _layer("fans").GeneralFan(dim, rays, cones)
 
 
 def classification_to_doc(result) -> dict:

@@ -58,6 +58,13 @@ Core claims:
    expanded fan, finish at height 30 as fast as at height 1, and render
    refuses a dimension other than 2 before any cone, and a sequence height
    other than 2 before its Bott matrix.
+9. check and an accepted classify write their documents from fixed frames:
+   on every `recognize` document at both bench seeds, the seeded rejects
+   and towers with twists of magnitude 2^53 and more, the bytes equal the
+   general encoder's on `_verdicts` and `classification_to_doc`.  Layers
+   are resolved once per process, and each function is still read from
+   its module at every call: after one job of every command, a function
+   replaced in its module is the one the next job calls.
 """
 
 from __future__ import annotations
@@ -1023,8 +1030,8 @@ class TestTablesAgainstReference:
 
         texts = serialize.chart_texts
 
-        def broken(rows):
-            yield next(texts(rows))
+        def broken(*args):
+            yield next(texts(*args))
             raise RuntimeError("producer failed")
 
         monkeypatch.setattr(serialize, "chart_texts", broken)
@@ -1537,3 +1544,81 @@ class TestDeterminism:
         written = run_cli("numbers", HIRZEBRUCH_SEQ, "-o", str(out))
         assert written.returncode == 0
         assert out.read_text() == piped.stdout
+
+
+# ===================================================================
+# 9. Fixed frames and layers resolved once
+# ===================================================================
+
+def recognition_documents():
+    """Every distinct document of the `recognize` decks at both bench seeds,
+    the seeded rejects, and towers with twists of magnitude 2^53 and more,
+    as JSON texts."""
+    from bott_towers import IntegralSequence, build_fan, fan_to_doc
+    from bott_towers.serialize import encode_canonical
+    from helpers import scrambled_tower
+
+    rng = random.Random(5301)
+    fans = reject_fans(random.Random(6013))
+    fans += [scrambled_tower(rng, k, -4 * 2 ** 53, 4 * 2 ** 53)
+             for k in range(2, 6)]
+    fans.append(build_fan(IntegralSequence(3, {(1, 2): 2 ** 53, (1, 3): 1,
+                                               (2, 3): -2 ** 70}), 3))
+    return ([argv[1] for argv in deck_argvs("recognize")]
+            + [encode_canonical(fan_to_doc(fan)) for fan in fans])
+
+
+class TestFixedFrames:
+    def test_check_and_classify_bytes_match_the_encoder(self, capsys):
+        from bott_towers import classification_to_doc, classify, cli
+        from bott_towers.classify import _verdicts
+        from bott_towers.serialize import encode_canonical
+
+        documents = recognition_documents()
+        assert len(documents) > 2000
+        accepted, quoted = 0, 0
+        for text in documents:
+            fan = cli._load_fan(text)
+            assert cli.main(["check", text]) == 0
+            assert capsys.readouterr().out == encode_canonical(
+                _verdicts(fan))
+            result = classify(fan)
+            assert cli.main(["classify", text]) == (0 if result.ok else 4)
+            out = capsys.readouterr().out
+            assert out == encode_canonical(classification_to_doc(result))
+            accepted += result.ok
+            quoted += result.ok and '"9007199254740992"' in out
+        assert accepted > 1500 and quoted  # 2^53 is written quoted
+
+    @pytest.mark.parametrize("module, name, argv", [
+        ("classify", "classify", ["classify", HIRZEBRUCH_FAN]),
+        ("classify", "_verdicts", ["check", HIRZEBRUCH_FAN]),
+        ("serialize", "fan_from_doc", ["check", HIRZEBRUCH_FAN]),
+        ("serialize", "fan_from_doc", ["classify", HIRZEBRUCH_FAN]),
+        ("cohomology", "_total_chern_table", ["cohomology", THREE_SEQ]),
+        ("sequences", "_bott_table", ["charts", THREE_SEQ]),
+        ("sequences", "_bott_table", ["numbers", THREE_SEQ, "--sets"]),
+    ])
+    def test_a_replaced_function_is_the_one_called(self, module, name, argv,
+                                                   monkeypatch, capsys):
+        import importlib
+
+        from bott_towers import cli
+
+        for command in ("numbers", "fan", "charts", "bundle", "cohomology",
+                        "check", "classify", "render"):
+            cli.main([command, HIRZEBRUCH_SEQ])
+        capsys.readouterr()
+        owner = importlib.import_module(f"bott_towers.{module}")
+        calls = []
+
+        def replaced(*args):
+            calls.append(args)
+            raise LookupError("the replaced function ran")
+
+        monkeypatch.setattr(owner, name, replaced)
+        with pytest.raises(LookupError, match="the replaced function ran"):
+            cli.main(list(argv))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert cli.main(list(argv)) == 0

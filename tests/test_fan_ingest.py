@@ -1,17 +1,19 @@
 """Fan-document ingest in one validating pass.
 
 `fan_from_doc` checks only that the rays, the cones and their rows are
-lists, and hands them to `GeneralFan.__init__`, whose sweeps (one per ray
-and one over all cones) are the only ones of their elements.  A refusal of
-a document whose elements are all plain ints stands, with no second pass.
-Only after a `ValidationError` on any other document, or for rays or cones
-of another shape (a tuple among them), does the per-element `parse_int`
-loop run, to read quoted ints or name the first fault in the former order;
-the constructor's `_check_int` loop likewise runs only when its sweep finds
-something other than a plain int.  The former ingest, which ran both loops
-on every element, is kept as `helpers.reference_fan_ingest`: on
-well-formed, mutated and library input both raise the same exception type
-and message, or build the same fan.
+lists, and hands them to `GeneralFan.__init__`, whose whole-list sweeps
+(of the rays, then of the cones) are the only ones of their elements.  A
+refusal of a document whose elements are all plain ints stands, with no
+second pass.  Only after a `ValidationError` on any other document, or for
+rays or cones of another shape (a tuple among them), does the per-element
+`parse_int` loop run, to read quoted ints or name the first fault in the
+former order; the constructor's `_check_int` loop likewise runs only when
+a sweep fails.  The former ingest, which ran both loops on every element,
+is kept as `helpers.reference_fan_ingest`: on well-formed, mutated and
+library input both raise the same exception type and message, or build
+the same fan.  The mutations include the edges of the sweeps: an index of
+-len(rays), valid from the end of a list, one of 2^64, and a repeated ray
+in a cone of three or more.
 
 The CLI bytes (exit code, stdout and stderr) of the `recognize` bench
 documents, the known rejects and the mutated documents are pinned by one
@@ -106,6 +108,15 @@ PLACED = {
     "out-of-range index": _set_index(lambda doc: len(doc["rays"])),
     "duplicate cone": _copy_row("cones", lambda cone: cone[::-1]),
 }
+# The faults whose mutants the pinned CLI digest below was computed on.
+PINNED_FAULTS = sorted(PLACED)
+PLACED.update({
+    # a valid index from the end of a list of bits
+    "index -len(rays)": _set_index(lambda doc: -len(doc["rays"])),
+    "index 2^64": _set_index(lambda doc: 2 ** 64),
+    "repeat at dim >= 3": _row("cones", lambda cone: (
+        cone[:-1] + cone[-2:-1] if len(cone) >= 3 else cone)),
+})
 MUTATIONS = {
     **PLACED,
     "no rays": _set("rays", []),
@@ -131,14 +142,19 @@ def base_documents():
             for argv in deck_argvs("recognize", (1,))[::8]]
 
 
-def mutated_documents():
+def mutated_documents(placed=None):
     """Each base document under each mutation, then four times under two
-    placed faults at random: which error wins is decided by their order."""
+    placed faults at random: which error wins is decided by their order.
+    `placed`, a list of names of placed faults, keeps only those and the
+    mutations that are not placed faults."""
+    placed = sorted(PLACED) if placed is None else placed
+    alone = [name for name in MUTATIONS
+             if name not in PLACED or name in placed]
     rng = random.Random(6034)
     out = []
     for doc in base_documents():
-        for names in ([[name] for name in MUTATIONS]
-                      + [rng.sample(sorted(PLACED), 2) for _ in range(4)]):
+        for names in ([[name] for name in alone]
+                      + [rng.sample(placed, 2) for _ in range(4)]):
             mutant = copy.deepcopy(doc)
             for name in names:
                 MUTATIONS[name](rng, mutant)
@@ -176,6 +192,20 @@ class TestIngestEquivalence:
         text = "\n".join(outcomes)
         assert [words for words in FAULT_WORDS if words not in text] == []
         assert sum("ValidationError" not in got for got in outcomes) > 100
+
+    @pytest.mark.parametrize("name, words", [
+        ("index -len(rays)", "indexes a missing ray"),
+        ("index 2^64", "indexes a missing ray"),
+        ("repeat at dim >= 3", "repeats a ray")])
+    def test_sweep_boundaries_are_named(self, name, words):
+        rng = random.Random(6035)
+        docs = [doc for doc in base_documents() if doc["dim"] >= 3]
+        assert len(docs) > 50
+        for doc in docs:
+            MUTATIONS[name](rng, doc)
+            got = outcome(fan_from_doc, doc)
+            assert got == outcome(reference_fan_ingest, doc)
+            assert words in got, doc
 
     def test_library_input(self):
         for doc in base_documents():
@@ -306,6 +336,20 @@ class TestOnePass:
                 assert cli.main([command, json.dumps(doc)]) == 3
                 assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
+    def test_masks_build_bits_of_used_rays_alone(self):
+        """A table of 1 << r for every ray would hold 25 MB here."""
+        import tracemalloc
+
+        rays = [[1, t] for t in range(20000)]
+        tracemalloc.start()
+        try:
+            fan = GeneralFan(2, rays, [[0, 19999]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fan._masks == (1 | 1 << 19999,)
+        assert peak < 8 * 2 ** 20
+
     @pytest.mark.parametrize("key", ["rays", "cones"])
     def test_tuples_are_refused(self, key):
         doc = fan_to_doc(scrambled_tower(random.Random(3), 3, -3, 3))
@@ -329,7 +373,7 @@ PINNED_DIGEST = ("94d99c67d7c24ee0d00f13b2aba10588"
 def pinned_argvs():
     fans = [json.dumps(fan_to_doc(fan)) for fan in
             reject_fans(random.Random(6013))]
-    mutants = [json.dumps(doc) for doc in mutated_documents()]
+    mutants = [json.dumps(doc) for doc in mutated_documents(PINNED_FAULTS)]
     return (deck_argvs("recognize")
             + [(command, doc) for doc in fans + mutants
                for command in ("classify", "check")])

@@ -8,10 +8,16 @@ loads only `errors` and `serialize` before a handler runs, and the document
 layers `serialize`, `sequences` and `cohomology` load neither `fans` nor
 `linalg`.
 
-Recognition stays inside `classify`: a function of `cli` imports nothing
-from `fans` but `build_fan`, and nothing from `classify` but `classify` and
-`_verdicts`, so the rule that decides `check`'s and `classify`'s verdicts is
-written in one module.
+Recognition stays inside `classify`: a function of `cli` imports or reads
+nothing from `fans` but `build_fan`, and nothing from `classify` but
+`classify` and `_verdicts`, so the rule that decides `check`'s and
+`classify`'s verdicts is written in one module.
+
+Layers are resolved once per process: no function of `cli` or `serialize`
+makes a relative import, by statement or by `__import__`, but the one layer
+resolver, `serialize._layer`; a handler and `fan_from_doc` read each
+function as an attribute of `serialize`, which `cli` imports when it
+loads, or of the module ``_layer(name)`` returns.
 
 The benchmark's tracer (bench/tracing.py) wraps public functions by name, so
 each name it lists must exist: installing it resolves every layer, and
@@ -116,15 +122,23 @@ CLI_RECOGNITION = {"fans": {"build_fan"}, "classify": {"classify", "_verdicts"}}
 
 
 def recognition_imports(source: str):
-    """(module, name) of each import, at any depth, from a module named in
-    CLI_RECOGNITION that it does not allow; ``from . import fans`` gives the
-    name "*"."""
+    """(module, name) of each import, at any depth, and of each read of
+    ``_layer("<module>").<name>``, from a module named in CLI_RECOGNITION
+    that it does not allow; ``from . import fans``, and a ``_layer("fans")``
+    whose value is used other than for one attribute, give the name "*"."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    read = {id(node.value): node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}  # base node: attribute read
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             names = [alias.name for alias in node.names]
             found += ([(node.module, name) for name in names]
                       if node.module else [(name, "*") for name in names])
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_layer"):
+            module = node.args[0].value if node.args else "*"
+            found.append((module, read.get(id(node), "*")))
     return [(module, name) for module, name in found
             if name not in CLI_RECOGNITION.get(module, {name})]
 
@@ -139,9 +153,73 @@ def test_the_recognition_lint_sees_a_fan_internal():
         ("classify", "_stage_matrix"), ("fans", "_rays"), ("classify", "*")]
 
 
+def test_the_recognition_lint_sees_a_layer_read():
+    source = ("def check(x):\n"
+              "    fans = _layer('fans')\n"
+              "    _layer('fans').build_fan(x)\n"
+              "    _layer('serialize').check_text(\n"
+              "        _layer('classify')._verdicts(x))\n"
+              "    return _layer('classify')._stage_matrix(fans._rays(x))\n")
+    assert sorted(recognition_imports(source)) == [
+        ("classify", "_stage_matrix"), ("fans", "*")]
+
+
 def test_cli_leaves_recognition_to_classify():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert recognition_imports(source) == []
+
+
+def function_imports(source: str):
+    """The qualified name of each function that makes a relative import:
+    an import statement of level 1 or more, or an ``__import__`` call with
+    a level argument other than 0, anywhere in its body."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}{child.name}."
+            if prefix and (
+                    isinstance(child, (ast.Import, ast.ImportFrom))
+                    and getattr(child, "level", 0) >= 1
+                    or isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "__import__"
+                    and not (len(child.args) > 4
+                             and isinstance(child.args[4], ast.Constant)
+                             and child.args[4].value == 0)):
+                found.append(prefix[:-1])
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_function_import_lint_sees_both_forms():
+    source = ("from .errors import ValidationError\n"
+              "import json\n"
+              "def handler(args):\n"
+              "    from .fans import build_fan\n"
+              "    import argparse\n"
+              "    return build_fan\n"
+              "class Layers:\n"
+              "    def get(self, name):\n"
+              "        return __import__(name, globals(), None, ('x',), 1)\n"
+              "    def absolute(self, name):\n"
+              "        return __import__(name, globals(), None, (), 0)\n")
+    assert function_imports(source) == ["handler", "Layers.get"]
+
+
+def test_layers_are_resolved_by_one_function():
+    """cli's handlers and serialize's readers resolve their layers through
+    serialize._layer, which makes the one relative import."""
+    assert function_imports(
+        (PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+    assert function_imports(
+        (PACKAGE / "serialize.py").read_text(encoding="utf-8")) == [
+        "_layer"]
 
 
 @pytest.mark.parametrize("name", ["serialize.py", "sequences.py",

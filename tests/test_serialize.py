@@ -25,6 +25,10 @@ one entry at a time, and constructs its sequence once, by
 with faults of every kind it raises what the former two-sweep ingest
 (`helpers.reference_sequence_ingest`) raised, with the same message.
 
+A table's item streams may be given the writer `int_writer` picks from the
+table's largest magnitude, C `int.__repr__` when no int is stored or
+quoted, and write the same texts as with `_int_text`.
+
 The list and object frames are built once per process, in caches that
 10,000 documents of distinct key sets and deep nesting keep within their
 size limit.
@@ -42,6 +46,7 @@ import pytest
 from bott_towers import (IntegralSequence, ValidationError, cli,
                          encode_canonical)
 from bott_towers import sequences as SEQUENCES
+from bott_towers.charts import _prefix_rows
 from bott_towers import serialize as SERIALIZE
 from bott_towers.cohomology import _chern_presentation, _total_chern_table
 from bott_towers.sequences import _bott_table
@@ -203,6 +208,35 @@ class TestSizedStreams:
         for table in tables:
             assert [*number_texts(table)] == [*reference_number_texts(table)]
             assert [*term_texts(table)] == [*reference_term_texts(table)]
+
+
+class TestIntWriter:
+    """A table's writer, chosen from its largest magnitude, writes the
+    texts of `_int_text`; C `int.__repr__` only between 1024 and 2^53."""
+
+    @pytest.mark.parametrize("largest", [0, 7, 1024, -1024, 1025, -1025,
+                                         LIMIT - 1, -(LIMIT - 1), LIMIT,
+                                         -LIMIT, 2 ** 80])
+    def test_streams_match_the_default_writer(self, largest):
+        rng = random.Random(largest)
+        table = [rng.randint(-abs(largest), abs(largest)) for _ in range(64)]
+        table[rng.randrange(1, 64)] = largest
+        text = SERIALIZE.int_writer(max(table, key=abs))
+        assert (text is int.__repr__) == (1024 < abs(largest) < LIMIT)
+        assert [*number_texts(table, text)] == [*number_texts(table)]
+        assert [*term_texts(table, text)] == [*term_texts(table)]
+
+    @pytest.mark.parametrize("bound", [3, 2 ** 12, 2 ** 40, 2 ** 60])
+    def test_charts_match_the_default_writer(self, bound):
+        c = random_sequence(random.Random(bound), 6, -bound, bound)
+        table = _bott_table(c, 6)
+        text = SERIALIZE.int_writer(max(table, key=abs))
+        assert ([*SERIALIZE.chart_texts(_prefix_rows(table, 6), text)]
+                == [*SERIALIZE.chart_texts(_prefix_rows(table, 6))])
+
+    def test_an_integer_too_long_is_refused(self):
+        with pytest.raises(ValidationError, match="output integer"):
+            SERIALIZE.int_writer(-10 ** 5000)
 
 
 OVER_LIMIT = "9" * 5000  # more digits than int() converts
