@@ -5,9 +5,12 @@ on the tower are recorded by their character exponents: a length-k integer
 tuple giving the twist against each stage of the acting torus.  Each
 coordinate x_r, y_r carries one such character, and those 2k characters are
 the line bundles of the tangent splitting (the Euler sequence of the toric
-variety), built once by `tangent_splitting`.  The torus sits inside the
-coordinate torus through k kernel generators, one per stage: the transpose
-of the 2k characters.
+variety).  `_action_weights` writes them from the twist rows
+(c(1,j), ..., c(j-1,j), 1) that `sequences._twist_rows` fills in one pass
+over the stored twists, so no column is read; `tangent_splitting`, the
+quotient presentation and the ``bundle`` command all take them from there.
+The torus sits inside the coordinate torus through k kernel generators,
+one per stage: the transpose of the 2k characters.
 
 Support-function data attaches one integer h(i, gamma) to every fan
 generator a_{i,gamma}; on the maximal cone of each code w those k numbers
@@ -26,7 +29,8 @@ from __future__ import annotations
 from .charts import _dual_generators
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _bott_rows, _check_code,
-                        _check_int, _check_range, _check_sequence)
+                        _check_int, _check_range, _check_sequence,
+                        _twist_rows)
 
 
 # ===================================================================
@@ -54,8 +58,9 @@ class QuotientPresentation:
     __slots__ = ("sequence", "k", "kernel_generators", "action_weights")
 
     def __init__(self, sequence: IntegralSequence, k: int):
+        _check_sequence(sequence).check_stage(k)
         self.action_weights = tuple(
-            b.exps for b in tangent_splitting(sequence, k))  # checks c and k
+            _action_weights(_twist_rows(sequence, k), k))
         self.kernel_generators = tuple(zip(*self.action_weights))
         self.sequence, self.k = sequence, k
 
@@ -169,12 +174,19 @@ def tangent_splitting(c: IntegralSequence, k: int):
     tangent bundle plus a trivial rank-k bundle.
     """
     _check_sequence(c).check_stage(k)
-    bundles = []
-    for j in range(1, k + 1):
+    return [*map(CharacterBundle._of, _action_weights(_twist_rows(c, k), k))]
+
+
+def _action_weights(rows, k: int) -> list:
+    """The exponents of the tangent splitting, in ray order, from the twist
+    rows (c(1,j), ..., c(j-1,j), 1) of stages j = 1..k
+    (`sequences._twist_rows`), rows past k ignored: e_j, then row j padded
+    with zeros."""
+    weights = []
+    for j, row in zip(range(1, k + 1), rows):
         tail = (0,) * (k - j)
-        bundles.append(CharacterBundle._of((0,) * (j - 1) + (1,) + tail))
-        bundles.append(CharacterBundle._of(c.column(j) + (1,) + tail))
-    return bundles
+        weights += ((0,) * (j - 1) + (1,) + tail, (*row, *tail))
+    return weights
 
 
 # ===================================================================

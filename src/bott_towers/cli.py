@@ -28,11 +28,15 @@ Each handler does every check and oracle comparison before it returns, and
 returns the document's chunks: the long lists of ``fan``, ``charts``,
 ``numbers --sets`` and ``cohomology`` are streams that are computed and
 encoded while they are written; the last three first take from their
-table's longest integer a writer (``serialize.int_writer``), which refuses
-it if it cannot be written.  Lists it builds itself, such as
-matrices, it writes with ``serialize.int_list`` or ``int_rows``, with no
-type sweep.  ``-o`` writes a temporary file beside the target and renames
-it onto the target at the end.
+table a writer (``serialize.int_writer``), which refuses the table's
+longest integer if it cannot be written.  ``bundle`` reads its twist rows,
+xi's among them, in one pass over the stored twists.  ``bundle``,
+``cohomology``, ``check`` and an accepted ``classify`` are written from
+fixed frames (``serialize.bundle_text``, ``cohomology_chunks``,
+``check_text``, ``accepted_text``); other lists a handler builds itself,
+such as matrices, it writes with ``serialize.int_list`` or ``int_rows``,
+with no type sweep.  ``-o`` writes a temporary file beside the target and
+renames it onto the target at the end.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from itertools import combinations, compress, count
-from operator import ne
+from itertools import compress, count
+from operator import add, ne
 from types import SimpleNamespace
 
 from .errors import ValidationError
@@ -132,7 +136,7 @@ def _cmd_numbers(args):
         doc["oracle"] = {"checked": len(table) - 1 - c.n, "match": True}
     if args.sets:  # the longest Bott number is refused before any is written
         doc["numbers"] = serialize.number_texts(
-            table, serialize.int_writer(max(table, key=abs)))
+            table, serialize.int_writer(table))
     return encode_chunks(doc), 0
 
 
@@ -152,29 +156,18 @@ def _cmd_check(args):
 def _cmd_charts(args):
     c, k = _sequence_and_stage(args)
     table = _layer("sequences")._bott_table(c, k)  # refused here above the cap
-    text = serialize.int_writer(max(table, key=abs))  # each |I| >= 2 is used
+    text = serialize.int_writer(table)  # each |I| >= 2 is used
     return encode_chunks({"k": k, "charts": serialize.chart_texts(
         _layer("charts")._prefix_rows(table, k), text)}), 0
 
 
 def _cmd_bundle(args):
-    bundles = _layer("bundles")
-    int_list, int_rows = serialize.int_list, serialize.int_rows
+    """The twist rows of stages 1..k, and k + 1 for xi when the tower has
+    it, from one pass over the twists, written into a fixed frame."""
     c, k = _sequence_and_stage(args)
-    q = bundles.quotient_presentation(c, k)
-    lambdas = [bundles.lambda_bundle(j, k).exps for j in range(1, k + 1)]
-    doc = {
-        "k": k,
-        "quotient": {"kernel_generators": int_rows(q.kernel_generators, 2),
-                     "action_weights": int_rows(q.action_weights, 2)},
-        "canonical_lambda": int_list(bundles.canonical_lambda(k).exps),
-        "lambda": int_rows(lambdas),
-        "lambda_perp": int_list(bundles.lambda_perp(c, k).exps),
-        "tangent": int_rows(q.action_weights),
-    }
-    if k < c.n:
-        doc["xi"] = int_list(bundles.xi_bundle(c, k).exps)
-    return encode_chunks(doc), 0
+    rows = _layer("sequences")._twist_rows(c, min(c.check_stage(k) + 1, c.n))
+    return (serialize.bundle_text(_layer("bundles")._action_weights(rows, k),
+                                  rows[k][:-1] if k < c.n else None),), 0
 
 
 def _cmd_cohomology(args):
@@ -182,25 +175,22 @@ def _cmd_cohomology(args):
     c, k = _sequence_and_stage(args)
     p = cohomology._chern_presentation(c, k)  # k's one check
     table = cohomology._total_chern_table(p)
-    text = serialize.int_writer(max(table, key=abs))  # each term is written
     ranks = cohomology._ranks(k)
-    euler = table[-1]  # the coefficient of the top monomial x_1 ... x_k
-    doc = {"k": k,
-           "relations": serialize.int_rows(p.relations),
-           "betti": serialize.int_list(ranks),
-           "euler_characteristic": euler,
-           "total_chern": serialize.term_texts(table, text)}
     if args.oracle:  # k + 1 ranks, the total rank and the Euler number
+        pascal = [1]  # binomial(k, i) by additions alone
+        for _ in range(k):
+            pascal = [*map(add, [0, *pascal], [*pascal, 0])]
         for size in range(k + 1):
-            if ranks[size] != sum(1 for _ in combinations(range(k), size)):
+            if ranks[size] != pascal[size]:
                 raise RuntimeError(f"oracle mismatch on betti[{size}]")
         if sum(ranks) != 2 ** k:
             raise RuntimeError("oracle mismatch on total rank")
-        # the tower fan has one maximal cone per binary code w in {0,1}^k
-        if euler != 2 ** k:
+        # the tower fan has one maximal cone per binary code w in {0,1}^k;
+        # the top monomial x_1 ... x_k has the last mask
+        if table[-1] != 2 ** k:
             raise RuntimeError("oracle mismatch on Euler characteristic")
-        doc["oracle"] = {"checked": k + 3, "match": True}
-    return encode_chunks(doc), 0
+    return serialize.cohomology_chunks(p.relations, ranks, table,
+                                      k + 3 if args.oracle else None), 0
 
 
 def _cmd_classify(args):

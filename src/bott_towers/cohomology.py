@@ -7,9 +7,11 @@ x_j^2 = -sum_{i<j} c(i,j) x_i x_j only ever rewrites towards smaller indices.
 
 A class is stored as a map from bitmasks to nonzero integer coefficients:
 bit j-1 stands for x_j, so a mask m is a squarefree monomial of cohomological
-degree 2 * popcount(m).  Each ring builds its twist rows once: for every
-stage j, the nonzero pairs (i, c(i,j)) with i < j.  Every product is made
-of one step, multiplication by a linear form sum_i a_i x_i.  For each
+degree 2 * popcount(m).  The presentation's rows (c(1,j), ..., c(j-1,j), 1)
+are filled by one pass over the stored twists (`sequences._twist_rows`),
+with no column read, and each ring builds its twist lists once from them:
+for every stage j, the nonzero pairs (i, c(i,j)) with i < j.  Every product
+is made of one step, multiplication by a linear form sum_i a_i x_i.  For each
 monomial m it keeps one list of pending coefficients and resolves them from
 the largest index down: an x_i not in m just sets bit i-1, and an x_i
 already in m becomes -sum_h c(h,i) x_h times m, which adds to the pending
@@ -35,7 +37,8 @@ from operator import add, sub
 
 from .errors import ValidationError
 from .sequences import (IntegralSequence, _add_halves, _check_int,
-                        _check_range, _check_sequence, _check_table_stage)
+                        _check_range, _check_sequence, _check_table_stage,
+                        _twist_rows)
 
 
 def _accumulate(out: dict, coeffs: dict, scale: int = 1) -> None:
@@ -61,7 +64,7 @@ class RingPresentation:
 
     def __init__(self, c: IntegralSequence, k: int, _checked: bool = False):
         self.k = k if _checked else _check_sequence(c).check_stage(k)
-        self.relations = tuple(c.column(j) + (1,) for j in range(1, k + 1))
+        self.relations = tuple(map(tuple, _twist_rows(c, self.k)))
 
     def __eq__(self, other):
         if not isinstance(other, RingPresentation):
@@ -80,8 +83,8 @@ class CohomologyRing:
 
     `_twists[j]` holds the nonzero pairs (i, c(i,j)), i < j, of stage j
     (`_twists[0]` is empty), read once from the rows of the ring's
-    presentation: `_p` when the caller holds it already, so no column is
-    read again, or else one built here.
+    presentation: `_p` when the caller holds it already, so the stored
+    twists are not read again, or else one built here.
     """
 
     __slots__ = ("sequence", "k", "_twists")
@@ -365,7 +368,7 @@ def character_class(c: IntegralSequence, k: int, exps) -> CohomologyClass:
 
 def _chern_presentation(c: IntegralSequence, k: int) -> RingPresentation:
     """presentation(c, k), once k is checked to be a stage of c under the
-    cap of a 2^k-coefficient table: a refused stage reads no column, and
+    cap of a 2^k-coefficient table: a refused stage reads no twist, and
     that check is the only one of k."""
     _check_table_stage(c, k, "the total Chern class", "coefficients")
     return RingPresentation(c, k, _checked=True)
@@ -377,8 +380,8 @@ def _total_chern_table(p: RingPresentation) -> list:
 
     It reads the rows of `p`, the presentation `_chern_presentation(c, k)`
     returns once the stage cap has passed k, so a refused stage reads no
-    column.  Row j is (c(1,j), ..., c(j-1,j), 1), and its
-    nonzero twists serve the stages above.  The product with m_j resolves
+    twist.  Row j is (c(1,j), ..., c(j-1,j), 1), and its nonzero twists
+    serve the stages above.  The product with m_j resolves
     x_i for i = j-1, ..., 1 as `_times_linear` does, but pending
     coefficients depend only on the bits above i-1, so pend[h-1] holds one
     for x_h per block of 2^i masks that share them: x_i adds a times each
@@ -410,8 +413,8 @@ def _total_chern_table(p: RingPresentation) -> list:
 def total_chern_class(c: IntegralSequence, k: int) -> CohomologyClass:
     """The product over stages of 1 + L_j, L_j = ray class (j,0) + (j,1):
     the nonzero entries of the flat table of the module docstring, in a
-    ring whose twists come from the same presentation rows, so each column
-    is read once."""
+    ring whose twists come from the same presentation rows, so the stored
+    twists are read in one pass."""
     p = _chern_presentation(c, k)
     return CohomologyClass._of(CohomologyRing(c, k, p), {
         mask: value for mask, value in enumerate(_total_chern_table(p))

@@ -24,7 +24,9 @@ set read :func:`_bott_table` instead: 2^n ints indexed by mask, one
 multiply-add per set, refused above stage `_MAX_TABLE_STAGE`.  Entry (r, s)
 of B(1..n) is the table's entry at the mask of bits r..s, so a job that
 holds the table reads its Bott matrix there, with no kernel run.
-:func:`c_matrix` places the stored twists in one pass, reading no column.
+:func:`c_matrix` places the stored twists in one pass, reading no column,
+as :func:`_twist_rows` does for the rows (c(1,j), ..., c(j-1,j), 1) that
+`bundles` and `cohomology` read.
 A sequence is built by its checked constructor, or by
 `IntegralSequence._of` from twists its caller has checked.  The Bott
 number also admits an independent expansion as an alternating sum over
@@ -238,6 +240,18 @@ def c_matrix(c: IntegralSequence, ids):
     for (i, j), value in c._entries.items():
         if i in at and j in at:
             rows[at[i]][at[j]] = value
+    return rows
+
+
+def _twist_rows(c: IntegralSequence, m: int) -> list:
+    """The rows (c(1,j), ..., c(j-1,j), 1) of the stages j = 1..m, m <= n,
+    filled from one pass over the stored twists; no column is read."""
+    rows = [[0] * j for j in range(1, m + 1)]
+    for row in rows:
+        row[-1] = 1
+    for (i, j), value in c._entries.items():
+        if j <= m:
+            rows[j - 1][i - 1] = value
     return rows
 
 

@@ -18,8 +18,12 @@ frames, so documents of ever new keys cannot grow it.
 Each list shape has one writer, :func:`int_list` or :func:`int_rows`.  The
 encoder calls it after a type sweep; a caller that built the list itself
 calls it directly, at the list's nesting depth, and puts the :class:`Written`
-text it returns in the document, which the encoder copies verbatim, as it
-does the fixed frames of :func:`check_text` and :func:`accepted_text`.
+text it returns in the document, which the encoder copies verbatim.  Four
+documents skip the encoder and are written from fixed frames:
+:func:`check_text`, :func:`accepted_text`, :func:`bundle_text` (with and
+without `xi`; each row's int texts are made once and joined at both depths
+the row is written at) and :func:`cohomology_chunks` (with and without
+`oracle`; every key before the `total_chern` stream is one text).
 
 Documents are written in chunks (:func:`encode_chunks`).  A value of the
 top-level object may be an iterator instead of a list: the stream slot.  It
@@ -29,9 +33,9 @@ one string.  The item encoders below (:func:`cone_texts`,
 :func:`chart_texts`, :func:`number_texts`, :func:`term_texts`) write those
 texts: the charts in one pass per prefix node, each chart's text grown from
 its parent's items, and the last two one index-set size at a time through
-C-level maps, with the int writer :func:`int_writer` picks from the largest
-magnitude.  This module is the only one that knows indents, separators and
-quoting; it and `cli` get other modules from :func:`_layer`.
+C-level maps, with the int writer :func:`int_writer` picks from the table's
+largest magnitude.  This module is the only one that knows indents,
+separators and quoting; it and `cli` get other modules from :func:`_layer`.
 """
 
 from __future__ import annotations
@@ -121,6 +125,13 @@ def int_rows(rows, depth: int = 1) -> Written:
                            if row else "[]" for row in rows], depth))
 
 
+def _text_rows(rows, depth: int) -> str:
+    """The list of these non-empty rows of item texts nested `depth` levels
+    deep."""
+    opener, sep, close = _frame(depth + 1)
+    return _items([opener + sep.join(row) + close for row in rows], depth)
+
+
 def _object_text(keys: tuple, texts, depth: int = 0) -> str:
     """The object of these sorted keys and value texts, `depth` deep."""
     frame = _object_frame(keys, depth)
@@ -161,18 +172,22 @@ def encode_chunks(doc):
 
     A value of the top-level object may be an iterator of item texts (the
     stream slot of the module docstring).  Every other value is encoded
-    before the first chunk, so an invalid one writes nothing.  A stream is
-    consumed as the chunks are taken, `_BATCH` items to a chunk; a document
-    without one is one chunk.
+    here, before any chunk is taken, so an invalid one raises here and
+    writes nothing.  A stream is consumed as the chunks are taken, `_BATCH`
+    items to a chunk; a document without one is one chunk.
     """
     if not (isinstance(doc, dict) and doc):
-        yield _encode(doc, 0) + "\n"
-        return
+        return iter((_encode(doc, 0) + "\n",))
     keys = tuple(sorted(doc))
     frame = _object_frame(keys, 0)
-    parts = [value if isinstance(value := doc[key], Iterator)
-             else head + _encode(value, 1)
-             for key, head in zip(keys, frame)]
+    return _chunks(frame, [value if isinstance(value := doc[key], Iterator)
+                           else head + _encode(value, 1)
+                           for key, head in zip(keys, frame)])
+
+
+def _chunks(frame: tuple, parts: list):
+    """The chunks of a top-level object from its `_object_frame` and its
+    parts: each a value's text after its key's head, or a stream."""
     text = ""
     for head, part in zip(frame, parts):
         if isinstance(part, str):
@@ -218,12 +233,55 @@ def accepted_text(result) -> str:
         int_list(result.ray_map), sequence)) + "\n"
 
 
-def int_writer(largest: int):
-    """The int writer of a table whose largest magnitude is |largest|, which
-    it refuses if too long: C `int.__repr__` if none is stored or quoted."""
+def bundle_text(weights, xi=None) -> str:
+    """The text of a `bundle` document from the 2k exponent rows of the
+    tangent splitting in ray order (`bundles._action_weights`) and the xi
+    exponents, None at the top stage.  Each row's int texts are made once
+    and joined at both depths they are written at: in `tangent` and in
+    `quotient.action_weights`.  The kernel generators are their transpose,
+    lambda_j is row (j,0) negated, canonical_lambda is lambda_k and
+    lambda_perp is row (k,1)."""
+    texts = [[*map(_int_text, row)] for row in weights]
+    duals = [[*map(_int_text, map(neg, row))] for row in weights[::2]]
+    values = [_items(duals[-1], 1), _int_text(len(duals)),
+              _text_rows(duals, 1), _items(texts[-1], 1),
+              _object_text(("action_weights", "kernel_generators"), (
+                  _text_rows(texts, 2), _text_rows(zip(*texts), 2)), 1),
+              _text_rows(texts, 1)]
+    keys = ("canonical_lambda", "k", "lambda", "lambda_perp", "quotient",
+            "tangent", "xi")
+    if xi is None:
+        return _object_text(keys[:-1], values) + "\n"
+    return _object_text(keys, [*values, int_list(xi)]) + "\n"
+
+
+def cohomology_chunks(relations, ranks, table, checked=None):
+    """The chunks of a `cohomology` document from its relation rows, its
+    ranks and its total Chern class as 2^k coefficients by mask, the last
+    the Euler characteristic, with the `--oracle` summary of `checked`
+    comparisons unless it is None.  Every value before the `total_chern`
+    stream is written here, into one of two fixed frames, and the table's
+    int writer is chosen here, refusing its longest int, so the chunks that
+    follow cannot fail."""
+    texts = term_texts(table, int_writer(table))
+    keys = ("betti", "euler_characteristic", "k", "relations", "total_chern")
+    values = [int_list(ranks), _int_text(table[-1]), _int_text(len(relations)),
+              int_rows(relations)]
+    if checked is not None:
+        keys = (*keys[:3], "oracle", *keys[3:])
+        values.insert(3, _object_text(("checked", "match"),
+                                      (_int_text(checked), "true"), 1))
+    frame = _object_frame(keys, 0)
+    return _chunks(frame, [*map(str.__add__, frame, values), texts])
+
+
+def int_writer(table):
+    """The int writer of a table of ints, which refuses its longest int if
+    too long: C `int.__repr__` if no int is stored or quoted.  The largest
+    magnitude is read by C-level max and min, with no key per entry."""
+    largest = max(max(table), -min(table))
     _int_text(largest)
-    return (int.__repr__ if 1024 < abs(largest) < PRECISION_LIMIT
-            else _int_text)
+    return int.__repr__ if 1024 < largest < PRECISION_LIMIT else _int_text
 
 
 def cone_texts(k: int):

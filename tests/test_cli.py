@@ -18,14 +18,16 @@ Core claims:
    Inputs deeper than the recursion limit (JSON nesting, or more ray
    pairs than stack frames), repeated JSON keys, and fans whose ray
    pairing search would run for hours still end in a documented exit code.
-5. The cohomology and bundle documents of seeded sequences at k = 1..11
-   are byte-identical to documents written from the reference oracles.  The
-   cohomology document is streamed from the flat Chern table, never from
-   a listed class, with cancelled terms omitted; a stage above 20 exits 3
-   before any table is built or any column read.  A cohomology job reads
-   each column of its stage once, for the rows written as "relations",
-   and checks its stage once; presentation, betti and cohomology_ring
-   each keep their own check.
+5. The cohomology and bundle documents of seeded sequences at k = 1..11,
+   of every ring bench document of both seeds and of towers with twists
+   of 2^53 and more are byte-identical to documents written from the
+   reference oracles, on stdout and through -o.  The cohomology document
+   is streamed from the flat Chern table, never from a listed class, with
+   cancelled terms omitted; a stage above 20 exits 3 before any table is
+   built or any column read.  Neither command calls
+   IntegralSequence.column: their rows come from one pass over the stored
+   twists.  A cohomology job checks its stage once; presentation, betti
+   and cohomology_ring each keep their own check.
 6. The streamed documents (fan, charts, numbers --sets, with and without
    --oracle and -k) are byte-identical to the reference oracles on stdout
    and through -o, big integers included.  Oracle comparisons, and the
@@ -76,7 +78,6 @@ import random
 import subprocess
 import sys
 import time
-from collections import Counter
 
 import pytest
 
@@ -752,33 +753,22 @@ class TestBundle:
         assert doc["k"] == 1
 
     def test_each_column_is_read_once(self, monkeypatch, capsys):
-        from bott_towers import IntegralSequence, bundles, cli, sequence_to_doc
+        """Each column, xi's among them, is read once, in the one pass over
+        the stored twists: `IntegralSequence.column` is never called."""
+        from bott_towers import IntegralSequence, cli, sequence_to_doc
 
-        calls = Counter()
-        column, split = IntegralSequence.column, bundles.tangent_splitting
-        init = bundles.QuotientPresentation.__init__.__code__
+        def refused(self, j):
+            raise AssertionError(f"column {j} read")
 
-        def counted_column(self, j):
-            calls["column"] += 1
-            return column(self, j)
-
-        def counted_split(c, k):
-            assert sys._getframe(1).f_code is init  # the quotient reads it
-            calls["tangent_splitting"] += 1
-            return split(c, k)
-
-        monkeypatch.setattr(IntegralSequence, "column", counted_column)
-        monkeypatch.setattr(bundles, "tangent_splitting", counted_split)
+        monkeypatch.setattr(IntegralSequence, "column", refused)
         rng = random.Random(7100)
         for n in range(1, 9):
-            doc = json.dumps(sequence_to_doc(random_sequence(rng, n, -3, 3)))
+            c = random_sequence(rng, n, -3, 3)
+            doc = json.dumps(sequence_to_doc(c))
             for k in range(1, n + 1):
-                calls.clear()
                 assert cli.main(["bundle", doc, "-k", str(k)]) == 0
-                assert capsys.readouterr().out
-                # k for the splitting, one for lambda_perp, one for xi
-                assert calls == {"column": k + 2 if k < n else k + 1,
-                                 "tangent_splitting": 1}
+                assert capsys.readouterr().out == reference_canonical(
+                    reference_bundle_doc(c, k))
 
 
 class TestCohomology:
@@ -837,8 +827,34 @@ class TestCohomology:
                 public(c, 4)
 
 
+def assert_bytes(argv, expected, tmp_path, capsys):
+    """The run of `argv` exits 0 and writes `expected`, on stdout and
+    through -o, leaving no other file."""
+    from bott_towers import cli
+
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "doc.json"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def reference_ring_doc(argv) -> dict:
+    """The reference document of a `bundle` or `cohomology` argv."""
+    from bott_towers import sequence_from_doc
+
+    c = sequence_from_doc(json.loads(argv[1]))
+    k = int(argv[argv.index("-k") + 1]) if "-k" in argv else c.n
+    if argv[0] == "bundle":
+        return reference_bundle_doc(c, k)
+    return reference_cohomology_doc(c, k, oracle="--oracle" in argv)
+
+
 class TestRingDocumentsAgainstReference:
-    """Ordering or arithmetic faults in the ring show up byte for byte."""
+    """Ordering or arithmetic faults in the ring show up byte for byte: on
+    seeded towers, on every `ring` bench document of both seeds, and on
+    twists that must be quoted, on stdout and through -o."""
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_cohomology_and_bundle_bytes(self, k, capsys):
@@ -860,6 +876,30 @@ class TestRingDocumentsAgainstReference:
         for argv, expected in runs:
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == reference_canonical(expected)
+
+    def test_every_deck_document(self, tmp_path, capsys):
+        argvs = deck_argvs("ring")
+        assert {argv[0] for argv in argvs} == {"bundle", "cohomology"}
+        for argv in argvs:
+            assert_bytes(argv, reference_canonical(reference_ring_doc(argv)),
+                         tmp_path, capsys)
+
+    @pytest.mark.parametrize("twist", [
+        2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -2 ** 53, 2 ** 80, -3 ** 60])
+    def test_big_twists_are_quoted(self, twist, tmp_path, capsys):
+        from bott_towers import IntegralSequence, sequence_to_doc
+
+        c = IntegralSequence(4, {(1, 2): twist, (2, 3): -twist,
+                                 (1, 4): twist + 1, (3, 4): 2})
+        seq = json.dumps(sequence_to_doc(c))
+        for argv in (["bundle", seq], ["bundle", seq, "-k", "3"],
+                     ["cohomology", seq],
+                     ["cohomology", seq, "-k", "3", "--oracle"]):
+            text = reference_canonical(reference_ring_doc(argv))
+            quoted = abs(twist) >= 2 ** 53
+            assert (f'"{twist}"' in text) == quoted
+            assert (f" {twist}" in text) == (not quoted)
+            assert_bytes(argv, text, tmp_path, capsys)
 
 
 class TestCohomologyTable:
@@ -936,26 +976,24 @@ class TestCohomologyTable:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_each_column_is_read_once(self, oracle, monkeypatch, capsys):
-        """The Chern table reads the rows written as "relations"."""
+        """The Chern table reads the rows written as "relations", filled by
+        one pass over the stored twists: `IntegralSequence.column` is never
+        called."""
         from bott_towers import IntegralSequence, cli, sequence_to_doc
 
-        reads = []
-        column = IntegralSequence.column
+        def refused(self, j):
+            raise AssertionError(f"column {j} read")
 
-        def counted_column(self, j):
-            reads.append(j)
-            return column(self, j)
-
-        monkeypatch.setattr(IntegralSequence, "column", counted_column)
+        monkeypatch.setattr(IntegralSequence, "column", refused)
         rng = random.Random(7200)
         for n in range(1, 9):
-            doc = json.dumps(sequence_to_doc(random_sequence(rng, n, -3, 3)))
+            c = random_sequence(rng, n, -3, 3)
+            doc = json.dumps(sequence_to_doc(c))
             for k in range(1, n + 1):
-                reads.clear()
                 argv = ["cohomology", doc, "-k", str(k)]
                 assert cli.main(argv + ["--oracle"] * oracle) == 0
-                assert capsys.readouterr().out
-                assert sorted(reads) == list(range(1, k + 1))
+                assert capsys.readouterr().out == reference_canonical(
+                    reference_cohomology_doc(c, k, oracle=oracle))
 
     def test_stage_below_cap_still_runs(self, capsys):
         from bott_towers import IntegralSequence, cli
@@ -967,17 +1005,6 @@ class TestCohomologyTable:
 
 class TestTablesAgainstReference:
     """The streamed documents, byte for byte, on stdout and through -o."""
-
-    @staticmethod
-    def assert_bytes(argv, expected, tmp_path, capsys):
-        from bott_towers import cli
-
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == expected
-        out = tmp_path / "doc.json"
-        assert cli.main([*argv, "-o", str(out)]) == 0
-        assert out.read_bytes() == expected.encode()
-        assert os.listdir(tmp_path) == ["doc.json"]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_seeded_sequences(self, k, tmp_path, capsys):
@@ -996,8 +1023,8 @@ class TestTablesAgainstReference:
             (["charts", tall, "-k", str(k)], reference_charts_doc(taller, k)),
         ]
         for argv, expected in runs:
-            self.assert_bytes(argv, reference_canonical(expected), tmp_path,
-                              capsys)
+            assert_bytes(argv, reference_canonical(expected), tmp_path,
+                         capsys)
 
     def test_big_bott_numbers_are_quoted(self, tmp_path, capsys):
         from bott_towers import IntegralSequence, sequence_to_doc
@@ -1011,7 +1038,7 @@ class TestTablesAgainstReference:
                 (["fan", seq], reference_fan_doc(c, 5))]:
             text = reference_canonical(expected)
             assert f'"{2 ** 90}"' in text  # b({1, 2, 3, 4}) = 2^90
-            self.assert_bytes(argv, text, tmp_path, capsys)
+            assert_bytes(argv, text, tmp_path, capsys)
 
     def test_oracle_mismatch_writes_nothing(self, monkeypatch, capsys):
         from bott_towers import cli, sequences

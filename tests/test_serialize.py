@@ -212,7 +212,9 @@ class TestSizedStreams:
 
 class TestIntWriter:
     """A table's writer, chosen from its largest magnitude, writes the
-    texts of `_int_text`; C `int.__repr__` only between 1024 and 2^53."""
+    texts of `_int_text`; C `int.__repr__` only between 1024 and 2^53.
+    `int_writer` reads that magnitude from the table by C-level max and
+    min and picks what the former per-entry `max(table, key=abs)` did."""
 
     @pytest.mark.parametrize("largest", [0, 7, 1024, -1024, 1025, -1025,
                                          LIMIT - 1, -(LIMIT - 1), LIMIT,
@@ -221,22 +223,38 @@ class TestIntWriter:
         rng = random.Random(largest)
         table = [rng.randint(-abs(largest), abs(largest)) for _ in range(64)]
         table[rng.randrange(1, 64)] = largest
-        text = SERIALIZE.int_writer(max(table, key=abs))
+        text = SERIALIZE.int_writer(table)
         assert (text is int.__repr__) == (1024 < abs(largest) < LIMIT)
         assert [*number_texts(table, text)] == [*number_texts(table)]
         assert [*term_texts(table, text)] == [*term_texts(table)]
+
+    @pytest.mark.parametrize("low, high", [
+        (-1024, 1023), (-1025, 1024), (-1024, 1025), (-1025, 1025),
+        (-(LIMIT - 1), LIMIT - 2), (-LIMIT, LIMIT - 1),
+        (-(LIMIT - 1), LIMIT), (-LIMIT, LIMIT), (-2 ** 80, 1)])
+    def test_either_extreme_picks_the_writer(self, low, high):
+        """The negative extreme counts as much as the positive one."""
+        for table in ([0, high, low, 1], [low, 0, 5, high]):
+            text = SERIALIZE.int_writer(table)
+            largest = max(table, key=abs)  # the former choice
+            assert (text is int.__repr__) == (
+                1024 < abs(largest) < LIMIT) == (
+                1024 < max(high, -low) < LIMIT)
+            assert [*term_texts(table, text)] == [*term_texts(table)]
 
     @pytest.mark.parametrize("bound", [3, 2 ** 12, 2 ** 40, 2 ** 60])
     def test_charts_match_the_default_writer(self, bound):
         c = random_sequence(random.Random(bound), 6, -bound, bound)
         table = _bott_table(c, 6)
-        text = SERIALIZE.int_writer(max(table, key=abs))
+        text = SERIALIZE.int_writer(table)
         assert ([*SERIALIZE.chart_texts(_prefix_rows(table, 6), text)]
                 == [*SERIALIZE.chart_texts(_prefix_rows(table, 6))])
 
     def test_an_integer_too_long_is_refused(self):
-        with pytest.raises(ValidationError, match="output integer"):
-            SERIALIZE.int_writer(-10 ** 5000)
+        for table in ([3, -10 ** 5000, 10 ** 4000],
+                      [-10 ** 4000, 10 ** 5000, 0]):
+            with pytest.raises(ValidationError, match="output integer"):
+                SERIALIZE.int_writer(table)
 
 
 OVER_LIMIT = "9" * 5000  # more digits than int() converts

@@ -5,7 +5,8 @@ a token that is not a comment, a newline or indentation, outside every
 module, class and function docstring.  tools/paired_ab.py runs a bench deck
 on two checkouts job by job: the same checkout on both sides writes the
 same bytes, and a difference in stdout or exit code fails the run.  Its
-per-subcommand pass times add up to the whole pass on each side.
+per-subcommand pass times add up to the whole pass on each side, and its
+per-pass ratios are those of each pass's summed job times.
 """
 
 from __future__ import annotations
@@ -113,6 +114,23 @@ def test_by_command_sums_each_pass():
     argvs = [("a", "1"), ("b", "1"), ("a", "2")]
     times = [1e6, 2e6, 3e6, 5e6, 4e6, 7e6]  # two passes of three jobs
     assert load_tool(PAIRED).by_command(times, argvs) == {"a": 8.0, "b": 3.0}
+
+
+def test_pass_ratios_and_wins():
+    tool = load_tool(PAIRED)
+    parent = [1e6, 3e6, 2e6, 2e6, 5e6, 1e6]  # three passes of two jobs
+    change = [1e6, 2e6, 3e6, 1e6, 3e6, 3e6]
+    assert tool.pass_ratios((parent, change), 2) == pytest.approx(
+        [0.75, 1.0, 1.0])
+    done = subprocess.run(
+        [sys.executable, str(PAIRED), str(ROOT), str(ROOT),
+         "--workload", "ring", "--passes", "3", "--limit", "8"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    line = done.stdout.splitlines()[1].split()
+    assert line[:2] == ["pass", "ratio"] and line[-2:] == ["of", "3"]
+    low, high = map(float, line[2].rstrip(",").split("-"))
+    assert 0 < low <= high and 0 <= int(line[-3]) <= 3
 
 
 def test_paired_reports_a_difference():

@@ -13,9 +13,11 @@ the jobs of those subcommands, so a gain can be split between them; a name
 with no job in the deck is a usage error (exit 2).  ``--limit J`` then keeps
 the first J jobs.  A job whose exit code or stdout
 differs between the sides is reported, and the exit status is then 1.
-Otherwise each subcommand's pass time on each side is printed with its
-change/parent ratio, then each side's pass time, median and 90th-percentile
-job time with theirs, all from the same run.
+Otherwise the change/parent ratio of each pass's time is printed as its
+range over the passes, with the number of passes the change ran faster;
+then each subcommand's pass time on each side with its ratio, then each
+side's pass time, median and 90th-percentile job time with theirs, all
+from the same run.
 
 A job and its pair run microseconds apart, so drifts in machine speed that
 make separate runs differ by tens of percent cancel out.  Use it to size and
@@ -103,6 +105,14 @@ def summary(times, argvs_per_pass: int):
             statistics.quantiles(times, n=10)[8] / 1e6)
 
 
+def pass_ratios(times, argvs_per_pass: int):
+    """The change/parent ratio of each pass's summed job time."""
+    parent, change = ([sum(side[start:start + argvs_per_pass])
+                       for start in range(0, len(side), argvs_per_pass)]
+                      for side in times)
+    return [new / old for old, new in zip(parent, change)]
+
+
 def by_command(times, argvs):
     """{subcommand: pass time (ms)} of one side's job times, in the order
     of each subcommand's first job."""
@@ -144,6 +154,9 @@ def main(argv=None) -> int:
     rows = [summary(side, len(argvs)) for side in times]
     print(f"{args.workload} seed {args.seed}: {len(argvs)} jobs x "
           f"{args.passes} pass(es), identical exit codes and stdout")
+    ratios = pass_ratios(times, len(argvs))
+    print(f"pass ratio {min(ratios):.4f}-{max(ratios):.4f}, change faster "
+          f"in {sum(ratio < 1 for ratio in ratios)} of {len(ratios)}")
     parent, change = (by_command(side, argvs) for side in times)
     print(f"{'command':10s} {'parent ms':>10s} {'change ms':>10s} "
           f"{'ratio':>10s}")
